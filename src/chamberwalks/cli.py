@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -89,16 +88,14 @@ def _dist_rows(dist, q: float):
     from . import serialize, weyl
 
     rows = []
-    for w, mass in sorted(dist.items(), key=lambda kv: (
-        int(dist.space.lengths[dist.space.index[kv[0]]]), kv[0].mu, kv[0].u
-    )):
+    for w, mass in dist.items():  # state order: (length, mu, u)
         word = serialize.word_to_str(weyl.reduced_word(w))
         rows.append((
             word,
             w.mu[0], w.mu[1],
             serialize.word_to_str(weyl.W0_WORDS[w.u]),
             float(mass),
-            float(mass) / q ** weyl.length(w),
+            dist.p_value(w, q),
         ))
     return rows
 
@@ -307,10 +304,6 @@ def cmd_spectrum(args) -> int:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("CW_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -8,6 +8,12 @@ ws_i, a descent moves there with probability 1/q and stays otherwise.  The
 same kernel drives the Monte Carlo chain, so the two are independent only
 in implementation (sparse linear algebra vs sampled trajectories), while
 the spectral route goes through the trace decomposition instead.
+
+The chain lives on a ball of the affine Weyl group.  The ball is built from
+arrays: the closed-form length is evaluated over a lattice box of (m, n, u)
+for w = t_(m,n) u, the states of length <= radius are kept, and a dense
+(m, n, u) -> state lookup array gives the targets of the three generators.
+The BFS ``weyl.ball`` serves only as the tests' oracle for this build.
 """
 
 from __future__ import annotations
@@ -37,14 +43,35 @@ __all__ = [
 
 @dataclass
 class StateSpace:
-    """Ball of the Cayley graph with integer-indexed transition tables."""
+    """Ball of the Cayley graph with integer-indexed transition tables.
+
+    States are numbered in the order (length, m, n, u) of w = t_(m,n) u, so
+    the identity is state 0.  ``elems[s]`` is the row (m, n, u) of state s
+    and ``pos[m + box, n + box, u]`` is the state of t_(m,n) u, or -1 outside
+    the ball.  The lattice box |m|, |n| <= box holds the ball and every
+    one-step neighbour of it, since length >= 3 max(|m|, |n|) - 3.
+    """
 
     radius: int
-    elems: list
-    index: dict
+    box: int
+    elems: np.ndarray    # elems[s] = (m, n, u)
+    pos: np.ndarray      # pos[m + box, n + box, u] = state, -1 if outside
     lengths: np.ndarray
-    target: np.ndarray   # target[s, i] = index of elems[s] * s_i, -1 if outside
+    target: np.ndarray   # target[s, i] = state of elems[s] * s_i, -1 if outside
     ascent: np.ndarray   # ascent[s, i] = length goes up
+
+    def state(self, w: AffineElement) -> int:
+        """State of w, -1 if w lies outside the ball."""
+        m, n = w.mu
+        b = self.box
+        # a negative index would silently wrap around in pos
+        if abs(m) > b or abs(n) > b:
+            return -1
+        return int(self.pos[m + b, n + b, w.u])
+
+    def element(self, s: int) -> AffineElement:
+        m, n, u = self.elems[s].tolist()
+        return AffineElement((m, n), u)
 
 
 _SPACES = {}
@@ -54,21 +81,26 @@ def state_space(radius: int) -> StateSpace:
     cached = _SPACES.get(radius)
     if cached is not None:
         return cached
-    dist = weyl.ball(radius)
-    elems = sorted(dist, key=lambda w: (dist[w], w.mu, w.u))
-    index = {w: k for k, w in enumerate(elems)}
-    n = len(elems)
-    target = np.full((n, 3), -1, dtype=np.int64)
-    ascent = np.zeros((n, 3), dtype=bool)
-    lengths = np.array([dist[w] for w in elems], dtype=np.int64)
-    for s, w in enumerate(elems):
-        lw = dist[w]
-        for i in range(3):
-            y = weyl.right_mul_gen(w, i)
-            k = index.get(y)
-            target[s, i] = -1 if k is None else k
-            ascent[s, i] = (k is None) or lengths[k] > lw
-    space = StateSpace(radius, elems, index, lengths, target, ascent)
+    b = radius // 3 + 2
+    side = np.arange(-b, b + 1)
+    grid = np.meshgrid(side, side, np.arange(6), indexing="ij", sparse=True)
+    box_lengths = weyl.length_array(*grid)
+    keep = np.flatnonzero(box_lengths <= radius)
+    im, jn, u = np.unravel_index(keep, box_lengths.shape)
+    m, n, lengths = im - b, jn - b, box_lengths.ravel()[keep]
+    order = np.lexsort((u, n, m, lengths))
+    m, n, u, lengths = m[order], n[order], u[order], lengths[order]
+    pos = np.full(box_lengths.size, -1, dtype=np.int64)
+    pos[keep[order]] = np.arange(len(keep))
+    pos = pos.reshape(box_lengths.shape)
+    target = np.empty((len(keep), 3), dtype=np.int64)
+    ascent = np.empty((len(keep), 3), dtype=bool)
+    for i in range(3):
+        tm, tn, tu = weyl.right_mul_gen_array(m, n, u, i)
+        target[:, i] = pos[tm + b, tn + b, tu]
+        ascent[:, i] = weyl.length_array(tm, tn, tu) > lengths
+    space = StateSpace(radius, b, np.column_stack((m, n, u)), pos, lengths,
+                       target, ascent)
     _SPACES[radius] = space
     return space
 
@@ -82,21 +114,21 @@ class WalkDistribution:
     masses: np.ndarray
 
     def mass(self, w: AffineElement) -> float:
-        k = self.space.index.get(w)
-        return 0.0 if k is None else float(self.masses[k])
+        s = self.space.state(w)
+        return 0.0 if s < 0 else float(self.masses[s])
 
     def p_value(self, w: AffineElement, q: float) -> float:
         """Transition probability to a fixed chamber at relative position w:
         the basis mass divided by the sphere size q^length."""
-        k = self.space.index.get(w)
-        if k is None:
+        s = self.space.state(w)
+        if s < 0:
             return 0.0
-        return float(self.masses[k]) / q ** int(self.space.lengths[k])
+        return float(self.masses[s]) / q ** int(self.space.lengths[s])
 
     def items(self):
-        for k, m in enumerate(self.masses):
-            if m:
-                yield self.space.elems[k], m
+        """(element, mass) over the support, in state order."""
+        for s in np.flatnonzero(self.masses):
+            yield self.space.element(s), self.masses[s]
 
     def total(self) -> float:
         return float(np.sum(self.masses))
@@ -118,20 +150,27 @@ def _validate_spec(walk: dict):
         raise ValueError("radial walk coefficients must sum to one")
 
 
+def _check_steps(n: int):
+    if n < 0:
+        raise ValueError(f"step count must be >= 0, got {n}")
+
+
 def _gen_step_matrix(space: StateSpace, i: int, q: float) -> sp.csr_matrix:
     """Column-stochastic one-generator averaging step: entry [t, s] is the
     mass flowing from state s to t under right averaging on wall type i."""
     n = len(space.elems)
-    rows, cols, data = [], [], []
-    for s in range(n):
-        t = space.target[s, i]
-        if space.ascent[s, i]:
-            if t >= 0:
-                rows.append(t), cols.append(s), data.append(1.0)
-            # ascents leaving the ball never carry mass within the horizon
-        else:
-            rows.append(t), cols.append(s), data.append(1.0 / q)
-            rows.append(s), cols.append(s), data.append(1.0 - 1.0 / q)
+    states = np.arange(n)
+    tgt = space.target[:, i]
+    # ascents leaving the ball never carry mass within the horizon
+    up = space.ascent[:, i] & (tgt >= 0)
+    down = ~space.ascent[:, i]
+    rows = np.concatenate((tgt[up], tgt[down], states[down]))
+    cols = np.concatenate((states[up], states[down], states[down]))
+    data = np.concatenate((
+        np.full(np.count_nonzero(up), 1.0),
+        np.full(np.count_nonzero(down), 1.0 / q),
+        np.full(np.count_nonzero(down), 1.0 - 1.0 / q),
+    ))
     return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
 
 
@@ -151,16 +190,19 @@ def exact_distribution(walk: dict, n: int, q, snapshots=None):
     """Distribution after n steps, double precision via sparse matvec.
 
     With snapshots=[n1, n2, ...] returns {ni: WalkDistribution} capturing the
-    distribution at each requested step count (all <= n).
+    distribution at each requested step count (all in 0..n).
     """
+    _check_steps(n)
+    wanted = set(snapshots or ())
+    if any(not 0 <= k <= n for k in wanted):
+        raise ValueError(f"snapshots must lie in 0..{n}")
     _validate_spec(walk)
     q = float(q)
     horizon = n * max((weyl.length(w) for w in walk), default=1)
     space = state_space(max(horizon, 1))
     mat = _walk_matrix(space, walk, q)
     masses = np.zeros(len(space.elems))
-    masses[space.index[IDENTITY]] = 1.0
-    wanted = set(snapshots or ())
+    masses[space.state(IDENTITY)] = 1.0
     out = {}
     if 0 in wanted:
         out[0] = WalkDistribution(0, space, masses.copy())
@@ -175,6 +217,7 @@ def exact_distribution(walk: dict, n: int, q, snapshots=None):
 
 def exact_distribution_rational(walk: dict, n: int, q) -> dict:
     """Reference recursion with Fraction masses (dict element -> mass)."""
+    _check_steps(n)
     _validate_spec(walk)
     q = Fraction(q)
     dist = {IDENTITY: Fraction(1)}
@@ -203,16 +246,19 @@ def exact_distribution_rational(walk: dict, n: int, q) -> dict:
 def mc_simulate(n: int, trials: int, seed: int, q) -> WalkDistribution:
     """Empirical distribution of the uniform nearest-neighbour radial chain.
 
-    Counter-based Philox stream keyed by the seed; step k consumes the k-th
-    block of (type, acceptance) draws, so trial j always sees the same
-    deterministic stream positions regardless of batching.
+    All trials advance together on one Philox stream keyed by the seed:
+    step k draws ``trials`` wall types, then ``trials`` acceptance uniforms.
+    The result is reproducible for fixed (n, trials, seed, q), but the draws
+    a given trial sees depend on ``trials``, so runs with different trial
+    counts do not share trajectories.
     """
+    _check_steps(n)
     if trials < 1:
         raise ValueError("need at least one trial")
     q = float(q)
     space = state_space(max(n, 1))
     rng = np.random.Generator(np.random.Philox(key=seed))
-    state = np.full(trials, space.index[IDENTITY], dtype=np.int64)
+    state = np.full(trials, space.state(IDENTITY), dtype=np.int64)
     for _ in range(n):
         pick = rng.integers(0, 3, size=trials)
         accept = rng.random(trials) < 1.0 / q

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+
+import numpy as np
 
 __all__ = [
     "AffineElement", "IDENTITY", "GEN", "W0_WORDS", "W0_LONGEST", "W0_ORDER",
@@ -31,7 +32,8 @@ __all__ = [
     "pairing", "w0_mult", "w0_inv", "w0_length", "w0_apply", "w0_apply_root",
     "w0_from_word", "inversion_set",
     "multiply", "inverse", "right_mul_gen", "translation", "finite",
-    "length", "reduced_word", "from_word", "is_reduced",
+    "length", "length_array", "right_mul_gen_array",
+    "reduced_word", "from_word", "is_reduced",
     "bruhat_leq", "bruhat_leq_bruteforce", "dominance_leq",
     "barycenter", "crossing_data", "ball",
 ]
@@ -198,6 +200,33 @@ def length(w: AffineElement) -> int:
     return total
 
 
+# Array forms of right_mul_gen and length over integer arrays m, n, u (any
+# broadcastable shapes), for building whole state spaces at once.
+_MULT_ARRAY = np.array(W0_MULT)
+_SHIFT0_ARRAY = np.array([w0_apply(u, PHI_VEE) for u in range(6)])
+# _DESCENT_ARRAY[u, r] = 1 when u^{-1} sends POS_ROOTS[r] to a negative root.
+_DESCENT_ARRAY = np.array([
+    [int(_is_negative_root(w0_apply_root(W0_INV[u], root))) for root in POS_ROOTS]
+    for u in range(6)
+])
+
+
+def right_mul_gen_array(m, n, u, i: int):
+    """(m, n, u) of t_(m,n) u * s_i, elementwise."""
+    if i == 0:
+        shift = _SHIFT0_ARRAY[u]
+        return m + shift[..., 0], n + shift[..., 1], _MULT_ARRAY[u, W0_LONGEST]
+    return m, n, _MULT_ARRAY[u, i]
+
+
+def length_array(m, n, u):
+    """length(t_(m,n) u), elementwise; same hyperplane count as length."""
+    desc = _DESCENT_ARRAY[u]
+    return sum(
+        np.abs(pairing((m, n), root) - desc[..., r]) for r, root in enumerate(POS_ROOTS)
+    )
+
+
 def _descent(w: AffineElement, i: int) -> bool:
     return length(right_mul_gen(w, i)) < length(w)
 
@@ -298,7 +327,9 @@ def crossing_data(a: AffineElement, i: int):
 
 def ball(radius: int):
     """Cayley-graph ball: dict element -> distance from the identity, BFS
-    over right multiplication by the three generators."""
+    over right multiplication by the three generators.  The package itself
+    does not call it: it is the tests' oracle for the closed-form length and
+    for limit.state_space."""
     dist = {IDENTITY: 0}
     frontier = [IDENTITY]
     for d in range(1, radius + 1):
@@ -311,16 +342,3 @@ def ball(radius: int):
                     nxt.append(y)
         frontier = nxt
     return dist
-
-
-def lattice_points_with_length_leq(radius: int):
-    """Geometric enumeration of all group elements with length <= radius,
-    scanning a lattice box and using the closed-form length."""
-    out = []
-    b = radius + 2
-    for m, n in product(range(-b, b + 1), repeat=2):
-        for u in range(6):
-            w = AffineElement((m, n), u)
-            if length(w) <= radius:
-                out.append(w)
-    return out

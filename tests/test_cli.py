@@ -64,6 +64,15 @@ def test_walk_compare(capsys):
     assert float(cells["mc_sigmas"]) <= 4.0
 
 
+def test_walk_negative_steps(capsys):
+    for argv in (["walk", "exact", "--n", "-3"],
+                 ["walk", "mc", "--n", "-1", "--trials", "10"],
+                 ["walk", "compare", "--n", "-2", "--trials", "10"],
+                 ["walk", "llt", "--n=-3,5"]):
+        assert cli.main(argv) == cli.EXIT_USAGE
+    assert capsys.readouterr().out == ""
+
+
 def test_walk_bad_q(capsys):
     assert cli.main(["walk", "exact", "--q", "1", "--n", "2"]) == cli.EXIT_USAGE
 

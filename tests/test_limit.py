@@ -87,6 +87,37 @@ def test_general_radial_walk_matches_algebra(field2):
             assert abs(d.mass(w) - mass) < 1e-12, (n, w)
 
 
+def test_negative_step_counts_rejected():
+    spec = L.simple_walk_spec()
+    with pytest.raises(ValueError):
+        L.exact_distribution(spec, -3, 2)
+    with pytest.raises(ValueError):
+        L.exact_distribution(spec, 5, 2, snapshots=[-3, 5])
+    with pytest.raises(ValueError):
+        L.exact_distribution_rational(spec, -1, 2)
+    with pytest.raises(ValueError):
+        L.mc_simulate(-1, 100, 1, 2)
+
+
+def test_lookups_outside_the_ball():
+    """Elements one step beyond the radius, far outside the lookup box, and
+    one box width below a supported element (where a negative index would
+    wrap around onto it) carry no mass."""
+    d = L.exact_distribution(L.simple_walk_spec(), 3, 2)
+    emp = L.mc_simulate(3, 1000, 5, 2)
+    beyond = W.from_word((0, 1, 2, 0))
+    far = [W.translation((-10 ** 6, 0)), W.translation((10 ** 6, 0)),
+           W.AffineElement((0, -10 ** 6), 3)]
+    assert W.length(beyond) == d.space.radius + 1
+    for dist in (d, emp):
+        width = 2 * dist.space.box + 1
+        aliases = [W.AffineElement((w.mu[0] - width, w.mu[1]), w.u)
+                   for w, _ in dist.items()]
+        for w in [*aliases, beyond, *far]:
+            assert dist.mass(w) == 0.0
+            assert dist.p_value(w, 2.0) == 0.0
+
+
 def test_walk_spec_validation():
     with pytest.raises(ValueError):
         L.exact_distribution({W.GEN[0]: Fraction(1, 2)}, 1, 2)

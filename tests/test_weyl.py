@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chamberwalks import limit as L
 from chamberwalks import weyl as W
 
 
@@ -143,11 +144,23 @@ def test_barycenter_exact():
     assert len(seen) == len(W.ball(3))
 
 
-def test_ball_counts_match_geometric_enumeration(ball8):
-    for radius in range(9):
-        geo = W.lattice_points_with_length_leq(radius)
-        bfs = {w for w, d in ball8.items() if d <= radius}
-        assert set(geo) == bfs
+def test_ball_counts_match_geometric_enumeration():
+    """The array-built state space (closed-form length over a lattice box)
+    against the BFS ball: same elements in (length, mu, u) order, same
+    lengths, and targets/ascents from right_mul_gen and BFS distances."""
+    for radius in [*range(9), 25]:
+        dist = W.ball(radius)
+        elems = sorted(dist, key=lambda w: (dist[w], w.mu, w.u))
+        space = L.state_space(radius)
+        assert [space.element(s) for s in range(len(space.elems))] == elems
+        assert space.lengths.tolist() == [dist[w] for w in elems]
+        index = {w: s for s, w in enumerate(elems)}
+        for s, w in enumerate(elems):
+            assert space.state(w) == s
+            for i in range(3):
+                y = W.right_mul_gen(w, i)
+                assert space.target[s, i] == index.get(y, -1)
+                assert space.ascent[s, i] == (y not in dist or dist[y] > dist[w])
 
 
 def test_thin_building_axioms(ball4):
