@@ -11,29 +11,7 @@ Usage: python scripts/llt_trend.py [--q 2] [--n 100,200,400] [--big 1600,6400]
 
 import argparse
 
-import numpy as np
-
 from chamberwalks import limit, plancherel, weyl
-
-
-def spectral_return_probabilities(q, ns, n_grid=512):
-    grid = plancherel.QuadratureGrid(n_grid)
-    t1, t2 = grid.torus_pairs()
-    lams = []
-    for lo in range(0, len(t1), 16384):
-        g0, g1, g2 = plancherel._principal_generators(
-            q, t1[lo:lo + 16384], t2[lo:lo + 16384]
-        )
-        m = (g0 + g1 + g2) / (3 * np.sqrt(q))
-        lams.append(np.linalg.eigvalsh(m))
-    lams = np.concatenate(lams)
-    weight = 1.0 / plancherel._c_abs2(q, t1, t2)
-    out = {}
-    for n in ns:
-        out[n] = float(
-            np.mean(np.sum(lams ** n, axis=1) * weight) / (6 * q ** 3)
-        )
-    return out
 
 
 def main():
@@ -59,9 +37,8 @@ def main():
         print(f"{n:>8} {p:>14.6e} {est:>14.6e} {r:>8.4f} "
               f"{(1 - r) * n ** 0.5:>12.2f}")
     if big:
-        spec = spectral_return_probabilities(args.q, big)
-        for n in big:
-            p = spec[n]
+        spec = plancherel.spectral_return_probabilities(args.q, big, n_grid=512)
+        for n, p in zip(big, spec):
             est = limit.llt_estimate(weyl.IDENTITY, n, args.q)
             r = p / est
             print(f"{n:>8} {p:>14.6e} {est:>14.6e} {r:>8.4f} "

@@ -4,8 +4,8 @@ exact algebra over Q(sqrt(q)), folded-gallery expansions, explicit finite
 dimensional modules, torus-quadrature trace decomposition, and the local
 limit estimate for the uniform nearest-neighbour walk."""
 
-from . import cli, hecke, limit, plancherel, reps, serialize, walks, weyl
+from . import hecke, limit, plancherel, reps, serialize, walks, weyl
 
 __all__ = ["weyl", "hecke", "walks", "reps", "plancherel", "limit",
-           "serialize", "cli"]
+           "serialize"]
 __version__ = "0.1.0"

@@ -155,28 +155,41 @@ def _rational_sqrt(q: Fraction):
     return None
 
 
-class ScalarField:
+class _Field:
+    """What the exact and the numeric coefficient field share: the checked
+    thickness q and the per-field memo tables of the base changes."""
+
+    def __init__(self, q):
+        self.q = Fraction(q)
+        if self.q <= 1:
+            raise ValueError("thickness q must exceed 1")
+        self.sqrt_q_float = float(self.q) ** 0.5
+        self._tx_cache = {}
+        self._xw_cache = {}
+        self._tux_cache = {}
+        self._fin_inv_cache = {}
+
+    def is_zero(self, c) -> bool:
+        return not c
+
+    def to_complex(self, c) -> complex:
+        return complex(c)
+
+
+class ScalarField(_Field):
     """Exact coefficient field Q(sqrt(q)) for a fixed rational q > 1."""
 
     exact = True
 
     def __init__(self, q):
-        q = Fraction(q)
-        if q <= 1:
-            raise ValueError("thickness q must exceed 1")
-        self.q = q
-        self.rational_root = _rational_sqrt(q)
-        self.sqrt_q_float = float(q) ** 0.5
+        super().__init__(q)
+        self.rational_root = _rational_sqrt(self.q)
         self.zero = self.make(0)
         self.one = self.make(1)
         self.sqrt_q = self.make(0, 1)
-        self.inv_sqrt_q = self.make(0, 1 / q)
+        self.inv_sqrt_q = self.make(0, 1 / self.q)
         # the coefficient q^(1/2) - q^(-1/2) from the quadratic relation
         self.quad = self.sqrt_q - self.inv_sqrt_q
-        self._tx_cache = {}
-        self._xw_cache = {}
-        self._tux_cache = {}
-        self._fin_inv_cache = {}
 
     def make(self, a, b=0):
         a, b = Fraction(a), Fraction(b)
@@ -190,46 +203,28 @@ class ScalarField:
             return self.make(self.q ** (k // 2))
         return self.make(0, self.q ** ((k - 1) // 2))
 
-    def is_zero(self, c) -> bool:
-        return not c
-
-    def to_complex(self, c) -> complex:
-        return complex(c)
-
     def conj(self, c):
         return c
 
 
-class ComplexField:
+class ComplexField(_Field):
     """Numeric twin of ScalarField with complex-double coefficients."""
 
     exact = False
 
     def __init__(self, q):
-        self.q = Fraction(q)
-        qf = float(self.q)
-        self.sqrt_q_float = qf ** 0.5
+        super().__init__(q)
         self.zero = 0j
         self.one = 1 + 0j
-        self.sqrt_q = complex(qf ** 0.5)
-        self.inv_sqrt_q = complex(qf ** -0.5)
+        self.sqrt_q = complex(self.sqrt_q_float)
+        self.inv_sqrt_q = complex(float(self.q) ** -0.5)
         self.quad = self.sqrt_q - self.inv_sqrt_q
-        self._tx_cache = {}
-        self._xw_cache = {}
-        self._tux_cache = {}
-        self._fin_inv_cache = {}
 
     def make(self, a, b=0):
         return complex(float(Fraction(a)) + float(Fraction(b)) * self.sqrt_q_float)
 
     def half_pow(self, k: int):
         return complex(self.sqrt_q_float ** k)
-
-    def is_zero(self, c) -> bool:
-        return c == 0
-
-    def to_complex(self, c) -> complex:
-        return complex(c)
 
     def conj(self, c):
         return c.conjugate() if isinstance(c, complex) else c
@@ -357,9 +352,9 @@ def rmul_gen(h: HeckeElement, i: int, inverse: bool = False) -> HeckeElement:
     return HeckeElement("T", out, field)
 
 
-def rmul_word(h: HeckeElement, word, signs=None) -> HeckeElement:
-    for k, i in enumerate(word):
-        h = rmul_gen(h, i, inverse=(signs is not None and signs[k] < 0))
+def rmul_word(h: HeckeElement, word) -> HeckeElement:
+    for i in word:
+        h = rmul_gen(h, i)
     return h
 
 
@@ -391,13 +386,6 @@ def star(h: HeckeElement) -> HeckeElement:
     for w, c in h.terms.items():
         _acc(out, weyl.inverse(w), field.conj(c), field)
     return HeckeElement("T", out, field)
-
-
-def power(h: HeckeElement, n: int) -> HeckeElement:
-    out = unit(h.field, h.basis)
-    for _ in range(n):
-        out = out * h
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -801,7 +789,25 @@ def _tau_module_apply(terms, q: float, t, vec):
     return out
 
 
-def tau_expansion_at(h: HeckeElement, t, singular_tol: float = 1e-10):
+# |d(t)| below which a character counts as singular
+_SINGULAR_TOL = 1e-10
+# the basis vector of the identity in the localized rank-6 module
+_IDENTITY_VEC = (1, 0, 0, 0, 0, 0)
+
+
+def _localized_terms(h: HeckeElement, t):
+    """q and the numeric X-basis terms of h, after rejecting characters near
+    the singular set d(t) = 0."""
+    q = float(h.field.q)
+    if abs(d_at(q, t)) < _SINGULAR_TOL:
+        raise ValueError(
+            "character too close to the singular set d(t)=0; evaluate at a "
+            "perturbed point"
+        )
+    return q, _as_numeric_x_terms(h)
+
+
+def tau_expansion_at(h: HeckeElement, t):
     """Coefficients (p_u(t)/d(t))_u of h in the intertwiner basis, evaluated
     at a generic character t = (t1, t2).
 
@@ -809,35 +815,19 @@ def tau_expansion_at(h: HeckeElement, t, singular_tol: float = 1e-10):
     """
     import numpy as np
 
-    q = float(h.field.q)
-    if abs(d_at(q, t)) < singular_tol:
-        raise ValueError(
-            "character too close to the singular set d(t)=0; evaluate at a "
-            "perturbed point"
-        )
-    terms = _as_numeric_x_terms(h)
-    basis_vec = [0] * 6
-    basis_vec[0] = 1
+    q, terms = _localized_terms(h, t)
     out = np.zeros(6, dtype=complex)
     for u in range(6):
         s = _w0_on_character(w0_inv(u), t)
-        out[u] = _tau_module_apply(terms, q, s, basis_vec)[u]
+        out[u] = _tau_module_apply(terms, q, s, _IDENTITY_VEC)[u]
     return out
 
 
-def f_value(h: HeckeElement, t, singular_tol: float = 1e-10) -> complex:
+def f_value(h: HeckeElement, t) -> complex:
     """The normalized trace-generating-function coefficient f_t(h): the
     identity component of h in the localized intertwiner basis."""
-    q = float(h.field.q)
-    if abs(d_at(q, t)) < singular_tol:
-        raise ValueError(
-            "character too close to the singular set d(t)=0; evaluate at a "
-            "perturbed point"
-        )
-    terms = _as_numeric_x_terms(h)
-    basis_vec = [0] * 6
-    basis_vec[0] = 1
-    return complex(_tau_module_apply(terms, q, t, basis_vec)[0])
+    q, terms = _localized_terms(h, t)
+    return complex(_tau_module_apply(terms, q, t, _IDENTITY_VEC)[0])
 
 
 def orbit_characters(t):

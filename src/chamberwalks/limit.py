@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 
-from . import reps, weyl
+from . import hecke, reps, weyl
 from .weyl import IDENTITY, AffineElement
 
 __all__ = [
@@ -332,7 +332,8 @@ def c_w_value(w: AffineElement, q) -> float:
     operator of w^-1 in the 6-dimensional module at the trivial character."""
     q = float(q)
     rep = _principal_at_angles(q, (0.0, 0.0))
-    m = rep.word_matrix(weyl.inverse(w)) / q ** (0.5 * weyl.length(w))
+    h = hecke.t_element(hecke.ComplexField(q), [(weyl.inverse(w), 1 + 0j)])
+    m = reps.evaluate(rep, h) / q ** (0.5 * weyl.length(w))
     v = spectral_data(q).top_vector
     return float(np.real(v @ m @ v))
 
@@ -406,18 +407,19 @@ def perturbation_eigenvalues(theta, q):
     return np.array(sorted(out, reverse=True))
 
 
-def determinant_probe(q, grid: int = 24, normalized: bool = True):
+def determinant_probe(q, grid: int = 24):
     """Least-squares fit of the shifted determinant of the walk operator
     against the trigonometric basis [1, sum of first-shell cosines, sum of
     second-shell cosines]; returns (coefficients, max residual).
 
-    With normalized=True the determinant is scaled by (3 sqrt(q))^6 (the
-    determinant of the entrywise-displayed matrix), and the fit recovers the
-    constants (150, -48, -2) exactly and q-independently; the source display
-    carries prefactor 3 sqrt(q), which is the typo the fit documents."""
+    The determinant is scaled by (3 sqrt(q))^6 (the determinant of the
+    entrywise-displayed matrix), and the fit recovers the constants
+    (150, -48, -2) exactly and q-independently.  The source display carries
+    the prefactor 3 sqrt(q) to the first power only, a typo recorded in
+    DECISIONS.md."""
     q = float(q)
     lam1 = spectral_data(q).spectral_radius
-    scale = (3 * q ** 0.5) ** 6 if normalized else 3 * q ** 0.5
+    scale = (3 * q ** 0.5) ** 6
     thetas = np.linspace(-np.pi, np.pi, grid, endpoint=False)
     rows, vals = [], []
     for th1 in thetas:

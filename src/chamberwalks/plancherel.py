@@ -15,9 +15,13 @@ from . import hecke, reps, weyl
 
 __all__ = [
     "c_value", "c1_value", "w0_poincare_float", "QuadratureGrid",
-    "char_on_grid", "plancherel_trace", "simple_walk_spectral_traces",
-    "f_series", "f_value", "central_trace_integral", "mass_components",
+    "char_on_grid", "plancherel_trace", "spectral_return_probabilities",
+    "simple_walk_spectral_traces", "f_series", "central_trace_integral",
+    "mass_components",
 ]
+
+# torus points per batch of 6x6 matrices (bounds the memory of one batch)
+_CHUNK = 8192
 
 
 def w0_poincare_float(q: float) -> float:
@@ -28,14 +32,10 @@ def c_value(q, t) -> complex:
     """Macdonald c-function: product over the three positive coroots of
     (1 - q^-1 t^-a) / (1 - t^-a).  Raises on the pole set."""
     q = float(q)
-    num, den = 1 + 0j, 1 + 0j
-    for a, b in weyl.POS_ROOTS:
-        ta = t[0] ** (-a) * t[1] ** (-b)
-        num *= 1 - ta / q
-        den *= 1 - ta
+    den = hecke.d_at(q, t)
     if den == 0:
         raise ZeroDivisionError("c-function pole: t^a = 1 for some root a")
-    return num / den
+    return hecke.n_at(q, t) / den
 
 
 def c1_value(q, u) -> complex:
@@ -59,84 +59,9 @@ class QuadratureGrid:
         return t1, t2
 
 
-def _principal_generators(q: float, t1, t2):
-    """Vectorized 6x6 generator images over arrays of torus points: returns
-    (g0, g1, g2) with shape (len(t1), 6, 6); g1 and g2 are constant."""
-    npts = len(t1)
-    quad = q ** 0.5 - q ** -0.5
-    m1 = np.zeros((6, 6), dtype=complex)
-    m2 = np.zeros((6, 6), dtype=complex)
-    g0 = np.zeros((npts, 6, 6), dtype=complex)
-    for u in range(6):
-        for i, m in ((1, m1), (2, m2)):
-            su = weyl.w0_mult(i, u)
-            m[su, u] += 1
-            if weyl.w0_length(su) < weyl.w0_length(u):
-                m[u, u] += quad
-        e = weyl.w0_apply(weyl.w0_inv(u), (1, 1))
-        target = weyl.w0_mult(weyl.W0_LONGEST, u)
-        g0[:, target, u] += t1 ** (-e[0]) * t2 ** (-e[1])
-        if not weyl._is_negative_root(e):
-            g0[:, u, u] += quad
-    g1 = np.broadcast_to(m1, (npts, 6, 6))
-    g2 = np.broadcast_to(m2, (npts, 6, 6))
-    return g0, g1, g2
-
-
-def _induced_generators(q: float, u):
-    npts = len(u)
-    r = q ** -0.5
-    quad = q ** 0.5 - r
-    m1 = np.array([[-r, 0, 0], [0, 0, 1], [0, 1, quad]], dtype=complex)
-    m2 = np.array([[0, 1, 0], [1, quad, 0], [0, 0, -r]], dtype=complex)
-    g0 = np.zeros((npts, 3, 3), dtype=complex)
-    g0[:, 0, 0] = quad
-    g0[:, 1, 1] = -r
-    g0[:, 0, 2] = -u
-    g0[:, 2, 0] = -1 / u
-    return g0, np.broadcast_to(m1, (npts, 3, 3)), np.broadcast_to(m2, (npts, 3, 3))
-
-
-def _char_words(h: hecke.HeckeElement, gens):
-    """Characters of a T-basis element over a batch of generator-matrix
-    triples, sharing matrix products along common word prefixes."""
-    npts, d = gens[0].shape[0], gens[0].shape[1]
-    words = sorted(
-        ((weyl.reduced_word(w), h.field.to_complex(c)) for w, c in h.terms.items()),
-    )
-    chars = np.zeros(npts, dtype=complex)
-    eye = np.broadcast_to(np.eye(d, dtype=complex), (npts, d, d))
-    stack = [eye]
-    path = []
-
-    for word, coeff in words:
-        k = 0
-        while k < len(path) and k < len(word) and path[k] == word[k]:
-            k += 1
-        del stack[k + 1:]
-        del path[k:]
-        for i in word[k:]:
-            stack.append(stack[-1] @ gens[i])
-            path.append(i)
-        chars += coeff * np.trace(stack[-1], axis1=1, axis2=2)
-    return chars
-
-
 def char_on_grid(h: hecke.HeckeElement, q: float, t1, t2):
     """chi_t(h) for the 6-dimensional family at arrays of torus points."""
-    return _char_words(h, _principal_generators(q, t1, t2))
-
-
-def sign_char(h: hecke.HeckeElement, q: float) -> complex:
-    val = 0j
-    r = -(q ** -0.5)
-    for w, c in h.terms.items():
-        val += h.field.to_complex(c) * r ** weyl.length(w)
-    return val
-
-
-def _principal_weight(q: float, t1, t2):
-    return 1.0 / np.abs(c_value(q, (t1, t2))) ** 2 if np.ndim(t1) == 0 else None
+    return reps.characters(h, reps.principal_generators(q, t1, t2))
 
 
 def _c_abs2(q: float, t1, t2):
@@ -153,8 +78,7 @@ def _c1_abs2(q: float, u):
     return np.abs(1 - q ** -1.5 / u) ** 2 / np.abs(1 - q ** 0.5 / u) ** 2
 
 
-def plancherel_trace(h: hecke.HeckeElement, n_grid: int = 256,
-                     chunk: int = 8192) -> complex:
+def plancherel_trace(h: hecke.HeckeElement, n_grid: int = 256) -> complex:
     """Canonical trace through the three-component spectral decomposition:
 
         (1/(6 q^3)) * avg over T^2 of chi_t(h)/|c(t)|^2
@@ -170,22 +94,22 @@ def plancherel_trace(h: hecke.HeckeElement, n_grid: int = 256,
 
     total = 0j
     t1_all, t2_all = grid.torus_pairs()
-    for lo in range(0, len(t1_all), chunk):
-        t1 = t1_all[lo:lo + chunk]
-        t2 = t2_all[lo:lo + chunk]
+    for lo in range(0, len(t1_all), _CHUNK):
+        t1 = t1_all[lo:lo + _CHUNK]
+        t2 = t2_all[lo:lo + _CHUNK]
         chars = char_on_grid(h, q, t1, t2)
         total += np.sum(chars / _c_abs2(q, t1, t2))
     part6 = total / len(t1_all) / (6 * q ** 3)
 
     u = grid.nodes
-    chars3 = _char_words(h, _induced_generators(q, u))
+    chars3 = reps.characters(h, reps.induced_generators(q, u))
     part3 = (
         (q - 1) ** 2
         / (q ** 2 * (q ** 2 - 1))
         * np.mean(chars3 / _c1_abs2(q, u))
     )
 
-    part1 = (q - 1) ** 3 / (q ** 3 - 1) * sign_char(h, q)
+    part1 = (q - 1) ** 3 / (q ** 3 - 1) * reps.character(reps.sign_character(q), h)
     return complex(part6 + part3 + part1)
 
 
@@ -201,42 +125,38 @@ def mass_components(q: float, n_grid: int = 256):
     return float(m6.real), float(m3.real), float(m1)
 
 
-def simple_walk_spectral_traces(q: float, n_max: int, n_grid: int = 256,
-                                chunk: int = 8192):
-    """Tr(P^n) for n = 0..n_max through the spectral decomposition, with the
-    n-th power evaluated pointwise on the grid (the generator images are a
-    homomorphism, so chi_t(P^n) = tr(pi_t(P)^n))."""
+def spectral_return_probabilities(q: float, ns, n_grid: int = 256):
+    """Tr(P^n) for each n in ns through the spectral decomposition: the
+    eigenvalues of the walk operator in the 6- and 3-dimensional families,
+    raised to the n-th power and averaged against the Plancherel weights,
+    plus the sign atom (eigenvalue -1/q).  The walk operator is Hermitian on
+    the unit torus.  Returns an array aligned with ns."""
     q = float(q)
     grid = QuadratureGrid(n_grid)
-    out6 = np.zeros(n_max + 1, dtype=complex)
     t1_all, t2_all = grid.torus_pairs()
-    for lo in range(0, len(t1_all), chunk):
-        t1 = t1_all[lo:lo + chunk]
-        t2 = t2_all[lo:lo + chunk]
-        g0, g1, g2 = _principal_generators(q, t1, t2)
-        m = (g0 + g1 + g2) / (3 * q ** 0.5)
-        weight = 1.0 / _c_abs2(q, t1, t2)
-        cur = np.broadcast_to(np.eye(6, dtype=complex), m.shape).copy()
-        for n in range(n_max + 1):
-            out6[n] += np.sum(np.trace(cur, axis1=1, axis2=2) * weight)
-            if n < n_max:
-                cur = cur @ m
-    out6 /= len(t1_all) * 6 * q ** 3
-
+    lam6 = np.concatenate([
+        np.linalg.eigvalsh(reps.walk_operator(q, reps.principal_generators(
+            q, t1_all[lo:lo + _CHUNK], t2_all[lo:lo + _CHUNK])))
+        for lo in range(0, len(t1_all), _CHUNK)
+    ])
+    w6 = 1.0 / _c_abs2(q, t1_all, t2_all).real
     u = grid.nodes
-    g0, g1, g2 = _induced_generators(q, u)
-    m3mat = (g0 + g1 + g2) / (3 * q ** 0.5)
-    w3 = 1.0 / _c1_abs2(q, u)
-    cur = np.broadcast_to(np.eye(3, dtype=complex), m3mat.shape).copy()
-    out3 = np.zeros(n_max + 1, dtype=complex)
-    for n in range(n_max + 1):
-        out3[n] += np.mean(np.trace(cur, axis1=1, axis2=2) * w3)
-        if n < n_max:
-            cur = cur @ m3mat
-    out3 *= (q - 1) ** 2 / (q ** 2 * (q ** 2 - 1))
+    lam3 = np.linalg.eigvalsh(reps.walk_operator(q, reps.induced_generators(q, u)))
+    w3 = 1.0 / _c1_abs2(q, u).real
+    out = []
+    for n in ns:
+        part6 = np.mean(np.sum(lam6 ** n, axis=1) * w6) / (6 * q ** 3)
+        part3 = (q - 1) ** 2 / (q ** 2 * (q ** 2 - 1)) * np.mean(
+            np.sum(lam3 ** n, axis=1) * w3
+        )
+        atom = (q - 1) ** 3 / (q ** 3 - 1) * (-1 / q) ** n
+        out.append(part6 + part3 + atom)
+    return np.array(out)
 
-    atom = (q - 1) ** 3 / (q ** 3 - 1) * (-1 / q) ** np.arange(n_max + 1)
-    return np.real(out6 + out3 + atom)
+
+def simple_walk_spectral_traces(q: float, n_max: int, n_grid: int = 256):
+    """Tr(P^n) for n = 0..n_max through the spectral decomposition."""
+    return spectral_return_probabilities(q, range(n_max + 1), n_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +221,6 @@ def f_series(h: hecke.HeckeElement, t, depth: int):
     else:
         tail = float("inf")
     return complex(total), tail
-
-
-f_value = hecke.f_value
 
 
 def central_trace_integral(p: hecke.HeckeElement, n_grid: int = 256) -> complex:

@@ -14,7 +14,7 @@ torus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,8 @@ from . import hecke, weyl
 
 __all__ = [
     "Representation", "principal_series", "induced_three_dim", "sign_character",
-    "evaluate", "character", "p_matrix", "a_normalized",
+    "principal_generators", "induced_generators", "characters",
+    "evaluate", "character", "walk_operator", "p_matrix", "a_normalized",
     "is_principal_irreducible", "max_relation_residual",
 ]
 
@@ -34,42 +35,33 @@ class Representation:
     q: float
     gens: tuple
     label: str
-    _words: dict = dfield(default_factory=dict, repr=False)
 
     @property
     def dim(self) -> int:
         return self.gens[0].shape[0]
 
-    def word_matrix(self, w: weyl.AffineElement) -> np.ndarray:
-        m = self._words.get(w)
-        if m is None:
-            m = np.eye(self.dim, dtype=complex)
-            for i in weyl.reduced_word(w):
-                m = m @ self.gens[i]
-            self._words[w] = m
-        return m
+    @property
+    def batch(self) -> tuple:
+        """The generator images as a batch of one, shape (1, dim, dim)."""
+        return tuple(g[None] for g in self.gens)
 
 
-def principal_series(q, t) -> Representation:
-    """The 6-dimensional module with central character t = (t1, t2).
+def principal_generators(q, t1, t2):
+    """The 6-dimensional module over arrays of central characters (t1, t2):
+    returns (g0, g1, g2), each of shape (len(t1), 6, 6); g1 and g2 do not
+    depend on t and are broadcast views.
 
     Columns are images of the basis vectors.  T1, T2 act by the finite
     subalgebra multiplication; the affine generator sends the basis vector
     of w to t^(-w^-1 phi) times the vector of s_phi w, plus a diagonal
     (q^(1/2)-q^(-1/2)) term when the highest root is not an inversion of w.
     """
-    t1, t2 = complex(t[0]), complex(t[1])
-    if t1 == 0 or t2 == 0:
-        raise ValueError("central character components must be nonzero")
     q = float(q)
+    npts = len(t1)
     quad = q ** 0.5 - q ** -0.5
-
-    def tpow(e):
-        return t1 ** e[0] * t2 ** e[1]
-
     m1 = np.zeros((6, 6), dtype=complex)
     m2 = np.zeros((6, 6), dtype=complex)
-    m0 = np.zeros((6, 6), dtype=complex)
+    g0 = np.zeros((npts, 6, 6), dtype=complex)
     phi = (1, 1)
     for u in range(6):
         for i, m in ((1, m1), (2, m2)):
@@ -80,10 +72,39 @@ def principal_series(q, t) -> Representation:
         # affine generator
         e = weyl.w0_apply(weyl.w0_inv(u), phi)
         target = weyl.w0_mult(weyl.W0_LONGEST, u)
-        m0[target, u] += tpow((-e[0], -e[1]))
+        g0[:, target, u] += t1 ** (-e[0]) * t2 ** (-e[1])
         if not weyl._is_negative_root(e):  # phi not an inversion of u
-            m0[u, u] += quad
-    return Representation(q, (m0, m1, m2), label=f"principal(t={t1:.4g},{t2:.4g})")
+            g0[:, u, u] += quad
+    g1 = np.broadcast_to(m1, (npts, 6, 6))
+    g2 = np.broadcast_to(m2, (npts, 6, 6))
+    return g0, g1, g2
+
+
+def induced_generators(q, u):
+    """The 3-dimensional module over an array of nonzero parameters u:
+    returns (g0, g1, g2), each of shape (len(u), 3, 3)."""
+    q = float(q)
+    npts = len(u)
+    r = q ** -0.5
+    quad = q ** 0.5 - r
+    m1 = np.array([[-r, 0, 0], [0, 0, 1], [0, 1, quad]], dtype=complex)
+    m2 = np.array([[0, 1, 0], [1, quad, 0], [0, 0, -r]], dtype=complex)
+    g0 = np.zeros((npts, 3, 3), dtype=complex)
+    g0[:, 0, 0] = quad
+    g0[:, 1, 1] = -r
+    g0[:, 0, 2] = -u
+    g0[:, 2, 0] = -1 / u
+    return g0, np.broadcast_to(m1, (npts, 3, 3)), np.broadcast_to(m2, (npts, 3, 3))
+
+
+def principal_series(q, t) -> Representation:
+    """The 6-dimensional module with central character t = (t1, t2)."""
+    t1, t2 = complex(t[0]), complex(t[1])
+    if t1 == 0 or t2 == 0:
+        raise ValueError("central character components must be nonzero")
+    gens = principal_generators(q, np.array([t1]), np.array([t2]))
+    return Representation(float(q), tuple(np.array(g[0]) for g in gens),
+                          label=f"principal(t={t1:.4g},{t2:.4g})")
 
 
 def induced_three_dim(q, u) -> Representation:
@@ -91,13 +112,9 @@ def induced_three_dim(q, u) -> Representation:
     u = complex(u)
     if u == 0:
         raise ValueError("parameter must be nonzero")
-    q = float(q)
-    r = q ** -0.5
-    quad = q ** 0.5 - r
-    m1 = np.array([[-r, 0, 0], [0, 0, 1], [0, 1, quad]], dtype=complex)
-    m2 = np.array([[0, 1, 0], [1, quad, 0], [0, 0, -r]], dtype=complex)
-    m0 = np.array([[quad, 0, -u], [0, -r, 0], [-1 / u, 0, 0]], dtype=complex)
-    return Representation(q, (m0, m1, m2), label=f"induced(u={u:.4g})")
+    gens = induced_generators(q, np.array([u]))
+    return Representation(float(q), tuple(np.array(g[0]) for g in gens),
+                          label=f"induced(u={u:.4g})")
 
 
 def sign_character(q) -> Representation:
@@ -107,18 +124,47 @@ def sign_character(q) -> Representation:
     return Representation(q, (m, m, m), label="sign")
 
 
-def evaluate(rep: Representation, h: hecke.HeckeElement) -> np.ndarray:
-    """Image of a T-basis element: sum of coefficients times word matrices."""
+def _sum_over_words(h: hecke.HeckeElement, gens, image, out):
+    """Add c * image(pi(T_w)) to out for each term c T_w of a T-basis
+    element, with pi(T_w) over a batch of generator triples of shape
+    (npts, d, d).  The reduced words are visited in sorted order, so products
+    along a common prefix are computed once; only the current prefix chain
+    is kept alive."""
     if h.basis != "T":
-        raise ValueError("evaluate expects the T-basis; convert with x_to_t")
-    out = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for w, c in h.terms.items():
-        out += h.field.to_complex(c) * rep.word_matrix(w)
+        raise ValueError("expected the T-basis; convert with x_to_t")
+    npts, d = gens[0].shape[0], gens[0].shape[1]
+    words = sorted(
+        (weyl.reduced_word(w), h.field.to_complex(c)) for w, c in h.terms.items()
+    )
+    stack = [np.broadcast_to(np.eye(d, dtype=complex), (npts, d, d))]
+    path = []
+    for word, coeff in words:
+        k = 0
+        while k < len(path) and k < len(word) and path[k] == word[k]:
+            k += 1
+        del stack[k + 1:]
+        del path[k:]
+        for i in word[k:]:
+            stack.append(stack[-1] @ gens[i])
+            path.append(i)
+        out += coeff * image(stack[-1])
     return out
 
 
+def characters(h: hecke.HeckeElement, gens) -> np.ndarray:
+    """Characters of a T-basis element over a batch of generator triples."""
+    return _sum_over_words(h, gens, lambda m: np.trace(m, axis1=1, axis2=2),
+                           np.zeros(gens[0].shape[0], dtype=complex))
+
+
+def evaluate(rep: Representation, h: hecke.HeckeElement) -> np.ndarray:
+    """Image of a T-basis element: sum of coefficients times word matrices."""
+    return _sum_over_words(h, rep.batch, lambda m: m[0],
+                           np.zeros((rep.dim, rep.dim), dtype=complex))
+
+
 def character(rep: Representation, h: hecke.HeckeElement) -> complex:
-    return complex(np.trace(evaluate(rep, h)))
+    return complex(characters(h, rep.batch)[0])
 
 
 def a_normalized(rep: Representation, i: int) -> np.ndarray:
@@ -126,9 +172,14 @@ def a_normalized(rep: Representation, i: int) -> np.ndarray:
     return rep.gens[i] / rep.q ** 0.5
 
 
+def walk_operator(q, gens) -> np.ndarray:
+    """Image (A_0 + A_1 + A_2)/3 of the uniform nearest-neighbour walk from
+    generator images, single or batched."""
+    return (gens[0] + gens[1] + gens[2]) / (3 * float(q) ** 0.5)
+
+
 def p_matrix(rep: Representation) -> np.ndarray:
-    """Image of the uniform nearest-neighbour walk (A_0 + A_1 + A_2)/3."""
-    return (rep.gens[0] + rep.gens[1] + rep.gens[2]) / (3 * rep.q ** 0.5)
+    return walk_operator(rep.q, rep.gens)
 
 
 def is_principal_irreducible(q, t, tol: float = 1e-12) -> bool:

@@ -20,7 +20,7 @@ from .weyl import AffineElement, IDENTITY
 
 __all__ = [
     "AlcoveWalk", "enumerate_walks", "q_statistic", "expand_t",
-    "matrix_element", "matrix_element_monomials", "walk_matrix",
+    "matrix_element_monomials", "walk_matrix",
 ]
 
 
@@ -122,14 +122,6 @@ def matrix_element_monomials(w: AffineElement, u: int, v: int, field):
         e = weyl.w0_apply(weyl.W0_LONGEST, p.weight)
         out.append(((-e[0], -e[1]), q_statistic(p, field)))
     return out
-
-
-def matrix_element(w: AffineElement, u: int, v: int, t, field) -> complex:
-    """Numeric principal-series matrix element in the gallery basis."""
-    total = 0j
-    for e, c in matrix_element_monomials(w, u, v, field):
-        total += field.to_complex(c) * t[0] ** e[0] * t[1] ** e[1]
-    return total
 
 
 def walk_matrix(w: AffineElement, t, field):

@@ -1,6 +1,18 @@
+import os
+
 import pytest
 
+import chamberwalks
 from chamberwalks import hecke, weyl
+
+
+@pytest.fixture(scope="session")
+def package_env():
+    """Environment for a subprocess that imports this copy of the package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chamberwalks.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,11 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-report.  Two sub-criteria reproduce documented source defects and are
-marked strict-xfail with the analysis recorded in the project notes: the
-absolute local-limit threshold at n = 400, and the verbatim weight
-difference of the corrupted worked gallery example.
+report.  Three sub-criteria reproduce documented source defects and are
+marked strict-xfail with the analysis recorded in DECISIONS.md (the
+decisions ledger): the verbatim weight difference of the corrupted worked
+gallery example, the absolute local-limit threshold at n = 400, and the
+Monte Carlo total-variation bound.
 """
 
 import random

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -144,6 +146,17 @@ def test_spectrum(capsys):
     assert abs(data["spectral_radius"] - (3 + 73 ** 0.5) / 12) < 1e-14
     assert data["max_closed_form_deviation"] < 1e-12
     assert len(data["eigenvalues"]) == 6
+
+
+def test_module_entry_point_without_warning(package_env):
+    # running the module must not find it already imported by the package
+    proc = subprocess.run(
+        [sys.executable, "-m", "chamberwalks.cli", "spectrum", "--q", "2"],
+        capture_output=True, text=True, env=package_env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert json.loads(proc.stdout)["q"] == "2"
 
 
 def test_usage_error_exit_code():

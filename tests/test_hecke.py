@@ -151,6 +151,13 @@ def test_star_conjugates_numeric():
     assert H.star(h).terms == {W.inverse(w): 1 - 2j}
 
 
+@pytest.mark.parametrize("field", [H.ScalarField, H.ComplexField])
+def test_fields_reject_thin_q(field):
+    for q in (1, "1/2", 0, -3):
+        with pytest.raises(ValueError):
+            field(q)
+
+
 # ---------------------------------------------------------------------------
 # Basis conversion and Bernstein products.
 # ---------------------------------------------------------------------------

@@ -76,7 +76,7 @@ def test_quadrature_spectral_convergence():
 
 
 def test_generic_trace_matches_powers(field2):
-    # the generic prefix-sharing path agrees with the pointwise power path
+    # the generic prefix-sharing path agrees with the eigenvalue path
     F = field2
     h = H.unit(F)
     pw = H.simple_walk(F)

@@ -3,64 +3,56 @@ import random
 import numpy as np
 import pytest
 
+import display_matrices as DM
 from chamberwalks import hecke as H
 from chamberwalks import reps as R
 from chamberwalks import weyl as W
 
 
-def displayed_six_dim(q, t1, t2):
-    """The displayed averaging-operator matrices of the 6-dim family."""
-    qq = q ** 0.5 - q ** -0.5
-    a0 = np.array([
-        [qq, 0, 0, 0, 0, t1 * t2],
-        [0, qq, 0, t2, 0, 0],
-        [0, 0, qq, 0, t1, 0],
-        [0, 1 / t2, 0, 0, 0, 0],
-        [0, 0, 1 / t1, 0, 0, 0],
-        [1 / (t1 * t2), 0, 0, 0, 0, 0],
-    ]) / q ** 0.5
-    a1 = np.array([
-        [0, 1, 0, 0, 0, 0],
-        [1, qq, 0, 0, 0, 0],
-        [0, 0, 0, 1, 0, 0],
-        [0, 0, 1, qq, 0, 0],
-        [0, 0, 0, 0, 0, 1],
-        [0, 0, 0, 0, 1, qq],
-    ]) / q ** 0.5
-    a2 = np.array([
-        [0, 0, 1, 0, 0, 0],
-        [0, 0, 0, 0, 1, 0],
-        [1, 0, qq, 0, 0, 0],
-        [0, 0, 0, 0, 0, 1],
-        [0, 1, 0, 0, qq, 0],
-        [0, 0, 0, 1, 0, qq],
-    ]) / q ** 0.5
-    return a0, a1, a2
-
-
-def displayed_three_dim(q, u):
-    qq = q ** 0.5 - q ** -0.5
-    r = q ** -0.5
-    a0 = np.array([[qq, 0, -u], [0, -r, 0], [-1 / u, 0, 0]]) / q ** 0.5
-    a1 = np.array([[-r, 0, 0], [0, 0, 1], [0, 1, qq]]) / q ** 0.5
-    a2 = np.array([[0, 1, 0], [1, qq, 0], [0, 0, -r]]) / q ** 0.5
-    return a0, a1, a2
+# torus points for the batched builders: generic, unit-modulus and real
+BATCH_T1 = np.array([0.37 + 0.56j, np.exp(0.3j), 1.0, -0.4 + 1.3j])
+BATCH_T2 = np.array([-0.83 + 0.44j, np.exp(-2.1j), 1.0, 0.9])
 
 
 @pytest.mark.parametrize("q", [2.0, 3.0])
 def test_six_dim_matches_display(q):
     t = (0.37 + 0.56j, -0.83 + 0.44j)
     rep = R.principal_series(q, t)
-    for i, disp in enumerate(displayed_six_dim(q, *t)):
+    for i, disp in enumerate(DM.six_dim(q, *t)):
         assert np.abs(R.a_normalized(rep, i) - disp).max() < 1e-12
+    gens = R.principal_generators(q, BATCH_T1, BATCH_T2)
+    for k, (t1, t2) in enumerate(zip(BATCH_T1, BATCH_T2)):
+        for g, disp in zip(gens, DM.six_dim(q, t1, t2)):
+            assert np.abs(g[k] / q ** 0.5 - disp).max() < 1e-12
 
 
 @pytest.mark.parametrize("q", [2.0, 3.0])
 def test_three_dim_matches_display(q):
     u = np.exp(0.61j)
     rep = R.induced_three_dim(q, u)
-    for i, disp in enumerate(displayed_three_dim(q, u)):
+    for i, disp in enumerate(DM.three_dim(q, u)):
         assert np.abs(rep.gens[i] / q ** 0.5 - disp).max() < 1e-12
+    us = BATCH_T1 * BATCH_T2
+    gens = R.induced_generators(q, us)
+    for k, uk in enumerate(us):
+        for g, disp in zip(gens, DM.three_dim(q, uk)):
+            assert np.abs(g[k] / q ** 0.5 - disp).max() < 1e-12
+
+
+def test_character_routes_agree(field2, ball4):
+    """At one point, the character equals the trace of the module image and
+    the batched character at that point."""
+    F = field2
+    rng = random.Random(31)
+    elems = list(ball4)
+    h = H.t_element(F, [(rng.choice(elems), F.make(rng.randint(1, 3), 1))
+                        for _ in range(4)])
+    t = (0.37 + 0.56j, -0.83 + 0.44j)
+    chi = R.character(R.principal_series(2, t), h)
+    trace = np.trace(R.evaluate(R.principal_series(2, t), h))
+    batched = R.characters(h, R.principal_generators(2, BATCH_T1, BATCH_T2))
+    assert abs(chi - trace) < 1e-12 * abs(chi)
+    assert chi == batched[0]
 
 
 def test_sign_character_values():
