@@ -198,13 +198,19 @@ def cmd_trace(args) -> int:
     return EXIT_OK
 
 
-def _series_trace(h, depth: int, radius: float = 0.05, nodes: int = 8):
+# radius of the small torus and nodes per circle of the series route
+_SERIES_RADIUS = 0.05
+_SERIES_NODES = 8
+
+
+def _series_trace(h, depth: int):
     """Trace through the generating series: average F_t(h) over a small
     torus; aliasing picks out the constant coefficient Tr(h)."""
     import numpy as np
 
     from . import plancherel
 
+    radius, nodes = _SERIES_RADIUS, _SERIES_NODES
     total = 0j
     tails = 0.0
     for j in range(nodes):

@@ -836,233 +836,98 @@ def orbit_characters(t):
 
 
 # ---------------------------------------------------------------------------
-# Fast exact trace table for the generating-function series.
+# Exact trace table for the generating-function series.
 # ---------------------------------------------------------------------------
-
-_PACK_OFF = 1 << 10
-_PACK_U = 6
-_PACK_N = 6 * (1 << 11)
-
-# diagram automorphism on the finite group: swaps the two simple reflections
-_OMEGA = (0, 2, 1, 4, 3, 5)
-
-
-def _pack(m, n, u):
-    return ((m + _PACK_OFF) * (1 << 11) + (n + _PACK_OFF)) * _PACK_U + u
 
 
 class TraceTable:
-    """Exact canonical traces Tr(x^mu T_u) tabulated over a lattice box.
+    """Exact canonical traces tau(mu, u) = Tr(x^mu T_u) over a W0-stable
+    hexagon |<mu, a>| <= K (a the positive roots), by the Bernstein trace
+    recursion.
 
-    Expansions of x^mu in the T-basis are built incrementally along unit
-    lattice steps (each step is four generator multiplications), with packed
-    integer keys and, for integer q, coefficients (A + B*sqrt(q)) / sqrt(q)^e
-    held as integer triples.  For non-integer rational q the same chain runs
-    on Fraction pairs.  Traces are read off as the six coefficients at the
-    finite-group elements.
+    On the dominant cone x^mu = T_(t_mu), so tau(mu, .) is the unit row at
+    mu = 0 and zero elsewhere.  For nu with <nu, a_i> = -k < 0 and
+    mu = s_i nu = nu + k a_i^vee, the trace property Tr(x^mu T_u T_i) =
+    Tr(T_i x^mu T_u) and the Bernstein relation give
+
+        Tr(x^nu T_i T_u) = Tr(x^mu T_u T_i)
+                           - quad * sum_(j=1..k) tau(nu + j a_i^vee, u),
+
+    and T_i T_u = T_(s_i u) (+ quad T_u when s_i u < u) turns that into
+    tau(nu, .).  Every point used lies higher than nu (height m + n) and in
+    the hexagon, so one sweep by decreasing height, with suffix sums along
+    both simple coroots for the segment sums, fills the table.
     """
 
     def __init__(self, q):
-        self.q = Fraction(q)
-        self.int_q = self.q.denominator == 1
-        self._traces = {}
-        self._gen_tables = _build_gen_tables()
-        self._step_ops = {
-            (1, 0): _step_ops_for((1, 0)),
-            (-1, 0): _step_ops_for((-1, 0)),
-            (0, 1): _step_ops_for((0, 1)),
-            (0, -1): _step_ops_for((0, -1)),
-        }
-        self._state_mu = (0, 0)
-        one = (1, 0, 0) if self.int_q else (Fraction(1), Fraction(0))
-        self._state = {_pack(0, 0, 0): one}
-        self._record((0, 0))
-
-    # -- scalar helpers on the packed representation -----------------------
-
-    def _record(self, mu):
-        row = []
-        for u in range(6):
-            # Tr(a T_u) is the coefficient of a at the finite element u^-1
-            c = self._state.get(_pack(0, 0, w0_inv(u)))
-            row.append(self._to_pair(c))
-        self._traces[mu] = tuple(row)
-
-    def _to_pair(self, c):
-        if c is None:
-            return (Fraction(0), Fraction(0))
-        if not self.int_q:
-            return c
-        a, b, e = c
-        q = self.q
-        if e % 2:
-            a, b, e = b * q, a, e + 1
-        scale = q ** (e // 2)
-        return (Fraction(a, 1) / scale, Fraction(b, 1) / scale)
-
-    def _rmul_gen_packed(self, state, i, inverse):
-        q = self.q
-        intq = self.int_q
-        if intq:
-            qi = q.numerator
-            qm1 = qi - 1
-        gen = self._gen_tables[i]
-        out = {}
-        for key, c in state.items():
-            tgt, up = gen(key)
-            if intq:
-                a, b, e = c
-            # main term: coefficient c at tgt
-            cur = out.get(tgt)
-            if cur is None:
-                out[tgt] = c
-            else:
-                out[tgt] = _cadd(cur, c, q, intq)
-            # quad term
-            if up == (not inverse):
-                continue
-            if intq:
-                qc = (a * qm1, b * qm1, e + 1)
-                if inverse:
-                    qc = (-qc[0], -qc[1], qc[2])
-            else:
-                a2, b2 = c
-                qc = (b2 * (q - 1), a2 * (1 - 1 / q))
-                if inverse:
-                    qc = (-qc[0], -qc[1])
-            cur = out.get(key)
-            if cur is None:
-                out[key] = qc
-            else:
-                out[key] = _cadd(cur, qc, q, intq)
-        # prune zeros
-        if intq:
-            return {k: v for k, v in out.items() if v[0] or v[1]}
-        return {k: v for k, v in out.items() if v[0] or v[1]}
-
-    def _step(self, direction):
-        for i, inv in self._step_ops[direction]:
-            self._state = self._rmul_gen_packed(self._state, i, inv)
-        self._state_mu = (
-            self._state_mu[0] + direction[0],
-            self._state_mu[1] + direction[1],
-        )
-        self._record(self._state_mu)
-
-    def _reset(self):
-        one = (1, 0, 0) if self.int_q else (Fraction(1), Fraction(0))
-        self._state = {_pack(0, 0, 0): one}
-        self._state_mu = (0, 0)
-
-    def _walk_to(self, m, n):
-        while self._state_mu[0] != m:
-            self._step((1, 0) if m > self._state_mu[0] else (-1, 0))
-        while self._state_mu[1] != n:
-            self._step((0, 1) if n > self._state_mu[1] else (0, -1))
+        self.field = ScalarField(q)
+        self._radius = -1
+        self._rows = {}
 
     def ensure_box(self, m_range, n_range):
         """Tabulate traces for all mu in the given inclusive ranges.
 
-        For a square box symmetric in the two coordinates only the closed
-        lower triangle is walked; the mirror image follows from the diagram
-        automorphism (swap the two simple reflections and the two lattice
-        coordinates), which fixes the trace.
+        The table covers the hexagon of the largest |<mu, a>| at a corner of
+        the box.  A box inside the current hexagon costs nothing; a larger
+        one rebuilds the table.
         """
-        m0, m1 = m_range
-        n0, n1 = n_range
-        have = self._traces
-        if all(
-            (m, n) in have
-            for m in range(m0, m1 + 1)
-            for n in range(n0, n1 + 1)
-        ):
+        radius = max(
+            abs(pairing((m, n), a)) for m in m_range for n in n_range for a in POS_ROOTS
+        )
+        if radius <= self._radius:
             return
-        if self._state_mu != (0, 0):
-            self._reset()
-        if (m0, m1) == (n0, n1) and m1 <= 0:
-            # triangle sweep {n >= m} top-down, mirrored on the fly
-            up = False
-            self._walk_to(m1, n1)
-            for m in range(m1, m0 - 1, -1):
-                ns = range(m, n1 + 1) if up else range(n1, m - 1, -1)
-                for n in ns:
-                    self._walk_to(m, n)
-                up = not up
-            for (m, n), row in list(self._traces.items()):
-                if (n, m) not in self._traces:
-                    self._traces[(n, m)] = tuple(row[_OMEGA[u]] for u in range(6))
-            return
-        self._walk_to(m0, n0)
-        up = True
-        for m in range(m0, m1 + 1):
-            ns = range(n0, n1 + 1) if up else range(n1, n0 - 1, -1)
-            for n in ns:
-                self._walk_to(m, n)
-            up = not up
+        tau = {}
+        sums = ({}, {})     # suffix sums of tau along a_1^vee and a_2^vee
+        for height in range(radius, -radius - 1, -1):
+            for m in range(-radius, radius + 1):
+                nu = (m, height - m)
+                if max(abs(pairing(nu, a)) for a in SIMPLE_ROOTS) <= radius:
+                    self._step(nu, tau, sums)
+        self._rows = {mu: tuple((c.a, c.b) for c in row) for mu, row in tau.items()}
+        self._radius = radius
+
+    def _step(self, nu, tau, sums):
+        """Tabulate tau(nu, .) from the points above nu, and extend the
+        suffix sums to nu."""
+        field = self.field
+        zeros = (field.zero,) * 6
+        descents = [i for i in (1, 2) if pairing(nu, SIMPLE_ROOTS[i - 1]) < 0]
+        if not descents:
+            row = (field.one,) + zeros[1:] if nu == (0, 0) else zeros
+        else:
+            i = descents[0]
+            k = -pairing(nu, SIMPLE_ROOTS[i - 1])
+            av = _COROOT[i - 1]
+            quad = field.quad
+            top = tau[_shift(nu, av, k)]        # tau(s_i nu, .)
+            # near - far is the sum of tau over nu + j a_i^vee, j = 1..k
+            near = sums[i - 1][_shift(nu, av, 1)]
+            far = sums[i - 1].get(_shift(nu, av, k + 1), zeros)
+            b = []
+            for u in range(6):
+                # b[u] = Tr(x^nu T_i T_u)
+                us = w0_mult(u, i)
+                c = top[us] - quad * (near[u] - far[u])
+                if w0_length(us) < w0_length(u):
+                    c = c + quad * top[u]
+                b.append(c)
+            row = [None] * 6
+            for u in range(6):
+                v = w0_mult(i, u)
+                row[v] = b[u] if w0_length(v) > w0_length(u) else b[u] - quad * b[v]
+        tau[nu] = row
+        for s, av in zip(sums, _COROOT):
+            above = s.get(_shift(nu, av, 1))
+            s[nu] = row if above is None else tuple(x + y for x, y in zip(row, above))
 
     def trace_row(self, mu):
         """(a, b)-pairs of Tr(x^mu T_u) for the six finite elements."""
-        row = self._traces.get((mu[0], mu[1]))
+        row = self._rows.get((mu[0], mu[1]))
         if row is None:
             raise KeyError(f"trace table does not cover {mu}; call ensure_box")
         return row
 
 
-def _cadd(c1, c2, q, intq):
-    if intq:
-        a1, b1, e1 = c1
-        a2, b2, e2 = c2
-        if e1 == e2:
-            return (a1 + a2, b1 + b2, e1)
-        if e1 < e2:
-            a1, b1, e1, a2, b2, e2 = a2, b2, e2, a1, b1, e1
-        # bring (a2, b2, e2) up to exponent e1
-        d = e1 - e2
-        qi = q.numerator
-        if d % 2:
-            a2, b2 = b2 * qi, a2
-            d -= 1
-        scale = qi ** (d // 2)
-        return (a1 + a2 * scale, b1 + b2 * scale, e1)
-    return (c1[0] + c2[0], c1[1] + c2[1])
-
-
-def _build_gen_tables():
-    """For each generator, a function packed-key -> (target key, length up?)."""
-
-    def make(i):
-        def step(key):
-            u = key % _PACK_U
-            rest = key // _PACK_U
-            n = rest % (1 << 11) - _PACK_OFF
-            m = rest // (1 << 11) - _PACK_OFF
-            w = AffineElement((m, n), u)
-            ws = right_mul_gen(w, i)
-            return (
-                _pack(ws.mu[0], ws.mu[1], ws.u),
-                length(ws) > length(w),
-            )
-
-        cache = {}
-
-        def cached_step(key):
-            r = cache.get(key)
-            if r is None:
-                cache[key] = r = step(key)
-            return r
-
-        return cached_step
-
-    return {i: make(i) for i in (0, 1, 2)}
-
-
-def _step_ops_for(direction):
-    """Generator/sign sequence realizing right multiplication by x^direction,
-    read off the unfolded gallery of the corresponding translation."""
-    ops = []
-    cur = IDENTITY
-    for i in reduced_word(weyl.translation(direction)):
-        _, sign = weyl.crossing_data(cur, i)
-        ops.append((i, sign < 0))
-        cur = right_mul_gen(cur, i)
-    return ops
+def _shift(nu, av, j):
+    """The lattice point nu + j * av."""
+    return (nu[0] + j * av[0], nu[1] + j * av[1])

@@ -65,8 +65,8 @@ def char_on_grid(h: hecke.HeckeElement, q: float, t1, t2):
 
 
 def _c_abs2(q: float, t1, t2):
-    num = np.ones_like(t1)
-    den = np.ones_like(t1)
+    num = np.ones(np.shape(t1))
+    den = np.ones(np.shape(t1))
     for a, b in weyl.POS_ROOTS:
         ta = t1 ** (-a) * t2 ** (-b)
         num = num * np.abs(1 - ta / q) ** 2
@@ -122,7 +122,7 @@ def mass_components(q: float, n_grid: int = 256):
         1.0 / _c1_abs2(q, grid.nodes)
     )
     m1 = (q - 1) ** 3 / (q ** 3 - 1)
-    return float(m6.real), float(m3.real), float(m1)
+    return float(m6), float(m3), float(m1)
 
 
 def spectral_return_probabilities(q: float, ns, n_grid: int = 256):
@@ -139,10 +139,10 @@ def spectral_return_probabilities(q: float, ns, n_grid: int = 256):
             q, t1_all[lo:lo + _CHUNK], t2_all[lo:lo + _CHUNK])))
         for lo in range(0, len(t1_all), _CHUNK)
     ])
-    w6 = 1.0 / _c_abs2(q, t1_all, t2_all).real
+    w6 = 1.0 / _c_abs2(q, t1_all, t2_all)
     u = grid.nodes
     lam3 = np.linalg.eigvalsh(reps.walk_operator(q, reps.induced_generators(q, u)))
-    w3 = 1.0 / _c1_abs2(q, u).real
+    w3 = 1.0 / _c1_abs2(q, u)
     out = []
     for n in ns:
         part6 = np.mean(np.sum(lam6 ** n, axis=1) * w6) / (6 * q ** 3)

@@ -357,16 +357,24 @@ def test_gallery_basis_trace_bounds(q, ball6):
             assert v.mu[0] <= 0 and v.mu[1] <= 0
 
 
-def test_trace_table_matches_generic(field2):
-    tab = H.TraceTable(2)
-    tab.ensure_box((-3, 1), (-2, 1))
-    F = field2
-    for m in range(-3, 2):
-        for n in range(-2, 2):
+def _check_trace_table_against_generic(q):
+    tab = H.TraceTable(q)
+    tab.ensure_box((-3, 2), (-2, 2))
+    F = H.ScalarField(q)
+    for m in range(-3, 3):
+        for n in range(-2, 3):
             row = tab.trace_row((m, n))
             for u in range(6):
                 tr = H.trace(H.x_to_t(H.x_element(F, [(((m, n), u), F.one)])))
                 assert (tr.a, tr.b) == row[u]
+
+
+def test_trace_table_matches_generic():
+    _check_trace_table_against_generic(2)
+
+
+def test_trace_table_matches_generic_q3():
+    _check_trace_table_against_generic(3)
 
 
 def test_trace_table_rational_q():
@@ -379,3 +387,30 @@ def test_trace_table_rational_q():
             for u in range(6):
                 tr = H.trace(H.x_to_t(H.x_element(F, [(((m, n), u), F.one)])))
                 assert (tr.a, tr.b) == row[u]
+
+
+def test_trace_table_growth_coverage_and_symmetry():
+    """A grown table equals a fresh one, lookups outside the covered hexagon
+    raise, and the diagram automorphism (swap the simple reflections and the
+    two lattice coordinates) fixes the trace."""
+    grown = H.TraceTable(2)
+    grown.ensure_box((-2, 0), (-2, 0))
+    grown.ensure_box((-5, 1), (-4, 1))
+    fresh = H.TraceTable(2)
+    fresh.ensure_box((-5, 1), (-4, 1))
+    radius = 11     # the largest |<mu, a>| at a corner: <(-5, 1), a_1> = -11
+    hexagon = [
+        (m, n)
+        for m in range(-radius, radius + 1)
+        for n in range(-radius, radius + 1)
+        if max(abs(W.pairing((m, n), a)) for a in W.POS_ROOTS) <= radius
+    ]
+    omega = (0, 2, 1, 4, 3, 5)
+    for m, n in hexagon:
+        row = fresh.trace_row((m, n))
+        assert grown.trace_row((m, n)) == row
+        mirror = fresh.trace_row((n, m))
+        assert all(mirror[omega[u]] == row[u] for u in range(6))
+    for mu in [(6, 0), (0, -6), (-6, -6), (-6, 6), (2048, 0)]:
+        with pytest.raises(KeyError):
+            fresh.trace_row(mu)
