@@ -582,16 +582,12 @@ def x_to_t(h: HeckeElement) -> HeckeElement:
 
 def w0_poincare(field):
     """W0(q) = sum over the finite group of q^length = 1 + 2q + 2q^2 + q^3."""
-    q = field.q if field.exact else float(field.q)
-    return field.make(1 + 2 * q + 2 * q * q + q * q * q) if field.exact else (
-        1 + 2 * q + 2 * q * q + q ** 3
-    )
+    return field.make(1 + 2 * field.q + 2 * field.q ** 2 + field.q ** 3)
 
 
 def symmetrizer_one(field) -> HeckeElement:
     """The idempotent (1/W0(q)) sum of q_u^(1/2) T_u over the finite group."""
-    wq = w0_poincare(field)
-    inv = wq.inv() if field.exact else 1 / wq
+    inv = field.one / w0_poincare(field)
     return t_element(
         field,
         [
@@ -700,9 +696,7 @@ def macdonald_p(field, mu) -> HeckeElement:
         for e, ce in den.items():
             _acc(num, (e[0] + g[0], e[1] + g[1]), -(ce * c), field)
 
-    scale = field.half_pow(6) * (
-        w0_poincare(field).inv() if field.exact else 1 / w0_poincare(field)
-    )
+    scale = field.half_pow(6) * (field.one / w0_poincare(field))
     return HeckeElement(
         "X", {(e, 0): c * scale for e, c in quot.items()}, field
     )

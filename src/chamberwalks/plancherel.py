@@ -178,13 +178,19 @@ def f_series(h: hecke.HeckeElement, t, depth: int):
     """Sum of t^-mu Tr(x^mu h) over antidominant mu with coordinates at most
     depth, with exact traces; returns (value, reported_tail_bound).
 
+    t = (t1, t2) holds two scalars or two arrays of broadcastable shapes; the
+    value has their broadcast shape.  The coefficients Tr(x^(-a,-b) h) are
+    gathered once into a (depth+1)^2 grid and evaluated at every point.
+
     The tail bound is the crude coefficient bound |Tr(x_v)| <= 2^l(v) q_v^(1/2)
-    summed over the omitted shells; it may be infinite even where the series
-    converges (the bound is exponentially loose), in which case inf is
-    reported.
+    summed over the omitted shells at the largest |t_i| over all points; it
+    may be infinite even where the series converges (the bound is
+    exponentially loose), in which case inf is reported.
     """
     q = float(h.field.q)
-    if max(abs(complex(t[0])), abs(complex(t[1]))) >= 1 / q:
+    t1, t2 = np.asarray(t[0], dtype=complex), np.asarray(t[1], dtype=complex)
+    r = max(np.abs(t1).max(), np.abs(t2).max())
+    if r >= 1 / q:
         raise ValueError("parameters outside the convergence domain |t_i| < 1/q")
     hx = hecke.t_to_x(h) if h.basis == "T" else h
     table = _trace_table(h.field.q)
@@ -192,25 +198,26 @@ def f_series(h: hecke.HeckeElement, t, depth: int):
     support = list(hx.terms.items())
     offs_m = [nu[0] for (nu, _), _ in support] + [0]
     offs_n = [nu[1] for (nu, _), _ in support] + [0]
-    table.ensure_box(
-        (-depth + min(offs_m), max(offs_m)), (-depth + min(offs_n), max(offs_n))
-    )
+    lo_m, hi_m, lo_n, hi_n = min(offs_m), max(offs_m), min(offs_n), max(offs_n)
+    table.ensure_box((-depth + lo_m, hi_m), (-depth + lo_n, hi_n))
 
-    t1, t2 = complex(t[0]), complex(t[1])
-    total = 0j
-    for a in range(depth + 1):
-        for b in range(depth + 1):
-            mu = (-a, -b)
-            acc = 0j
-            for (nu, u), c in support:
-                row = table.trace_row((mu[0] + nu[0], mu[1] + nu[1]))
-                ra, rb = row[u]
-                if ra or rb:
-                    acc += complex(c) * (float(ra) + float(rb) * q ** 0.5)
-            if acc:
-                total += t1 ** a * t2 ** b * acc
+    # rows[i, j, u] = Tr(x^(hi_m - i, hi_n - j) T_u) as floats
+    sqrt_q = q ** 0.5
+    rows = np.array([
+        [[float(ra) + float(rb) * sqrt_q for ra, rb in table.trace_row((m, n))]
+         for n in range(hi_n, lo_n - depth - 1, -1)]
+        for m in range(hi_m, lo_m - depth - 1, -1)
+    ])
+    # coef[a, b] = Tr(x^(-a,-b) h): one slice of rows per X-term of h
+    coef = np.zeros((depth + 1, depth + 1), dtype=complex)
+    for ((m, n), u), c in support:
+        coef += complex(c) * rows[hi_m - m:hi_m - m + depth + 1,
+                                  hi_n - n:hi_n - n + depth + 1, u]
+    powers = np.arange(depth + 1)
+    value = np.einsum("...a,ab,...b->...", t1[..., None] ** powers, coef,
+                      t2[..., None] ** powers)
 
-    rho = max(abs(t1), abs(t2)) * (2 * q ** 0.5) ** 4
+    rho = r * (2 * sqrt_q) ** 4
     if rho < 1:
         tail = (
             sum(abs(complex(c)) for _, c in support)
@@ -220,7 +227,7 @@ def f_series(h: hecke.HeckeElement, t, depth: int):
         )
     else:
         tail = float("inf")
-    return complex(total), tail
+    return value, tail
 
 
 def central_trace_integral(p: hecke.HeckeElement, n_grid: int = 256) -> complex:

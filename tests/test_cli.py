@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from chamberwalks import cli, hecke, serialize
+from chamberwalks import cli, hecke, plancherel, serialize, weyl
 
 
 def run(capsys, argv):
@@ -114,6 +114,61 @@ def test_trace_single_method(capsys, tmp_path):
     assert data["N"] == 64
 
 
+def _write_aa_star(path, q, words):
+    """Write a a* for a = sum of (k + 1) T_w over the given words."""
+    f = hecke.ScalarField(q)
+    a = hecke.t_element(f, [(weyl.from_word(w), f.make(k + 1)) for k, w in enumerate(words)])
+    h = hecke.mul(a, hecke.star(a))
+    path.write_text(serialize.hecke_to_json(h))
+    return float(complex(hecke.trace(h)).real)
+
+
+@pytest.mark.parametrize("q", ["2", "3", "5/2"])
+def test_trace_series_estimate_bounds_error(capsys, tmp_path, q):
+    for k, words in enumerate((((1, 0), (2,)), ((0, 1, 2), (1, 2), (0,)))):
+        path = tmp_path / f"aa{k}.json"
+        exact = _write_aa_star(path, q, words)
+        scale = max(1.0, abs(exact))
+        for depth in (4, 10, 16):
+            code, out = run(capsys, ["trace", "--method", "series", "--depth", str(depth),
+                                     "--element", str(path)])
+            assert code == 0
+            data = json.loads(out)
+            err = abs(data["value"] - exact)
+            est = data["abs_err_estimate"]
+            if depth < 8:
+                # no aliased coefficient: the table's constant term is read back
+                assert est < 1e-12 * scale and err < 1e-12 * scale, (k, depth, err, est)
+            else:
+                assert 0 < err <= est, (k, depth, err, est)
+
+
+def test_trace_all_exit_code(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "aa.json"
+    _write_aa_star(path, "3", ((1, 0), (2,)))
+    argv = ["trace", "--element", str(path), "--grid", "64", "--depth", "10"]
+    assert run(capsys, argv)[0] == cli.EXIT_OK
+    real = plancherel.plancherel_trace
+    monkeypatch.setattr(plancherel, "plancherel_trace", lambda h, n: real(h, n) + 1e-3)
+    code, out = run(capsys, argv)
+    assert code == cli.EXIT_TOLERANCE
+    assert json.loads(out)["max_discrepancy"] > 1e-3
+
+
+def test_trace_flags_that_would_misreport(capsys, tmp_path):
+    path = tmp_path / "one.json"
+    path.write_text(serialize.hecke_to_json(hecke.unit(hecke.ScalarField(2))))
+    base = ["trace", "--element", str(path), "--method", "exact"]
+    # --grid 16 would compare the plancherel grid with itself
+    assert cli.main(base + ["--grid", "16"]) == cli.EXIT_USAGE
+    assert "32" in capsys.readouterr().err
+    assert cli.main(base + ["--grid", "32"]) == cli.EXIT_OK
+    # --q must not silently differ from the element's q
+    assert cli.main(base + ["--q", "3"]) == cli.EXIT_USAGE
+    assert "differs" in capsys.readouterr().err
+    assert cli.main(base + ["--q", "4/2"]) == cli.EXIT_OK
+
+
 def test_trace_malformed_element(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -140,7 +195,7 @@ def test_reps_check_reducible_point(capsys):
 
 
 def test_spectrum(capsys):
-    code, out = run(capsys, ["spectrum", "--q", "2", "--json"])
+    code, out = run(capsys, ["spectrum", "--q", "2"])
     assert code == 0
     data = json.loads(out)
     assert abs(data["spectral_radius"] - (3 + 73 ** 0.5) / 12) < 1e-14

@@ -146,6 +146,47 @@ def test_f_series_shift_covariance(field2):
 def test_f_series_domain_guard(field2):
     with pytest.raises(ValueError):
         P.f_series(H.unit(field2), (0.9, 0.05), 5)
+    with pytest.raises(ValueError):
+        P.f_series(H.unit(field2), (np.array([0.05, 0.9]), 0.05), 5)
+
+
+def _f_series_by_terms(h, t, depth):
+    """Reference sum: one trace-table lookup per (a, b) and X-term."""
+    hx = H.t_to_x(h)
+    table = H.TraceTable(h.field.q)
+    table.ensure_box((-depth - 2, 2), (-depth - 2, 2))
+    sqrt_q = float(h.field.q) ** 0.5
+    total = 0j
+    for a in range(depth + 1):
+        for b in range(depth + 1):
+            for (nu, u), c in hx.terms.items():
+                ra, rb = table.trace_row((nu[0] - a, nu[1] - b))[u]
+                total += complex(c) * (float(ra) + float(rb) * sqrt_q) * t[0] ** a * t[1] ** b
+    return total
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_f_series_batched_matches_scalar(q):
+    F = H.ScalarField(q)
+    t1 = 0.05 * np.exp(1j * np.array([0.3, 1.9, -2.5]))[:, None]
+    t2 = 0.04 * np.exp(1j * np.array([-0.7, 0.8, 2.9]))[None, :]
+    # word (1, 0) spreads the X-support over four lattice points; the finite
+    # word (1, 2) keeps the depth-40 box inside the table c08 builds
+    for depth, word in ((10, (1, 0)), (40, (1, 2))):
+        a = H.t_element(F, [(W.from_word(word), F.make(2)), (W.from_word((2,)), F.one)])
+        h = H.mul(a, H.star(a))
+        vals, tail = P.f_series(h, (t1, t2), depth)
+        assert vals.shape == (3, 3)
+        tails = []
+        for j in range(3):
+            for k in range(3):
+                v, tail_jk = P.f_series(h, (t1[j, 0], t2[0, k]), depth)
+                assert abs(vals[j, k] - v) <= 1e-15 * abs(v)
+                tails.append(tail_jk)
+        assert tail == max(tails)
+        ref = _f_series_by_terms(h, (t1[1, 0], t2[0, 2]), 10)
+        v, _ = P.f_series(h, (t1[1, 0], t2[0, 2]), 10)
+        assert abs(v - ref) <= 1e-13 * abs(ref)
 
 
 def test_f_value_ratio_consistency(field2):
