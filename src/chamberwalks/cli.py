@@ -150,19 +150,13 @@ def cmd_walk(args) -> int:
     return EXIT_OK if dev <= 4.0 else EXIT_TOLERANCE
 
 
-def _load_element(args):
-    from . import serialize
-
-    with open(args.element) as fh:
-        return serialize.hecke_from_json(fh.read(), mode=args.mode)
-
-
 def cmd_trace(args) -> int:
-    from . import hecke, plancherel
+    from . import hecke, plancherel, serialize
 
     if args.grid < 32:  # the quadrature estimate compares N with N // 2 >= 16 nodes
         raise ValueError("--grid must be at least 32")
-    h = _load_element(args)
+    with open(args.element) as fh:
+        h = serialize.hecke_from_json(fh.read(), mode=args.mode)
     if args.q is not None and _parse_q(args.q) != h.field.q:
         raise ValueError(f"--q {args.q} differs from the element's q = {h.field.q}")
     if h.basis == "X":
@@ -182,46 +176,51 @@ def cmd_trace(args) -> int:
             "abs_err_estimate": abs(v_full - v_half),
             "N": args.grid,
         }
+    ok = True
     if args.method in ("series", "all"):
-        value, err = _series_trace(h, args.depth)
-        results["series"] = {
-            "value": value.real,
-            "abs_err_estimate": err,
-            "N": args.depth,
-        }
+        results["series"] = series = _series_trace(h, args.depth)
+        ok = series["check_deviation"] <= series["check_bound"]
     if args.method != "all":
         _emit(args, json.dumps(results[args.method], default=float))
-        return EXIT_OK
+        return EXIT_OK if ok else EXIT_TOLERANCE
     vals = [r["value"] for r in results.values()]
     spread = max(vals) - min(vals)
     tol = sum(r["abs_err_estimate"] for r in results.values())
     tol += 1e-12 * max(1.0, abs(results["exact"]["value"]))
     results["max_discrepancy"] = spread
     _emit(args, json.dumps(results, default=float))
-    return EXIT_OK if spread <= tol else EXIT_TOLERANCE
+    return EXIT_OK if ok and spread <= tol else EXIT_TOLERANCE
 
 
-# radius of the small torus and nodes per circle of the series route
-_SERIES_RADIUS = 0.05
-_SERIES_NODES = 8
+# the generating-series check runs at radius _CHECK_RHO / (16 q^2), where the
+# tail bound shrinks like _CHECK_RHO^depth, at these angles of (t1, t2)
+_CHECK_RHO = 0.05
+_CHECK_ANGLES = ((0.4, -1.1), (1.9, 0.8), (-2.5, 2.9), (3.0, -2.2))
 
 
-def _series_trace(h, depth: int):
-    """Trace through the generating series: averaging F_t(h) over a small
-    torus picks out Tr(h), up to aliased coefficients.  Returns the 8x8-node
-    average A8 and the estimate 2 |A8 - A16| (A16: 16x16 nodes).  For
-    depth < 8 nothing aliases: the route only reads back the exact table's
-    constant term, and the estimate is rounding-sized."""
+def _series_trace(h, depth: int) -> dict:
+    """Tr(h) as the exact constant term of the generating series F_t(h), and
+    the largest deviation of F_t(h) at the given depth from the intertwiner
+    closed form f_t(h) / (q^3 c(t) c(1/t)) at a few small t, with its bound:
+    the series' tail bound plus 1e-12 max(1, |closed form|)."""
     import numpy as np
 
-    from . import plancherel
+    from . import hecke, plancherel
 
-    means = []
-    for nodes in (_SERIES_NODES, 2 * _SERIES_NODES):
-        circle = _SERIES_RADIUS * np.exp(2j * np.pi * (np.arange(nodes) + 0.5) / nodes)
-        value, _ = plancherel.f_series(h, (circle[:, None], circle[None, :]), depth)
-        means.append(value.mean())
-    return means[0], 2 * abs(means[0] - means[1])
+    q = float(h.field.q)
+    hx = hecke.t_to_x(h)  # all three readers take the X-basis form
+    t1, t2 = _CHECK_RHO / (16 * q * q) * np.exp(1j * np.array(_CHECK_ANGLES).T)
+    series, tail = plancherel.f_series(hx, (t1, t2), depth)
+    closed = np.array([hecke.f_value(hx, t) / (q ** 3 * plancherel.c_value(q, t)
+                                              * plancherel.c_value(q, (1 / t[0], 1 / t[1])))
+                       for t in zip(t1, t2)])
+    return {
+        "value": complex(plancherel.table_trace(hx)).real,
+        "abs_err_estimate": 0.0,
+        "N": depth,
+        "check_deviation": float(np.abs(series - closed).max()),
+        "check_bound": tail + 1e-12 * max(1.0, float(np.abs(closed).max())),
+    }
 
 
 def cmd_walks(args) -> int:

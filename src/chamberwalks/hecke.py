@@ -618,29 +618,26 @@ def tau_element(field, u: int) -> HeckeElement:
     return out
 
 
-def poly_d(field) -> dict:
-    """d(x) = prod over positive coroots of (1 - x^(-a^vee)), as exponent->coeff."""
+def _coroot_product(field, s) -> dict:
+    """prod over positive coroots of (1 - s x^(-a^vee)), as exponent->coeff."""
     poly = {(0, 0): field.one}
     for a, b in POS_ROOTS:
         out = {}
         for e, c in poly.items():
             _acc(out, e, c, field)
-            _acc(out, (e[0] - a, e[1] - b), -c, field)
+            _acc(out, (e[0] - a, e[1] - b), -(c * s), field)
         poly = out
     return poly
+
+
+def poly_d(field) -> dict:
+    """d(x) = prod over positive coroots of (1 - x^(-a^vee)), as exponent->coeff."""
+    return _coroot_product(field, field.one)
 
 
 def poly_n(field) -> dict:
     """n(x) = prod over positive coroots of (1 - q^(-1) x^(-a^vee))."""
-    qinv = field.half_pow(-2)
-    poly = {(0, 0): field.one}
-    for a, b in POS_ROOTS:
-        out = {}
-        for e, c in poly.items():
-            _acc(out, e, c, field)
-            _acc(out, (e[0] - a, e[1] - b), -(c * qinv), field)
-        poly = out
-    return poly
+    return _coroot_product(field, field.half_pow(-2))
 
 
 def apply_w0_to_poly(u: int, poly: dict, field) -> dict:
@@ -648,10 +645,6 @@ def apply_w0_to_poly(u: int, poly: dict, field) -> dict:
     for e, c in poly.items():
         _acc(out, w0_apply(u, e), c, field)
     return out
-
-
-def _poly_shift(poly: dict, mu, field) -> dict:
-    return {(e[0] + mu[0], e[1] + mu[1]): c for e, c in poly.items()}
 
 
 def _lead_key(e):
@@ -671,7 +664,8 @@ def macdonald_p(field, mu) -> HeckeElement:
     remainder raises).
     """
     rho = weyl.RHO_VEE
-    n_shift = _poly_shift(poly_n(field), (mu[0] + rho[0], mu[1] + rho[1]), field)
+    n_shift = {(e[0] + mu[0] + rho[0], e[1] + mu[1] + rho[1]): c
+               for e, c in poly_n(field).items()}
     num = {}
     den = {}
     for u in range(6):
@@ -733,13 +727,6 @@ def n_at(q: float, t) -> complex:
     return out
 
 
-def _as_numeric_x_terms(h: HeckeElement):
-    if h.basis == "T":
-        h = t_to_x(h)
-    field = h.field
-    return [((mu, u), field.to_complex(c)) for (mu, u), c in h.terms.items()]
-
-
 def _component_char(t, z: int, e) -> complex:
     """Value of x^e on the tau_z component: t^(z^-1 e)."""
     return _char_pow(t, w0_apply(w0_inv(z), e))
@@ -798,7 +785,8 @@ def _localized_terms(h: HeckeElement, t):
             "character too close to the singular set d(t)=0; evaluate at a "
             "perturbed point"
         )
-    return q, _as_numeric_x_terms(h)
+    hx = t_to_x(h) if h.basis == "T" else h
+    return q, [(key, h.field.to_complex(c)) for key, c in hx.terms.items()]
 
 
 def tau_expansion_at(h: HeckeElement, t):

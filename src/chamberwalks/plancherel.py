@@ -15,9 +15,9 @@ from . import hecke, reps, weyl
 
 __all__ = [
     "c_value", "c1_value", "w0_poincare_float", "QuadratureGrid",
-    "char_on_grid", "plancherel_trace", "spectral_return_probabilities",
-    "simple_walk_spectral_traces", "f_series", "central_trace_integral",
-    "mass_components",
+    "plancherel_trace", "spectral_return_probabilities",
+    "simple_walk_spectral_traces", "f_series", "table_trace",
+    "central_trace_integral", "mass_components",
 ]
 
 # torus points per batch of 6x6 matrices (bounds the memory of one batch)
@@ -59,11 +59,6 @@ class QuadratureGrid:
         return t1, t2
 
 
-def char_on_grid(h: hecke.HeckeElement, q: float, t1, t2):
-    """chi_t(h) for the 6-dimensional family at arrays of torus points."""
-    return reps.characters(h, reps.principal_generators(q, t1, t2))
-
-
 def _c_abs2(q: float, t1, t2):
     num = np.ones(np.shape(t1))
     den = np.ones(np.shape(t1))
@@ -97,7 +92,7 @@ def plancherel_trace(h: hecke.HeckeElement, n_grid: int = 256) -> complex:
     for lo in range(0, len(t1_all), _CHUNK):
         t1 = t1_all[lo:lo + _CHUNK]
         t2 = t2_all[lo:lo + _CHUNK]
-        chars = char_on_grid(h, q, t1, t2)
+        chars = reps.characters(h, reps.principal_generators(q, t1, t2))
         total += np.sum(chars / _c_abs2(q, t1, t2))
     part6 = total / len(t1_all) / (6 * q ** 3)
 
@@ -174,48 +169,57 @@ def _trace_table(q) -> hecke.TraceTable:
     return tab
 
 
+def _x_support(h: hecke.HeckeElement):
+    """The X-basis terms of h and their lattice box, widened to contain 0."""
+    hx = hecke.t_to_x(h) if h.basis == "T" else h
+    support = list(hx.terms.items())
+    offs_m = [nu[0] for (nu, _), _ in support] + [0]
+    offs_n = [nu[1] for (nu, _), _ in support] + [0]
+    return support, (min(offs_m), max(offs_m), min(offs_n), max(offs_n))
+
+
 def f_series(h: hecke.HeckeElement, t, depth: int):
-    """Sum of t^-mu Tr(x^mu h) over antidominant mu with coordinates at most
-    depth, with exact traces; returns (value, reported_tail_bound).
+    """Sum of t^-mu Tr(x^mu h) over mu = -(a, b) with lo_m <= a <= lo_m + depth
+    and lo_n <= b <= lo_n + depth, with exact traces; returns (value,
+    reported_tail_bound).  (lo_m, lo_n) is the lowest corner of the X-support
+    box of h widened to 0: every coefficient below it vanishes, and a
+    negative corner makes the series a Laurent series.
 
     t = (t1, t2) holds two scalars or two arrays of broadcastable shapes; the
-    value has their broadcast shape.  The coefficients Tr(x^(-a,-b) h) are
-    gathered once into a (depth+1)^2 grid and evaluated at every point.
+    value has their broadcast shape.  The coefficients are gathered once into
+    a (depth+1)^2 grid and evaluated at every point.
 
-    The tail bound is the crude coefficient bound |Tr(x_v)| <= 2^l(v) q_v^(1/2)
-    summed over the omitted shells at the largest |t_i| over all points; it
-    may be infinite even where the series converges (the bound is
-    exponentially loose), in which case inf is reported.
+    The tail bound is the crude coefficient bound |Tr(x^mu T_u)| <=
+    (16 q^2)^(|mu_1| + |mu_2|) summed over the omitted shells at the largest
+    |t_i| over all points, times the largest |t1^lo_m t2^lo_n|; it is inf
+    where that sum diverges, even if the series converges.
     """
     q = float(h.field.q)
     t1, t2 = np.asarray(t[0], dtype=complex), np.asarray(t[1], dtype=complex)
     r = max(np.abs(t1).max(), np.abs(t2).max())
     if r >= 1 / q:
         raise ValueError("parameters outside the convergence domain |t_i| < 1/q")
-    hx = hecke.t_to_x(h) if h.basis == "T" else h
+    support, (lo_m, hi_m, lo_n, hi_n) = _x_support(h)
+    if (lo_m < 0 and not np.abs(t1).min()) or (lo_n < 0 and not np.abs(t2).min()):
+        raise ValueError("the Laurent series has a pole at t_i = 0")
     table = _trace_table(h.field.q)
+    table.ensure_box((-depth, hi_m - lo_m), (-depth, hi_n - lo_n))
 
-    support = list(hx.terms.items())
-    offs_m = [nu[0] for (nu, _), _ in support] + [0]
-    offs_n = [nu[1] for (nu, _), _ in support] + [0]
-    lo_m, hi_m, lo_n, hi_n = min(offs_m), max(offs_m), min(offs_n), max(offs_n)
-    table.ensure_box((-depth + lo_m, hi_m), (-depth + lo_n, hi_n))
-
-    # rows[i, j, u] = Tr(x^(hi_m - i, hi_n - j) T_u) as floats
+    # rows[i, j, u] = Tr(x^(hi_m - lo_m - i, hi_n - lo_n - j) T_u) as floats
     sqrt_q = q ** 0.5
     rows = np.array([
         [[float(ra) + float(rb) * sqrt_q for ra, rb in table.trace_row((m, n))]
-         for n in range(hi_n, lo_n - depth - 1, -1)]
-        for m in range(hi_m, lo_m - depth - 1, -1)
+         for n in range(hi_n - lo_n, -depth - 1, -1)]
+        for m in range(hi_m - lo_m, -depth - 1, -1)
     ])
-    # coef[a, b] = Tr(x^(-a,-b) h): one slice of rows per X-term of h
+    # coef[a, b] = Tr(x^(-lo_m - a, -lo_n - b) h): one slice of rows per X-term
     coef = np.zeros((depth + 1, depth + 1), dtype=complex)
     for ((m, n), u), c in support:
         coef += complex(c) * rows[hi_m - m:hi_m - m + depth + 1,
                                   hi_n - n:hi_n - n + depth + 1, u]
-    powers = np.arange(depth + 1)
-    value = np.einsum("...a,ab,...b->...", t1[..., None] ** powers, coef,
-                      t2[..., None] ** powers)
+    value = np.einsum("...a,ab,...b->...",
+                      t1[..., None] ** np.arange(lo_m, lo_m + depth + 1), coef,
+                      t2[..., None] ** np.arange(lo_n, lo_n + depth + 1))
 
     rho = r * (2 * sqrt_q) ** 4
     if rho < 1:
@@ -224,10 +228,22 @@ def f_series(h: hecke.HeckeElement, t, depth: int):
             * (depth + 2)
             * rho ** (depth + 1)
             / (1 - rho) ** 2
+            * float((np.abs(t1) ** lo_m * np.abs(t2) ** lo_n).max())
         )
     else:
         tail = float("inf")
     return value, tail
+
+
+def table_trace(h: hecke.HeckeElement):
+    """Tr(h), the constant term of the trace generating series, exact in the
+    field of h: the sum of c Tr(x^nu T_u) over the X-basis terms c x^nu T_u
+    of h, read off the trace table over the support box."""
+    support, (lo_m, hi_m, lo_n, hi_n) = _x_support(h)
+    table = _trace_table(h.field.q)
+    table.ensure_box((lo_m, hi_m), (lo_n, hi_n))
+    return sum((c * h.field.make(*table.trace_row(nu)[u]) for (nu, u), c in support),
+               h.field.zero)
 
 
 def central_trace_integral(p: hecke.HeckeElement, n_grid: int = 256) -> complex:

@@ -29,7 +29,7 @@ import numpy as np
 __all__ = [
     "AffineElement", "IDENTITY", "GEN", "W0_WORDS", "W0_LONGEST", "W0_ORDER",
     "PHI_VEE", "RHO_VEE", "POS_ROOTS", "SIMPLE_ROOTS",
-    "pairing", "w0_mult", "w0_inv", "w0_length", "w0_apply", "w0_apply_root",
+    "pairing", "w0_mult", "w0_inv", "w0_length", "w0_apply",
     "w0_from_word", "inversion_set",
     "multiply", "inverse", "right_mul_gen", "translation", "finite",
     "length", "length_array", "right_mul_gen_array",
@@ -103,14 +103,11 @@ def w0_from_word(word) -> int:
 
 
 def w0_apply(u: int, vec):
-    """Apply u in W0 to a lattice/rational vector in coroot coordinates."""
+    """Apply u in W0 to a lattice/rational vector in coroot coordinates.
+    The same map acts on roots a*a1 + b*a2 given as (a, b): the root system
+    is simply laced and a_i, a_i^vee share coordinates."""
     m = W0_MATS[u]
     return (m[0][0] * vec[0] + m[0][1] * vec[1], m[1][0] * vec[0] + m[1][1] * vec[1])
-
-
-# The coefficient action on root pairs coincides with the coroot-coordinate
-# action: the root system is simply laced and a_i, a_i^vee share coordinates.
-w0_apply_root = w0_apply
 
 
 def pairing(vec, root) -> int:
@@ -127,7 +124,7 @@ def _is_negative_root(root) -> bool:
 def inversion_set(u: int) -> frozenset:
     """Positive roots sent to negative roots by u^{-1}; size equals w0_length."""
     return frozenset(
-        r for r in POS_ROOTS if _is_negative_root(w0_apply_root(W0_INV[u], r))
+        r for r in POS_ROOTS if _is_negative_root(w0_apply(W0_INV[u], r))
     )
 
 
@@ -194,7 +191,7 @@ def length(w: AffineElement) -> int:
     total = 0
     for root in POS_ROOTS:
         k = pairing(w.mu, root)
-        if _is_negative_root(w0_apply_root(ui, root)):
+        if _is_negative_root(w0_apply(ui, root)):
             k -= 1
         total += k if k >= 0 else -k
     return total
@@ -206,7 +203,7 @@ _MULT_ARRAY = np.array(W0_MULT)
 _SHIFT0_ARRAY = np.array([w0_apply(u, PHI_VEE) for u in range(6)])
 # _DESCENT_ARRAY[u, r] = 1 when u^{-1} sends POS_ROOTS[r] to a negative root.
 _DESCENT_ARRAY = np.array([
-    [int(_is_negative_root(w0_apply_root(W0_INV[u], root))) for root in POS_ROOTS]
+    [int(_is_negative_root(w0_apply(W0_INV[u], root))) for root in POS_ROOTS]
     for u in range(6)
 ])
 
@@ -315,7 +312,7 @@ def crossing_data(a: AffineElement, i: int):
     dominant sector, concretely {x : <x, root> + k >= 0} for a positive root.
     """
     root0, k0 = _WALLS0[i]
-    root = w0_apply_root(a.u, root0)
+    root = w0_apply(a.u, root0)
     k = k0 - pairing(a.mu, root)
     if _is_negative_root(root):
         root = (-root[0], -root[1])

@@ -1,4 +1,6 @@
 import json
+import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -125,22 +127,48 @@ def _write_aa_star(path, q, words):
 
 @pytest.mark.parametrize("q", ["2", "3", "5/2"])
 def test_trace_series_estimate_bounds_error(capsys, tmp_path, q):
+    # the series value is the exact constant term: estimate 0, no error; the
+    # check of the series itself stays within its bound at every depth
     for k, words in enumerate((((1, 0), (2,)), ((0, 1, 2), (1, 2), (0,)))):
         path = tmp_path / f"aa{k}.json"
         exact = _write_aa_star(path, q, words)
-        scale = max(1.0, abs(exact))
         for depth in (4, 10, 16):
             code, out = run(capsys, ["trace", "--method", "series", "--depth", str(depth),
                                      "--element", str(path)])
             assert code == 0
             data = json.loads(out)
-            err = abs(data["value"] - exact)
-            est = data["abs_err_estimate"]
-            if depth < 8:
-                # no aliased coefficient: the table's constant term is read back
-                assert est < 1e-12 * scale and err < 1e-12 * scale, (k, depth, err, est)
-            else:
-                assert 0 < err <= est, (k, depth, err, est)
+            assert data["value"] == exact and data["abs_err_estimate"] == 0.0
+            assert data["check_deviation"] <= data["check_bound"], (k, depth, data)
+
+
+def test_trace_series_check_exit_code(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "aa.json"
+    _write_aa_star(path, "2", ((0, 1, 2), (1, 2), (0,)))  # X-support reaches (-1, -1)
+    base = ["trace", "--element", str(path), "--grid", "64", "--depth", "10", "--method"]
+    for method in ("series", "all"):
+        assert run(capsys, base + [method])[0] == cli.EXIT_OK
+    real = hecke.f_value
+    monkeypatch.setattr(hecke, "f_value", lambda h, t: real(h, t) * (1 + 1e-6))
+    for method in ("series", "all"):
+        code, out = run(capsys, base + [method])
+        assert code == cli.EXIT_TOLERANCE
+        data = json.loads(out)
+        series = data if method == "series" else data["series"]
+        assert series["check_deviation"] > series["check_bound"]
+
+
+def test_trace_numeric_mode(capsys, tmp_path):
+    f = hecke.ComplexField(3)
+    a = hecke.t_element(f, [(weyl.from_word(w), f.make(k + 1) * (1 + 0.5j))
+                            for k, w in enumerate(((0, 1, 2), (1, 2), (0,)))])
+    path = tmp_path / "numeric.json"
+    path.write_text(serialize.hecke_to_json(hecke.mul(a, hecke.star(a))))
+    code, out = run(capsys, ["trace", "--mode", "numeric", "--method", "all",
+                             "--element", str(path), "--grid", "64", "--depth", "8"])
+    assert code == 0
+    data = json.loads(out)
+    vals = [data[m]["value"] for m in ("exact", "plancherel", "series")]
+    assert max(vals) - min(vals) <= 1e-12 * max(abs(v) for v in vals)
 
 
 def test_trace_all_exit_code(capsys, tmp_path, monkeypatch):
@@ -218,3 +246,16 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["walk", "exact"])  # missing --n
     assert exc.value.code == cli.EXIT_USAGE
+
+
+def test_readme_commands(capsys, tmp_path, monkeypatch):
+    """Every `chamberwalks ...` line of README's "Command line" block exits 0,
+    with a q=3 element.json in the working directory."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = [line for line in block.splitlines() if line.startswith("chamberwalks ")]
+    assert len(lines) >= 8
+    monkeypatch.chdir(tmp_path)
+    _write_aa_star(tmp_path / "element.json", "3", ((0, 1, 2), (1, 2), (0,)))
+    for line in lines:
+        assert cli.main(shlex.split(line)[1:]) == cli.EXIT_OK, line

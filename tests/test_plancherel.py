@@ -151,18 +151,60 @@ def test_f_series_domain_guard(field2):
 
 
 def _f_series_by_terms(h, t, depth):
-    """Reference sum: one trace-table lookup per (a, b) and X-term."""
+    """Reference sum: one trace-table lookup per (a, b) and X-term, with a
+    and b starting at the lowest support coordinates (or 0) so the Laurent
+    strips of a support with negative coordinates are included."""
     hx = H.t_to_x(h)
+    lo_m = min([0] + [nu[0] for nu, _ in hx.terms])
+    lo_n = min([0] + [nu[1] for nu, _ in hx.terms])
     table = H.TraceTable(h.field.q)
-    table.ensure_box((-depth - 2, 2), (-depth - 2, 2))
+    table.ensure_box((-depth - 2, 4), (-depth - 2, 4))
     sqrt_q = float(h.field.q) ** 0.5
     total = 0j
-    for a in range(depth + 1):
-        for b in range(depth + 1):
+    for a in range(lo_m, lo_m + depth + 1):
+        for b in range(lo_n, lo_n + depth + 1):
             for (nu, u), c in hx.terms.items():
                 ra, rb = table.trace_row((nu[0] - a, nu[1] - b))[u]
                 total += complex(c) * (float(ra) + float(rb) * sqrt_q) * t[0] ** a * t[1] ** b
     return total
+
+
+def _aa_star(F, words):
+    a = H.t_element(F, [(W.from_word(w), F.make(k + 1)) for k, w in enumerate(words)])
+    return H.mul(a, H.star(a))
+
+
+# a a* whose X-support reaches (-1, -1): its series has Laurent strips
+_NEG_WORDS = ((0, 1, 2), (1, 2), (0,))
+
+
+def test_f_series_laurent_strips(field2):
+    h = _aa_star(field2, _NEG_WORDS)
+    assert any(min(nu) < 0 for nu, _ in H.t_to_x(h).terms)
+    q = 2.0
+    r = 0.05 / (16 * q * q)
+    t = (r * np.exp(0.4j), r * np.exp(-1.1j))
+    closed = H.f_value(h, t) / (q ** 3 * P.c_value(q, t) * P.c_value(q, (1 / t[0], 1 / t[1])))
+    # a deep reference; depth 38 keeps its box inside the table c08 builds
+    deep, _ = P.f_series(h, t, 38)
+    assert abs(deep - closed) <= 1e-12 * abs(closed)
+    for depth in (4, 10):
+        v, tail = P.f_series(h, t, depth)
+        assert tail >= abs(v - deep), depth
+    ref = _f_series_by_terms(h, t, 10)
+    assert abs(P.f_series(h, t, 10)[0] - ref) <= 1e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("q", ["2", "3", "5/2", "4", "9/4"])
+def test_table_trace_is_exact(q):
+    F = H.ScalarField(q)
+    for words in (((1, 0), (2,)), _NEG_WORDS, ((2, 0, 1, 2), (1,), (0, 2))):
+        h = _aa_star(F, words)
+        assert P.table_trace(h) == H.trace(h), words
+        assert P.table_trace(H.t_to_x(h)) == H.trace(h), words
+    for w in W.ball(3):
+        h = H.t_element(F, [(w, F.make(3, 1))])
+        assert P.table_trace(h) == H.trace(h), w
 
 
 @pytest.mark.parametrize("q", [2, 3])
