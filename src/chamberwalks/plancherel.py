@@ -4,10 +4,19 @@ series, and the normalized coefficient functional.
 
 The quadrature grid offsets every node by half a step so no node meets a
 wall character (t^a = 1); the integrands are smooth and periodic, so the
-product trapezoid rule converges faster than any power of 1/N.
+product trapezoid rule converges faster than any power of 1/N.  The
+characters of a Hecke element are Laurent polynomials in the torus
+parameters, so each quadrature sum is a finite contraction sum_nu a_nu m_nu:
+a_nu are the character's Fourier coefficients (one FFT over a small grid of
+roots of unity, sized by a degree bound and checked against it), and m_nu
+are the moments of the Plancherel weight on the N-node grid (one inverse FFT
+per (q, N), kept in a bounded cache).  The masses and the central-character
+integral read the same moments.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -73,6 +82,53 @@ def _c1_abs2(q: float, u):
     return np.abs(1 - q ** -1.5 / u) ** 2 / np.abs(1 - q ** 0.5 / u) ** 2
 
 
+@functools.lru_cache(maxsize=16)
+def _moment_tables(q: float, n: int):
+    """The inverse FFTs of the Plancherel weights 1/|c|^2 (N x N, indexed
+    [k1, k2] as t1, t2) and 1/|c1|^2 (N) over the offset grid: the raw
+    tables behind _moment.  Cached per (q, N), read-only."""
+    grid = QuadratureGrid(n)
+    t1, t2 = grid.torus_pairs()
+    tables = (np.fft.ifft2(1.0 / _c_abs2(q, t1, t2).reshape(n, n)),
+              np.fft.ifft(1.0 / _c1_abs2(q, grid.nodes)))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _moment(table, *nu):
+    """Plancherel moments m_nu = avg over the offset grid of w t^nu, for
+    integer arrays nu (one per axis, broadcast together), from a table of
+    _moment_tables.  The offset node of index k is e^(i pi/N) times the k-th
+    N-th root of unity, so m_nu = e^(i pi sum(nu)/N) table[nu mod N] holds
+    for every nu, also for |nu_i| >= N/2 (there m_(nu+N) = -m_nu)."""
+    n = table.shape[0]
+    return np.exp(1j * np.pi * sum(nu) / n) * table[tuple(np.mod(k, n) for k in nu)]
+
+
+def _char_degree(h: hecke.HeckeElement) -> int:
+    """Degree bound d of chi_t(h) in each of t1, t2 (and of chi_u(h) in u):
+    the most letters 0 in the reduced word of a support element.  Only
+    pi(T_0) depends on the parameter, with monomial entries t^(-e) for roots
+    e, whose coordinates lie in {-1, 0, 1}."""
+    return max((weyl.reduced_word(w).count(0) for w in h.terms), default=0)
+
+
+def _laurent_coefficients(values, d: int):
+    """Coefficients a_nu, nu in [-d, d] on each axis, of a Laurent polynomial
+    from its values on the grid of M-th roots of unity (M > 4d; 1 or 2
+    axes).  Raises ValueError if a coefficient beyond degree d exceeds
+    1e-12 max(1, sum |a|): d was not a degree bound, and the values alias."""
+    m = values.shape[0]
+    coef = np.fft.fftn(values) / values.size
+    band = np.ix_(*[np.arange(-d, d + 1) % m] * values.ndim)
+    outside = coef.copy()
+    outside[band] = 0
+    if np.abs(outside).max() > 1e-12 * max(1.0, np.abs(coef).sum()):
+        raise ValueError(f"the character has terms beyond its degree bound {d}")
+    return coef[band]
+
+
 def plancherel_trace(h: hecke.HeckeElement, n_grid: int = 256) -> complex:
     """Canonical trace through the three-component spectral decomposition:
 
@@ -80,42 +136,45 @@ def plancherel_trace(h: hecke.HeckeElement, n_grid: int = 256) -> complex:
       + (q-1)^2/(q^2(q^2-1)) * avg over T of chi_u(h)/|c1(u)|^2
       + (q-1)^3/(q^3-1) * chi_sign(h)
 
-    with all averages over offset trapezoid grids.
+    with both averages over the offset trapezoid grid of n_grid nodes per
+    circle.  The characters are Laurent polynomials of degree at most d
+    (_char_degree) in each variable, so each average is the contraction
+    sum_nu a_nu m_nu, exact up to rounding: a_nu from one FFT of the
+    character on M x M (or M) plain roots of unity, M the smallest power of
+    two >= 2(2d+1), and m_nu the cached moments of the weight on the grid.
+    Raises ValueError when the coefficients beyond degree d do not vanish.
     """
     if h.basis != "T":
         raise ValueError("plancherel_trace expects the T-basis")
     q = float(h.field.q)
-    grid = QuadratureGrid(n_grid)
+    w6, w3 = _moment_tables(q, n_grid)
+    d = _char_degree(h)
+    m = 1 << (4 * d + 1).bit_length()
+    roots = np.exp(2j * np.pi * np.arange(m) / m)
+    nu = np.arange(-d, d + 1)
 
-    total = 0j
-    t1_all, t2_all = grid.torus_pairs()
-    for lo in range(0, len(t1_all), _CHUNK):
-        t1 = t1_all[lo:lo + _CHUNK]
-        t2 = t2_all[lo:lo + _CHUNK]
-        chars = reps.characters(h, reps.principal_generators(q, t1, t2))
-        total += np.sum(chars / _c_abs2(q, t1, t2))
-    part6 = total / len(t1_all) / (6 * q ** 3)
+    t1_all, t2_all = np.repeat(roots, m), np.tile(roots, m)
+    chars6 = np.concatenate([
+        reps.characters(h, reps.principal_generators(
+            q, t1_all[lo:lo + _CHUNK], t2_all[lo:lo + _CHUNK]))
+        for lo in range(0, m * m, _CHUNK)
+    ])
+    a6 = _laurent_coefficients(chars6.reshape(m, m), d)
+    part6 = np.sum(a6 * _moment(w6, nu[:, None], nu[None, :])) / (6 * q ** 3)
 
-    u = grid.nodes
-    chars3 = reps.characters(h, reps.induced_generators(q, u))
-    part3 = (
-        (q - 1) ** 2
-        / (q ** 2 * (q ** 2 - 1))
-        * np.mean(chars3 / _c1_abs2(q, u))
-    )
+    a3 = _laurent_coefficients(reps.characters(h, reps.induced_generators(q, roots)), d)
+    part3 = (q - 1) ** 2 / (q ** 2 * (q ** 2 - 1)) * np.sum(a3 * _moment(w3, nu))
 
     part1 = (q - 1) ** 3 / (q ** 3 - 1) * reps.character(reps.sign_character(q), h)
     return complex(part6 + part3 + part1)
 
 
 def mass_components(q: float, n_grid: int = 256):
-    """Plancherel masses of the three spectral components (sum to 1)."""
-    grid = QuadratureGrid(n_grid)
-    t1, t2 = grid.torus_pairs()
-    m6 = np.mean(1.0 / _c_abs2(q, t1, t2)) / q ** 3
-    m3 = 3 * (q - 1) ** 2 / (q ** 2 * (q ** 2 - 1)) * np.mean(
-        1.0 / _c1_abs2(q, grid.nodes)
-    )
+    """Plancherel masses of the three spectral components (sum to 1): the
+    moments m_0 of the two weights on the n_grid offset grid."""
+    w6, w3 = _moment_tables(float(q), n_grid)
+    m6 = _moment(w6, 0, 0).real / q ** 3
+    m3 = 3 * (q - 1) ** 2 / (q ** 2 * (q ** 2 - 1)) * _moment(w3, 0).real
     m1 = (q - 1) ** 3 / (q ** 3 - 1)
     return float(m6), float(m3), float(m1)
 
@@ -248,7 +307,9 @@ def table_trace(h: hecke.HeckeElement):
 
 def central_trace_integral(p: hecke.HeckeElement, n_grid: int = 256) -> complex:
     """Trace of p(x) 1_0 for symmetric p, by torus quadrature:
-    (1/(6 q^3)) avg of p(t)/(c(t) c(1/t)).  Asymmetric input is rejected."""
+    (1/(6 q^3)) avg of p(t)/(c(t) c(1/t)), which is sum_e c_e m_e / (6 q^3)
+    over the terms c_e x^e of p with the moments m_e of 1/|c|^2 on the
+    n_grid offset grid.  Asymmetric input is rejected."""
     if p.basis != "X" or any(u != 0 for (_, u) in p.terms):
         raise ValueError("expected a symmetric element of the lattice subalgebra")
     field = p.field
@@ -257,9 +318,7 @@ def central_trace_integral(p: hecke.HeckeElement, n_grid: int = 256) -> complex:
             if p.terms.get((weyl.w0_apply(u, e), 0)) != c:
                 raise ValueError("input is not symmetric under the finite group")
     q = float(field.q)
-    grid = QuadratureGrid(n_grid)
-    t1, t2 = grid.torus_pairs()
-    vals = np.zeros(len(t1), dtype=complex)
-    for (e, _), c in p.terms.items():
-        vals += field.to_complex(c) * t1 ** e[0] * t2 ** e[1]
-    return complex(np.mean(vals / _c_abs2(q, t1, t2)) / (6 * q ** 3))
+    w6, _ = _moment_tables(q, n_grid)
+    e1, e2 = np.array([e for e, _ in p.terms], dtype=int).reshape(-1, 2).T
+    coef = np.array([field.to_complex(c) for c in p.terms.values()], dtype=complex)
+    return complex(np.sum(coef * _moment(w6, e1, e2)) / (6 * q ** 3))

@@ -231,6 +231,69 @@ def test_f_series_batched_matches_scalar(q):
         assert abs(v - ref) <= 1e-13 * abs(ref)
 
 
+def _grid_sum_trace(h, n):
+    """Reference quadrature: the trapezoid sums of plancherel_trace taken
+    node by node over the N x N and N offset grids, with the weights written
+    out from the positive roots."""
+    q = float(h.field.q)
+    grid = P.QuadratureGrid(n)
+    t1_all, t2_all = grid.torus_pairs()
+    total6 = 0j
+    for lo in range(0, n * n, 4096):
+        t1, t2 = t1_all[lo:lo + 4096], t2_all[lo:lo + 4096]
+        weight = np.ones(len(t1))
+        for a, b in W.POS_ROOTS:
+            ta = t1 ** -a * t2 ** -b
+            weight *= np.abs(1 - ta) ** 2 / np.abs(1 - ta / q) ** 2
+        total6 += np.sum(R.characters(h, R.principal_generators(q, t1, t2)) * weight)
+    u = grid.nodes
+    weight3 = np.abs(1 - q ** 0.5 / u) ** 2 / np.abs(1 - q ** -1.5 / u) ** 2
+    chars3 = R.characters(h, R.induced_generators(q, u))
+    return (total6 / n ** 2 / (6 * q ** 3)
+            + (q - 1) ** 2 / (q ** 2 * (q ** 2 - 1)) * np.mean(chars3 * weight3)
+            + (q - 1) ** 3 / (q ** 3 - 1) * R.character(R.sign_character(q), h))
+
+
+# the translation by (10, 5): ten letters 0 in its reduced word, and its
+# characters reach that degree, so the 16-node grid reads aliased moments
+# m_(nu+16) = -m_nu and a degree bound one short leaves terms outside
+_TEN_ZEROS = W.AffineElement((10, 5), 0)
+
+
+@pytest.mark.parametrize("n", [16, 96, 256])
+@pytest.mark.parametrize("q", ["2", "3", "5/2"])
+def test_plancherel_trace_matches_grid_sum(q, n):
+    F = H.ScalarField(q)
+    assert W.reduced_word(_TEN_ZEROS).count(0) == 10
+    elements = [_aa_star(F, ((1, 0), (2,))), _aa_star(F, _NEG_WORDS),
+                H.t_element(F, [(_TEN_ZEROS, F.one)])]
+    for h in elements:
+        scale = max(1.0, sum(abs(complex(c)) for c in h.terms.values()))
+        assert abs(P.plancherel_trace(h, n) - _grid_sum_trace(h, n)) <= 1e-13 * scale
+
+
+def test_plancherel_trace_degree_guard(field2, monkeypatch):
+    h = H.t_element(field2, [(_TEN_ZEROS, field2.one)])
+    with pytest.raises(ValueError):
+        P.plancherel_trace(h, 8)
+    real = P._char_degree
+    monkeypatch.setattr(P, "_char_degree", lambda h: real(h) - 1)
+    with pytest.raises(ValueError, match="degree bound 9"):
+        P.plancherel_trace(h, 64)
+
+
+def test_moment_cache_is_bounded():
+    bound = P._moment_tables.cache_info().maxsize
+    for n in range(16, 16 + bound + 3):
+        P.mass_components(2.0, n)
+    assert P._moment_tables.cache_info().currsize == bound
+    w6, w3 = P._moment_tables(2.0, 16)
+    with pytest.raises(ValueError):
+        w6[0, 0] = 0
+    with pytest.raises(ValueError):
+        w3[0] = 0
+
+
 def test_f_value_ratio_consistency(field2):
     F = field2
     t = (0.05, 0.04 + 0.02j)
