@@ -125,7 +125,7 @@ def cmd_walk(args) -> int:
         for n in ns:
             p = snaps[n].p_value(target, float(q))
             est = limit.llt_estimate(target, n, q)
-            rows.append((n, p, est, p / est if est else float("nan")))
+            rows.append((n, p, est, p / est))
         _emit(args, serialize.write_csv(None, ["n", "p_n", "estimate", "ratio"], rows))
         return EXIT_OK
 
@@ -140,7 +140,7 @@ def cmd_walk(args) -> int:
     p_exact = dist.p_value(target, float(q))
     rows = [(
         serialize.word_to_str(word), args.n, exact_mass, emp_mass,
-        dev, p_exact, est, p_exact / est if est else float("nan"),
+        dev, p_exact, est, p_exact / est,
     )]
     _emit(args, serialize.write_csv(
         None,

@@ -18,6 +18,7 @@ The BFS ``weyl.ball`` serves only as the tests' oracle for this build.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -74,13 +75,9 @@ class StateSpace:
         return AffineElement((m, n), u)
 
 
-_SPACES = {}
-
-
+@functools.lru_cache(maxsize=2)
 def state_space(radius: int) -> StateSpace:
-    cached = _SPACES.get(radius)
-    if cached is not None:
-        return cached
+    """The ball of the given radius, cached for the two latest radii."""
     b = radius // 3 + 2
     side = np.arange(-b, b + 1)
     grid = np.meshgrid(side, side, np.arange(6), indexing="ij", sparse=True)
@@ -99,10 +96,8 @@ def state_space(radius: int) -> StateSpace:
         tm, tn, tu = weyl.right_mul_gen_array(m, n, u, i)
         target[:, i] = pos[tm + b, tn + b, tu]
         ascent[:, i] = weyl.length_array(tm, tn, tu) > lengths
-    space = StateSpace(radius, b, np.column_stack((m, n, u)), pos, lengths,
-                       target, ascent)
-    _SPACES[radius] = space
-    return space
+    return StateSpace(radius, b, np.column_stack((m, n, u)), pos, lengths,
+                      target, ascent)
 
 
 @dataclass
@@ -155,6 +150,12 @@ def _check_steps(n: int):
         raise ValueError(f"step count must be >= 0, got {n}")
 
 
+def _check_thickness(q):
+    if q <= 1:
+        raise ValueError("thickness q must exceed 1")
+    return q
+
+
 def _gen_step_matrix(space: StateSpace, i: int, q: float) -> sp.csr_matrix:
     """Column-stochastic one-generator averaging step: entry [t, s] is the
     mass flowing from state s to t under right averaging on wall type i."""
@@ -197,7 +198,7 @@ def exact_distribution(walk: dict, n: int, q, snapshots=None):
     if any(not 0 <= k <= n for k in wanted):
         raise ValueError(f"snapshots must lie in 0..{n}")
     _validate_spec(walk)
-    q = float(q)
+    q = _check_thickness(float(q))
     horizon = n * max((weyl.length(w) for w in walk), default=1)
     space = state_space(max(horizon, 1))
     mat = _walk_matrix(space, walk, q)
@@ -219,7 +220,7 @@ def exact_distribution_rational(walk: dict, n: int, q) -> dict:
     """Reference recursion with Fraction masses (dict element -> mass)."""
     _check_steps(n)
     _validate_spec(walk)
-    q = Fraction(q)
+    q = _check_thickness(Fraction(q))
     dist = {IDENTITY: Fraction(1)}
     word_cache = {w: weyl.reduced_word(w) for w in walk}
     for _ in range(n):
@@ -251,22 +252,37 @@ def mc_simulate(n: int, trials: int, seed: int, q) -> WalkDistribution:
     The result is reproducible for fixed (n, trials, seed, q), but the draws
     a given trial sees depend on ``trials``, so runs with different trial
     counts do not share trajectories.
+
+    A step is one gather from a flat int32 next-state table built per call:
+    ``table[6 s + 3 a + i]`` is the state reached from s on wall type i when
+    the acceptance draw a is 0 or 1, i.e. ``target[s, i]`` if the move is an
+    ascent or accepted, else s.  The draws and their order are those of
+    the two-gather kernel (ascent and target indexed by (state, pick), a
+    move on an ascent or an accepted descent) that the tests keep as the
+    oracle, so the stream and the masses match it bit for bit.  Raises if
+    6 x states does not fit in int32.
     """
     _check_steps(n)
     if trials < 1:
         raise ValueError("need at least one trial")
-    q = float(q)
+    q = _check_thickness(float(q))
     space = state_space(max(n, 1))
+    states = len(space.target)
+    if 6 * states >= 2 ** 31:
+        raise ValueError(f"{states} states overflow the int32 step table")
+    # A state reached before the last step has length < n, so the targets
+    # -1 of ascents leaving the ball are never read.
+    stay = np.arange(states)[:, None]
+    table = np.concatenate(
+        (np.where(space.ascent, space.target, stay), space.target), axis=1,
+    ).astype(np.int32).ravel()
     rng = np.random.Generator(np.random.Philox(key=seed))
-    state = np.full(trials, space.state(IDENTITY), dtype=np.int64)
+    state = np.full(trials, space.state(IDENTITY), dtype=np.int32)
     for _ in range(n):
         pick = rng.integers(0, 3, size=trials)
         accept = rng.random(trials) < 1.0 / q
-        asc = space.ascent[state, pick]
-        move = asc | accept
-        tgt = space.target[state, pick]
-        state = np.where(move, tgt, state)
-    counts = np.bincount(state, minlength=len(space.elems))
+        state = table[6 * state + 3 * accept + pick]
+    counts = np.bincount(state, minlength=states)
     return WalkDistribution(n, space, counts / trials)
 
 
@@ -294,9 +310,7 @@ class SpectralData:
 
 
 def spectral_data(q) -> SpectralData:
-    q = float(q)
-    if q <= 1:
-        raise ValueError("thickness q must exceed 1")
+    q = _check_thickness(float(q))
     s = (q * q + 34 * q + 1) ** 0.5
     lam1 = (3 * (q - 1) + s) / (6 * q)
     lam2 = 2 * (q - 1) / (3 * q)
@@ -342,6 +356,9 @@ def llt_estimate(w: AffineElement, n: int, q) -> float:
     """Leading-order n-step transition probability to relative position w:
 
         C_w q^(3 - 2 l(w)) / (27 sqrt(3) beta^4 pi (q-1)^6) * lam1^n n^-4.
+
+    Raises where that falls below the smallest normal double (n ~ 18,000
+    at q = 2) instead of returning a subnormal or 0.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -353,7 +370,10 @@ def llt_estimate(w: AffineElement, n: int, q) -> float:
         * q ** (3 - 2 * lw)
         / (27 * np.sqrt(3.0) * data.beta ** 4 * np.pi * (q - 1) ** 6)
     )
-    return float(const * data.spectral_radius ** n * float(n) ** -4.0)
+    value = float(const * data.spectral_radius ** n * float(n) ** -4.0)
+    if value < np.finfo(float).tiny:
+        raise ValueError(f"llt_estimate underflows at n={n}, q={q}")
+    return value
 
 
 def eigen_surface(theta, q):

@@ -184,7 +184,11 @@ def spectral_return_probabilities(q: float, ns, n_grid: int = 256):
     eigenvalues of the walk operator in the 6- and 3-dimensional families,
     raised to the n-th power and averaged against the Plancherel weights,
     plus the sign atom (eigenvalue -1/q).  The walk operator is Hermitian on
-    the unit torus.  Returns an array aligned with ns."""
+    the unit torus.  Returns an array aligned with ns.
+
+    Raises where a value falls below the smallest normal double (n ~ 18,000
+    at q = 2) instead of returning a subnormal or 0.  Only n = 1 is exempt:
+    its true value is 0, since the first step always leaves the identity."""
     q = float(q)
     grid = QuadratureGrid(n_grid)
     t1_all, t2_all = grid.torus_pairs()
@@ -204,7 +208,10 @@ def spectral_return_probabilities(q: float, ns, n_grid: int = 256):
             np.sum(lam3 ** n, axis=1) * w3
         )
         atom = (q - 1) ** 3 / (q ** 3 - 1) * (-1 / q) ** n
-        out.append(part6 + part3 + atom)
+        value = part6 + part3 + atom
+        if n != 1 and value < np.finfo(float).tiny:
+            raise ValueError(f"Tr(P^n) underflows at n={n}, q={q}")
+        out.append(value)
     return np.array(out)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 
 from chamberwalks import hecke as H
 from chamberwalks import limit as L
+from chamberwalks import plancherel as P
 from chamberwalks import reps as R
 from chamberwalks import walks as WK
 from chamberwalks import weyl as W
@@ -99,6 +101,24 @@ def test_negative_step_counts_rejected():
         L.mc_simulate(-1, 100, 1, 2)
 
 
+@pytest.mark.parametrize("q", [1, Fraction(1, 2), 0])
+def test_thickness_at_most_one_rejected(q):
+    spec = L.simple_walk_spec()
+    for run in (lambda: L.exact_distribution(spec, 2, q),
+                lambda: L.exact_distribution_rational(spec, 2, q),
+                lambda: L.mc_simulate(2, 100, 1, q)):
+        with pytest.raises(ValueError, match="thickness q must exceed 1"):
+            run()
+
+
+def test_state_space_cache_is_bounded():
+    bound = L.state_space.cache_info().maxsize
+    for radius in range(1, bound + 4):
+        L.state_space(radius)
+    assert L.state_space.cache_info().currsize == bound
+    assert L.state_space(bound + 3) is L.state_space(bound + 3)
+
+
 def test_lookups_outside_the_ball():
     """Elements one step beyond the radius, far outside the lookup box, and
     one box width below a supported element (where a negative index would
@@ -134,6 +154,47 @@ def test_mc_deterministic_and_zero_steps():
     assert not np.array_equal(a.masses, c.masses)
     z = L.mc_simulate(0, 100, 1, 2)
     assert z.mass(W.IDENTITY) == 1.0
+
+
+def _two_gather_mc(n, trials, seed, q):
+    """Reference kernel for mc_simulate: per step, gather the ascent flag
+    and the target of (state, pick) and move on an ascent or an accepted
+    descent.  Same draws in the same order."""
+    q = float(q)
+    space = L.state_space(max(n, 1))
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    state = np.full(trials, space.state(W.IDENTITY), dtype=np.int64)
+    for _ in range(n):
+        pick = rng.integers(0, 3, size=trials)
+        accept = rng.random(trials) < 1.0 / q
+        move = space.ascent[state, pick] | accept
+        state = np.where(move, space.target[state, pick], state)
+    return np.bincount(state, minlength=len(space.elems)) / trials
+
+
+@pytest.mark.parametrize("n, trials, seed, q", [
+    (0, 5, 1, 2), (1, 1, 3, 2), (17, 30001, 5, Fraction(5, 2)),
+    (40, 20000, 8, 3), (12, 5000, 2, Fraction(3, 2)), (25, 4000, 9, 9),
+])
+def test_mc_stream_is_pinned(n, trials, seed, q):
+    """The flat-table kernel reproduces the two-gather kernel bit for bit."""
+    emp = L.mc_simulate(n, trials, seed, q)
+    assert np.array_equal(emp.masses, _two_gather_mc(n, trials, seed, q))
+
+
+def test_mc_step_table_must_fit_int32(monkeypatch):
+    """6 x states >= 2^31 raises before anything of that size is built; the
+    stub's zero-strided rows (4e8 of them) take no memory."""
+    real = L.state_space(1)
+    rows = 400_000_000
+    stub = dataclasses.replace(
+        real,
+        target=np.broadcast_to(real.target[:1], (rows, 3)),
+        ascent=np.broadcast_to(real.ascent[:1], (rows, 3)),
+    )
+    monkeypatch.setattr(L, "state_space", lambda radius: stub)
+    with pytest.raises(ValueError, match="int32"):
+        L.mc_simulate(1, 10, 0, 2)
 
 
 def test_mc_one_step_matches_kernel():
@@ -232,6 +293,23 @@ def test_llt_estimate_shape():
         ratio = e / L.llt_estimate(W.IDENTITY, 50, 2)
         expect = L.c_w_value(w, 2) * 2.0 ** (-2 * W.length(w))
         assert abs(ratio - expect) < 1e-12
+
+
+@pytest.mark.parametrize("n", [18000, 19000, 25600])
+def test_underflow_raises(n):
+    """Past n ~ 18,000 at q = 2 both routes would return a subnormal or 0."""
+    with pytest.raises(ValueError, match=f"n={n}, q=2.0"):
+        L.llt_estimate(W.IDENTITY, n, 2)
+    with pytest.raises(ValueError, match=f"n={n}, q=2.0"):
+        P.spectral_return_probabilities(2.0, [n], 128)
+
+
+def test_no_underflow_error_short_of_it():
+    tiny = np.finfo(float).tiny
+    assert L.llt_estimate(W.IDENTITY, 17000, 2) > tiny
+    assert P.spectral_return_probabilities(2.0, [17000], 128)[0] > tiny
+    # p_1(e) = 0 exactly, and this grid returns exactly 0 for it
+    assert P.spectral_return_probabilities(3.0, [1], 256)[0] == 0.0
 
 
 def test_llt_ratio_trend():
