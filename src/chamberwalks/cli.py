@@ -120,24 +120,23 @@ def cmd_walk(args) -> int:
 
     if args.walk_command == "llt":
         ns = [int(s) for s in str(args.n).split(",") if s]
-        snaps = limit.exact_distribution(spec, max(ns), q, snapshots=ns)
+        sphere = float(q) ** weyl.length(target)
         rows = []
-        for n in ns:
-            p = snaps[n].p_value(target, float(q))
+        for n, mass in zip(ns, limit.masses_at(spec, target, ns, q)):
+            p = mass / sphere
             est = limit.llt_estimate(target, n, q)
             rows.append((n, p, est, p / est))
         _emit(args, serialize.write_csv(None, ["n", "p_n", "estimate", "ratio"], rows))
         return EXIT_OK
 
     # compare: exact vs Monte Carlo vs asymptotic estimate
-    dist = limit.exact_distribution(spec, args.n, q)
+    [exact_mass] = limit.masses_at(spec, target, [args.n], q)
     emp = limit.mc_simulate(args.n, args.trials, args.seed, q)
-    exact_mass = dist.mass(target)
     emp_mass = emp.mass(target)
     sigma = (max(exact_mass * (1 - exact_mass), 1e-300) / args.trials) ** 0.5
     dev = abs(emp_mass - exact_mass) / sigma if sigma else float("inf")
     est = limit.llt_estimate(target, args.n, q) if args.n >= 1 else float("nan")
-    p_exact = dist.p_value(target, float(q))
+    p_exact = exact_mass / float(q) ** weyl.length(target)
     rows = [(
         serialize.word_to_str(word), args.n, exact_mass, emp_mass,
         dev, p_exact, est, p_exact / est,

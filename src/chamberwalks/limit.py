@@ -14,6 +14,17 @@ arrays: the closed-form length is evaluated over a lattice box of (m, n, u)
 for w = t_(m,n) u, the states of length <= radius are kept, and a dense
 (m, n, u) -> state lookup array gives the targets of the three generators.
 The BFS ``weyl.ball`` serves only as the tests' oracle for this build.
+
+States are ordered by length, so the states of length <= b are a row
+prefix of the walk matrix, and a step that recomputes only them is a matvec
+with a slice of its CSR arrays.  ``exact_distribution`` recomputes at step k
+the states of length <= k L (L the longest element of the walk's support);
+the others still hold an exact 0.  ``masses_at`` serves a query at one
+relative position w: it works on the ball of radius (n L + l(w)) / 2, which
+holds every path from e to w, and recomputes at step k only the light cone,
+the states of length <= min(k L, l(w) + (n - k) L).  Every term a step
+drops or reads stale is an exact 0 or multiplies one, so both return the
+bits of the full recursion.
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ from .weyl import IDENTITY, AffineElement
 
 __all__ = [
     "StateSpace", "state_space", "WalkDistribution",
-    "simple_walk_spec", "exact_distribution", "mc_simulate",
+    "simple_walk_spec", "exact_distribution", "masses_at", "mc_simulate",
     "SpectralData", "spectral_data", "c_w_value", "llt_estimate",
     "eigen_surface", "lemma34_check", "perturbation_eigenvalues",
     "determinant_probe",
@@ -187,11 +198,36 @@ def _walk_matrix(space: StateSpace, walk: dict, q: float) -> sp.csr_matrix:
     return out
 
 
+def _max_step_length(walk: dict) -> int:
+    return max((weyl.length(w) for w in walk), default=1)
+
+
+def _propagate(space: StateSpace, mat: sp.csr_matrix, bounds):
+    """Masses after 0, 1, 2, ... steps from the identity, yielded as one
+    array updated in place.  Step k recomputes only the states of length
+    <= bounds[k - 1], a row prefix of mat since states are ordered by
+    length; every other entry keeps its value."""
+    x = np.zeros(len(space.elems))
+    x[space.state(IDENTITY)] = 1.0
+    yield x
+    data, indices, indptr = mat.data, mat.indices, mat.indptr
+    for r in np.searchsorted(space.lengths, bounds, side="right"):
+        end = indptr[r]
+        rows = sp.csr_matrix((data[:end], indices[:end], indptr[:r + 1]),
+                             shape=(r, len(x)))
+        x[:r] = rows @ x
+        yield x
+
+
 def exact_distribution(walk: dict, n: int, q, snapshots=None):
     """Distribution after n steps, double precision via sparse matvec.
 
     With snapshots=[n1, n2, ...] returns {ni: WalkDistribution} capturing the
     distribution at each requested step count (all in 0..n).
+
+    Step k recomputes only the states of length <= k L, L the longest
+    element of the walk's support: the rest are unreachable and hold an
+    exact 0, which is what the full matvec would write there.
     """
     _check_steps(n)
     wanted = set(snapshots or ())
@@ -199,21 +235,53 @@ def exact_distribution(walk: dict, n: int, q, snapshots=None):
         raise ValueError(f"snapshots must lie in 0..{n}")
     _validate_spec(walk)
     q = _check_thickness(float(q))
-    horizon = n * max((weyl.length(w) for w in walk), default=1)
-    space = state_space(max(horizon, 1))
+    step = _max_step_length(walk)
+    space = state_space(max(n * step, 1))
     mat = _walk_matrix(space, walk, q)
-    masses = np.zeros(len(space.elems))
-    masses[space.state(IDENTITY)] = 1.0
     out = {}
-    if 0 in wanted:
-        out[0] = WalkDistribution(0, space, masses.copy())
-    for k in range(1, n + 1):
-        masses = mat @ masses
+    steps = _propagate(space, mat, [k * step for k in range(1, n + 1)])
+    for k, masses in enumerate(steps):
         if k in wanted:
             out[k] = WalkDistribution(k, space, masses.copy())
     if snapshots is None:
         return WalkDistribution(n, space, masses)
     return out
+
+
+def masses_at(walk: dict, w: AffineElement, ns, q) -> list:
+    """The masses at w after each step count in ns, equal bit for bit to
+    ``exact_distribution(walk, n, q).mass(w)``.
+
+    Only the light cone of w is propagated.  With n = max(ns) and L the
+    longest element of the walk's support, the ball has radius
+    R = floor((n L + l(w)) / 2): a generator path from e to w of n L letters
+    that leaves it would need more than n L letters to come back.  Step k
+    recomputes only the states of length <= min(k L, l(w) + (n - k) L, R),
+    the ones reachable in k steps from which w is still reachable in the
+    n - k left.  Each recomputed state sums the same terms in the same order
+    as on the full ball: the matrix entries between cone states are equal on
+    both balls, since no path between them leaves radius R; a state outside
+    the ball or not yet reached holds an exact 0, which adds nothing to a
+    sum; and the stale values above the cone lie more than L above every
+    state still in it, so no step reads them.
+    """
+    ns = list(ns)
+    if not ns:
+        raise ValueError("need at least one step count")
+    for k in ns:
+        _check_steps(k)
+    _validate_spec(walk)
+    q = _check_thickness(float(q))
+    n, step, lw = max(ns), _max_step_length(walk), weyl.length(w)
+    if lw > n * step:  # w is out of reach at every n in ns
+        return [0.0] * len(ns)
+    radius = (n * step + lw) // 2
+    space = state_space(radius)
+    mat = _walk_matrix(space, walk, q)
+    target = space.state(w)
+    bounds = [min(k * step, lw + (n - k) * step, radius) for k in range(1, n + 1)]
+    at = [float(x[target]) for x in _propagate(space, mat, bounds)]
+    return [at[k] for k in ns]
 
 
 def exact_distribution_rational(walk: dict, n: int, q) -> dict:

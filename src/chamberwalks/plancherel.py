@@ -224,15 +224,10 @@ def simple_walk_spectral_traces(q: float, n_max: int, n_grid: int = 256):
 # Trace generating series at small parameters.
 # ---------------------------------------------------------------------------
 
-_TABLES = {}
-
-
+@functools.lru_cache(maxsize=4)
 def _trace_table(q) -> hecke.TraceTable:
-    key = str(q)
-    tab = _TABLES.get(key)
-    if tab is None:
-        _TABLES[key] = tab = hecke.TraceTable(q)
-    return tab
+    """The trace table of thickness q, cached for the four latest q."""
+    return hecke.TraceTable(q)
 
 
 def _x_support(h: hecke.HeckeElement):

@@ -351,13 +351,10 @@ def test_c11_eigenvalue_bounds():
 
 
 def _llt_ratios():
-    snaps = L.exact_distribution(L.simple_walk_spec(), 400, 2,
-                                 snapshots=[100, 200, 400])
-    out = {}
-    for n in (100, 200, 400):
-        p = snaps[n].p_value(W.IDENTITY, 2.0)
-        out[n] = p / L.llt_estimate(W.IDENTITY, n, 2)
-    return out
+    ns = (100, 200, 400)
+    # p_n(c, c) is the mass at e, divided by q^l(e) = 1
+    masses = L.masses_at(L.simple_walk_spec(), W.IDENTITY, ns, 2)
+    return {n: p / L.llt_estimate(W.IDENTITY, n, 2) for n, p in zip(ns, masses)}
 
 
 def test_c12_local_limit_trend():

@@ -89,6 +89,74 @@ def test_general_radial_walk_matches_algebra(field2):
             assert abs(d.mass(w) - mass) < 1e-12, (n, w)
 
 
+# {s0: 1/2, s0 s1: 1/2}: its length-2 element moves two letters per step
+TWO_LETTER_SPEC = {W.GEN[0]: Fraction(1, 2), W.from_word((0, 1)): Fraction(1, 2)}
+
+
+def _plain_recursion(walk, n, q):
+    """Reference for exact_distribution: every state recomputed at every
+    step with the full walk matrix of the horizon ball."""
+    horizon = n * max(W.length(w) for w in walk)
+    space = L.state_space(max(horizon, 1))
+    mat = L._walk_matrix(space, walk, float(q))
+    x = np.zeros(len(space.elems))
+    x[space.state(W.IDENTITY)] = 1.0
+    out = [x]
+    for _ in range(n):
+        x = mat @ x
+        out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("walk, n, q", [
+    (L.simple_walk_spec(), 0, 2), (L.simple_walk_spec(), 1, 3),
+    (L.simple_walk_spec(), 17, Fraction(5, 2)), (L.simple_walk_spec(), 40, 2),
+    (TWO_LETTER_SPEC, 9, 3), (TWO_LETTER_SPEC, 20, Fraction(5, 2)),
+])
+def test_exact_distribution_cone_matches_plain_recursion(walk, n, q):
+    """Recomputing only the states of length <= k L at step k changes no bit
+    of any snapshot."""
+    plain = _plain_recursion(walk, n, q)
+    snaps = L.exact_distribution(walk, n, q, snapshots=range(n + 1))
+    for k in range(n + 1):
+        assert np.array_equal(snaps[k].masses, plain[k]), k
+    assert np.array_equal(L.exact_distribution(walk, n, q).masses, plain[n])
+
+
+@pytest.mark.parametrize("walk", [L.simple_walk_spec(), TWO_LETTER_SPEC],
+                         ids=["simple", "two-letter"])
+@pytest.mark.parametrize("q", [2, 3, Fraction(5, 2)])
+@pytest.mark.parametrize("word", [(), (2,), (2, 0, 1), (1, 2, 1, 0)])
+def test_masses_at_matches_exact_distribution(walk, q, word):
+    """The light-cone walk returns the full recursion's masses bit for bit,
+    including 0 where l(w) exceeds the reach of n steps."""
+    w = W.from_word(word)
+    for ns in ([0, 1, 2, 3], [7, 12], [25]):
+        got = L.masses_at(walk, w, ns, q)
+        want = [L.exact_distribution(walk, n, q).mass(w) for n in ns]
+        assert got == want, ns
+    if word == (1, 2, 1, 0) and walk is not TWO_LETTER_SPEC:
+        assert L.masses_at(walk, w, [0, 1, 2, 3], q) == [0.0] * 4
+
+
+@pytest.mark.parametrize("walk, word, ns", [
+    (L.simple_walk_spec(), (), [7, 12]),
+    (L.simple_walk_spec(), (2, 0, 1), [25, 3]),
+    (TWO_LETTER_SPEC, (1, 2, 1, 0), [12]),
+])
+def test_masses_at_builds_the_light_cone_ball(monkeypatch, walk, word, ns):
+    """The ball has radius floor((n L + l(w)) / 2), not the n L of the full
+    recursion."""
+    real, radii = L.state_space, []
+    monkeypatch.setattr(L, "state_space", lambda r: radii.append(r) or real(r))
+    w = W.from_word(word)
+    L.masses_at(walk, w, ns, 2)
+    step = max(W.length(v) for v in walk)
+    assert radii == [(max(ns) * step + W.length(w)) // 2]
+    L.masses_at(walk, W.from_word((0, 1, 2, 0, 1, 2)), [2], 2)  # out of reach
+    assert len(radii) == 1
+
+
 def test_negative_step_counts_rejected():
     spec = L.simple_walk_spec()
     with pytest.raises(ValueError):
@@ -99,6 +167,10 @@ def test_negative_step_counts_rejected():
         L.exact_distribution_rational(spec, -1, 2)
     with pytest.raises(ValueError):
         L.mc_simulate(-1, 100, 1, 2)
+    with pytest.raises(ValueError):
+        L.masses_at(spec, W.IDENTITY, [-3, 5], 2)
+    with pytest.raises(ValueError):
+        L.masses_at(spec, W.IDENTITY, [], 2)
 
 
 @pytest.mark.parametrize("q", [1, Fraction(1, 2), 0])
@@ -106,6 +178,7 @@ def test_thickness_at_most_one_rejected(q):
     spec = L.simple_walk_spec()
     for run in (lambda: L.exact_distribution(spec, 2, q),
                 lambda: L.exact_distribution_rational(spec, 2, q),
+                lambda: L.masses_at(spec, W.IDENTITY, [2], q),
                 lambda: L.mc_simulate(2, 100, 1, q)):
         with pytest.raises(ValueError, match="thickness q must exceed 1"):
             run()
@@ -139,11 +212,12 @@ def test_lookups_outside_the_ball():
 
 
 def test_walk_spec_validation():
-    with pytest.raises(ValueError):
-        L.exact_distribution({W.GEN[0]: Fraction(1, 2)}, 1, 2)
-    with pytest.raises(ValueError):
-        L.exact_distribution({W.GEN[0]: Fraction(3, 2),
-                              W.GEN[1]: Fraction(-1, 2)}, 1, 2)
+    for run in (L.exact_distribution,
+                lambda walk, n, q: L.masses_at(walk, W.IDENTITY, [n], q)):
+        with pytest.raises(ValueError):
+            run({W.GEN[0]: Fraction(1, 2)}, 1, 2)
+        with pytest.raises(ValueError):
+            run({W.GEN[0]: Fraction(3, 2), W.GEN[1]: Fraction(-1, 2)}, 1, 2)
 
 
 def test_mc_deterministic_and_zero_steps():

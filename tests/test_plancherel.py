@@ -195,7 +195,10 @@ def test_f_series_laurent_strips(field2):
     assert abs(P.f_series(h, t, 10)[0] - ref) <= 1e-13 * abs(ref)
 
 
-@pytest.mark.parametrize("q", ["2", "3", "5/2", "4", "9/4"])
+# 4 and 9/4 first: no later test reads their tables, so the trace-table
+# cache of four keeps the K = 80 tables of q = 2 and 3 that the f_series
+# tests below reuse
+@pytest.mark.parametrize("q", ["4", "9/4", "2", "3", "5/2"])
 def test_table_trace_is_exact(q):
     F = H.ScalarField(q)
     for words in (((1, 0), (2,)), _NEG_WORDS, ((2, 0, 1, 2), (1,), (0, 2))):
@@ -381,3 +384,14 @@ def test_small_angle_density_expansion():
     assert err_half <= 0.6 * err + 1e-12
     with pytest.raises(ValueError):
         L.lemma34_check((0.01, -0.01), 2)
+
+
+def test_trace_table_cache_is_bounded():
+    """Kept last in this file: it evicts the tables the tests above share.
+    The tables are built empty, so the fill costs nothing."""
+    bound = P._trace_table.cache_info().maxsize
+    qs = [Fraction(100 + k, 7) for k in range(bound + 3)]
+    for q in qs:
+        P._trace_table(q)
+    assert P._trace_table.cache_info().currsize == bound
+    assert P._trace_table(qs[-1]) is P._trace_table(qs[-1])
