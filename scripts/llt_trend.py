@@ -1,6 +1,6 @@
 """Return-probability asymptotics of the uniform nearest-neighbour walk.
 
-Runs the exact sparse recursion, restricted to the states that can still
+Runs the exact recursion, restricted to the states that can still
 return to the start (``limit.masses_at``), and compares the n-step return
 probability against the closed-form n^-4 estimate, then extends the picture
 to larger n through the spectral decomposition (Plancherel quadrature).

@@ -1,4 +1,4 @@
-"""Three-way trace comparison for walk powers: exact sparse recursion,
+"""Three-way trace comparison for walk powers: exact recursion,
 torus-quadrature spectral decomposition, and (at small n) the exact algebra.
 
 Usage: python scripts/trace_oracles.py [--q 2] [--nmax 20] [--grid 256]

@@ -134,7 +134,7 @@ def cmd_walk(args) -> int:
     emp = limit.mc_simulate(args.n, args.trials, args.seed, q)
     emp_mass = emp.mass(target)
     sigma = (max(exact_mass * (1 - exact_mass), 1e-300) / args.trials) ** 0.5
-    dev = abs(emp_mass - exact_mass) / sigma if sigma else float("inf")
+    dev = abs(emp_mass - exact_mass) / sigma
     est = limit.llt_estimate(target, args.n, q) if args.n >= 1 else float("nan")
     p_exact = exact_mass / float(q) ** weyl.length(target)
     rows = [(

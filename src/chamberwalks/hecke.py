@@ -50,7 +50,7 @@ __all__ = [
     "w0_poincare", "symmetrizer_one", "intertwiner_tau", "tau_element",
     "macdonald_p", "poly_n", "poly_d", "apply_w0_to_poly",
     "tau_expansion_at", "f_value", "orbit_characters",
-    "TraceTable",
+    "TraceTable", "check_thickness",
 ]
 
 
@@ -155,14 +155,19 @@ def _rational_sqrt(q: Fraction):
     return None
 
 
+def check_thickness(q):
+    """q itself, if it is a thickness (q > 1); raises ValueError otherwise."""
+    if q <= 1:
+        raise ValueError("thickness q must exceed 1")
+    return q
+
+
 class _Field:
     """What the exact and the numeric coefficient field share: the checked
     thickness q and the per-field memo tables of the base changes."""
 
     def __init__(self, q):
-        self.q = Fraction(q)
-        if self.q <= 1:
-            raise ValueError("thickness q must exceed 1")
+        self.q = check_thickness(Fraction(q))
         self.sqrt_q_float = float(self.q) ** 0.5
         self._tx_cache = {}
         self._xw_cache = {}

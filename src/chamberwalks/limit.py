@@ -6,8 +6,9 @@ The exact n-step distribution follows the averaging-operator recursion: a
 step from w splits uniformly over the three wall types; an ascent moves to
 ws_i, a descent moves there with probability 1/q and stays otherwise.  The
 same kernel drives the Monte Carlo chain, so the two are independent only
-in implementation (sparse linear algebra vs sampled trajectories), while
-the spectral route goes through the trace decomposition instead.
+in implementation (a deterministic gather recursion vs sampled
+trajectories), while the spectral route goes through the trace
+decomposition instead.
 
 The chain lives on a ball of the affine Weyl group.  The ball is built from
 arrays: the closed-form length is evaluated over a lattice box of (m, n, u)
@@ -15,16 +16,18 @@ for w = t_(m,n) u, the states of length <= radius are kept, and a dense
 (m, n, u) -> state lookup array gives the targets of the three generators.
 The BFS ``weyl.ball`` serves only as the tests' oracle for this build.
 
-States are ordered by length, so the states of length <= b are a row
-prefix of the walk matrix, and a step that recomputes only them is a matvec
-with a slice of its CSR arrays.  ``exact_distribution`` recomputes at step k
-the states of length <= k L (L the longest element of the walk's support);
-the others still hold an exact 0.  ``masses_at`` serves a query at one
-relative position w: it works on the ball of radius (n L + l(w)) / 2, which
-holds every path from e to w, and recomputes at step k only the light cone,
-the states of length <= min(k L, l(w) + (n - k) L).  Every term a step
-drops or reads stale is an exact 0 or multiplies one, so both return the
-bits of the full recursion.
+One step of the walk is a few gathers: ``_walk_matrix`` pulls each state
+back through the words of the walk, and a step sums the weighted masses of
+the states each one pulls from.  States are ordered by length, so the
+states of length <= b are a prefix of those arrays, and a step that
+recomputes only them works on slices.  ``exact_distribution`` recomputes at
+step k the states of length <= k L (L the longest element of the walk's
+support); the others still hold an exact 0.  ``masses_at`` serves a query
+at one relative position w: it works on the ball of radius
+(n L + l(w)) / 2, which holds every path from e to w, and recomputes at
+step k only the light cone, the states of length <= min(k L,
+l(w) + (n - k) L).  Every term a step drops or reads stale is an exact 0
+or multiplies one, so both return the bits of the full recursion.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import hecke, reps, weyl
 from .weyl import IDENTITY, AffineElement
@@ -161,85 +163,81 @@ def _check_steps(n: int):
         raise ValueError(f"step count must be >= 0, got {n}")
 
 
-def _check_thickness(q):
-    if q <= 1:
-        raise ValueError("thickness q must exceed 1")
-    return q
+def _walk_matrix(space: StateSpace, walk: dict, q: float):
+    """The walk operator P in gather form (diag, idx, val):
 
+        (P x)[t] = diag[t] x[t] + sum_k val[k, t] x[idx[k, t]].
 
-def _gen_step_matrix(space: StateSpace, i: int, q: float) -> sp.csr_matrix:
-    """Column-stochastic one-generator averaging step: entry [t, s] is the
-    mass flowing from state s to t under right averaging on wall type i."""
+    Each row t is pulled back through each word, last letter first.  Under
+    wall type i, t receives the mass of t s_i with weight 1 if that move is
+    an ascent (l(t s_i) < l(t)) and 1/q otherwise, and keeps 1 - 1/q of its
+    own mass if t s_i is shorter.  A word of length l gives 2^l paths: the
+    one that stays at every letter adds to diag, each other one is a slot k.
+    A path through a state outside the ball has weight 0 and a placeholder
+    index.  The slot order of a row does not depend on the radius."""
     n = len(space.elems)
     states = np.arange(n)
-    tgt = space.target[:, i]
-    # ascents leaving the ball never carry mass within the horizon
-    up = space.ascent[:, i] & (tgt >= 0)
-    down = ~space.ascent[:, i]
-    rows = np.concatenate((tgt[up], tgt[down], states[down]))
-    cols = np.concatenate((states[up], states[down], states[down]))
-    data = np.concatenate((
-        np.full(np.count_nonzero(up), 1.0),
-        np.full(np.count_nonzero(down), 1.0 / q),
-        np.full(np.count_nonzero(down), 1.0 - 1.0 / q),
-    ))
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-
-
-def _walk_matrix(space: StateSpace, walk: dict, q: float) -> sp.csr_matrix:
-    gen_mats = [_gen_step_matrix(space, i, q) for i in range(3)]
-    n = len(space.elems)
-    out = sp.csr_matrix((n, n))
+    inside = space.target >= 0
+    pull = np.where(inside, space.target, states[:, None])
+    move = np.where(space.ascent, 1.0 / q, 1.0) * inside
+    keep = np.where(space.ascent, 0.0, 1.0 - 1.0 / q)
+    diag = np.zeros(n)
+    idx, val = [], []
     for w, a in walk.items():
-        m = sp.identity(n, format="csr")
-        for i in weyl.reduced_word(w):
-            m = gen_mats[i] @ m
-        out = out + float(a) * m
-    return out
+        paths = [(states, 1.0)]
+        for i in reversed(weyl.reduced_word(w)):
+            paths = [nxt for s, v in paths
+                     for nxt in ((s, v * keep[s, i]), (pull[s, i], v * move[s, i]))]
+        (_, stay), *rest = paths
+        diag += float(a) * stay
+        for s, v in rest:
+            idx.append(s)
+            val.append(float(a) * v)
+    return diag, np.array(idx).reshape(-1, n), np.array(val).reshape(-1, n)
 
 
 def _max_step_length(walk: dict) -> int:
     return max((weyl.length(w) for w in walk), default=1)
 
 
-def _propagate(space: StateSpace, mat: sp.csr_matrix, bounds):
+def _propagate(space: StateSpace, op, bounds):
     """Masses after 0, 1, 2, ... steps from the identity, yielded as one
     array updated in place.  Step k recomputes only the states of length
-    <= bounds[k - 1], a row prefix of mat since states are ordered by
-    length; every other entry keeps its value."""
+    <= bounds[k - 1], a row prefix of the operator since states are ordered
+    by length; every other entry keeps its value."""
+    diag, idx, val = op
     x = np.zeros(len(space.elems))
     x[space.state(IDENTITY)] = 1.0
     yield x
-    data, indices, indptr = mat.data, mat.indices, mat.indptr
     for r in np.searchsorted(space.lengths, bounds, side="right"):
-        end = indptr[r]
-        rows = sp.csr_matrix((data[:end], indices[:end], indptr[:r + 1]),
-                             shape=(r, len(x)))
-        x[:r] = rows @ x
+        acc = diag[:r] * x[:r]
+        for k in range(len(idx)):
+            acc += val[k, :r] * x.take(idx[k, :r])
+        x[:r] = acc
         yield x
 
 
 def exact_distribution(walk: dict, n: int, q, snapshots=None):
-    """Distribution after n steps, double precision via sparse matvec.
+    """Distribution after n steps, double precision via gather steps.
 
     With snapshots=[n1, n2, ...] returns {ni: WalkDistribution} capturing the
     distribution at each requested step count (all in 0..n).
 
     Step k recomputes only the states of length <= k L, L the longest
     element of the walk's support: the rest are unreachable and hold an
-    exact 0, which is what the full matvec would write there.
+    exact 0, which is what the full step would write there.
     """
     _check_steps(n)
     wanted = set(snapshots or ())
     if any(not 0 <= k <= n for k in wanted):
         raise ValueError(f"snapshots must lie in 0..{n}")
     _validate_spec(walk)
-    q = _check_thickness(float(q))
+    q = hecke.check_thickness(float(q))
     step = _max_step_length(walk)
     space = state_space(max(n * step, 1))
-    mat = _walk_matrix(space, walk, q)
+    op = _walk_matrix(space, walk, q)
     out = {}
-    steps = _propagate(space, mat, [k * step for k in range(1, n + 1)])
+    steps = _propagate(space, op, [k * step for k in range(1, n + 1)])
     for k, masses in enumerate(steps):
         if k in wanted:
             out[k] = WalkDistribution(k, space, masses.copy())
@@ -259,11 +257,12 @@ def masses_at(walk: dict, w: AffineElement, ns, q) -> list:
     recomputes only the states of length <= min(k L, l(w) + (n - k) L, R),
     the ones reachable in k steps from which w is still reachable in the
     n - k left.  Each recomputed state sums the same terms in the same order
-    as on the full ball: the matrix entries between cone states are equal on
-    both balls, since no path between them leaves radius R; a state outside
-    the ball or not yet reached holds an exact 0, which adds nothing to a
-    sum; and the stale values above the cone lie more than L above every
-    state still in it, so no step reads them.
+    as on the full ball: a row's slots come in the same order on both balls
+    and carry the same weights between cone states, since no path between
+    them leaves radius R; a state outside the ball or not yet reached holds
+    an exact 0, which adds nothing to a sum; and the stale values above the
+    cone lie more than L above every state still in it, so no step reads
+    them.
     """
     ns = list(ns)
     if not ns:
@@ -271,16 +270,16 @@ def masses_at(walk: dict, w: AffineElement, ns, q) -> list:
     for k in ns:
         _check_steps(k)
     _validate_spec(walk)
-    q = _check_thickness(float(q))
+    q = hecke.check_thickness(float(q))
     n, step, lw = max(ns), _max_step_length(walk), weyl.length(w)
     if lw > n * step:  # w is out of reach at every n in ns
         return [0.0] * len(ns)
     radius = (n * step + lw) // 2
     space = state_space(radius)
-    mat = _walk_matrix(space, walk, q)
+    op = _walk_matrix(space, walk, q)
     target = space.state(w)
     bounds = [min(k * step, lw + (n - k) * step, radius) for k in range(1, n + 1)]
-    at = [float(x[target]) for x in _propagate(space, mat, bounds)]
+    at = [float(x[target]) for x in _propagate(space, op, bounds)]
     return [at[k] for k in ns]
 
 
@@ -288,7 +287,7 @@ def exact_distribution_rational(walk: dict, n: int, q) -> dict:
     """Reference recursion with Fraction masses (dict element -> mass)."""
     _check_steps(n)
     _validate_spec(walk)
-    q = _check_thickness(Fraction(q))
+    q = hecke.check_thickness(Fraction(q))
     dist = {IDENTITY: Fraction(1)}
     word_cache = {w: weyl.reduced_word(w) for w in walk}
     for _ in range(n):
@@ -333,7 +332,7 @@ def mc_simulate(n: int, trials: int, seed: int, q) -> WalkDistribution:
     _check_steps(n)
     if trials < 1:
         raise ValueError("need at least one trial")
-    q = _check_thickness(float(q))
+    q = hecke.check_thickness(float(q))
     space = state_space(max(n, 1))
     states = len(space.target)
     if 6 * states >= 2 ** 31:
@@ -378,7 +377,7 @@ class SpectralData:
 
 
 def spectral_data(q) -> SpectralData:
-    q = _check_thickness(float(q))
+    q = hecke.check_thickness(float(q))
     s = (q * q + 34 * q + 1) ** 0.5
     lam1 = (3 * (q - 1) + s) / (6 * q)
     lam2 = 2 * (q - 1) / (3 * q)
@@ -423,7 +422,7 @@ def c_w_value(w: AffineElement, q) -> float:
 def llt_estimate(w: AffineElement, n: int, q) -> float:
     """Leading-order n-step transition probability to relative position w:
 
-        C_w q^(3 - 2 l(w)) / (27 sqrt(3) beta^4 pi (q-1)^6) * lam1^n n^-4.
+        C_w q^3 / (27 sqrt(3) beta^4 pi (q-1)^6) * lam1^n n^-4.
 
     Raises where that falls below the smallest normal double (n ~ 18,000
     at q = 2) instead of returning a subnormal or 0.
@@ -432,10 +431,9 @@ def llt_estimate(w: AffineElement, n: int, q) -> float:
         raise ValueError("need n >= 1")
     q = float(q)
     data = spectral_data(q)
-    lw = weyl.length(w)
     const = (
         c_w_value(w, q)
-        * q ** (3 - 2 * lw)
+        * q ** 3
         / (27 * np.sqrt(3.0) * data.beta ** 4 * np.pi * (q - 1) ** 6)
     )
     value = float(const * data.spectral_radius ** n * float(n) ** -4.0)

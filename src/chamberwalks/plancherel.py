@@ -172,6 +172,7 @@ def plancherel_trace(h: hecke.HeckeElement, n_grid: int = 256) -> complex:
 def mass_components(q: float, n_grid: int = 256):
     """Plancherel masses of the three spectral components (sum to 1): the
     moments m_0 of the two weights on the n_grid offset grid."""
+    hecke.check_thickness(q)
     w6, w3 = _moment_tables(float(q), n_grid)
     m6 = _moment(w6, 0, 0).real / q ** 3
     m3 = 3 * (q - 1) ** 2 / (q ** 2 * (q ** 2 - 1)) * _moment(w3, 0).real
@@ -189,7 +190,7 @@ def spectral_return_probabilities(q: float, ns, n_grid: int = 256):
     Raises where a value falls below the smallest normal double (n ~ 18,000
     at q = 2) instead of returning a subnormal or 0.  Only n = 1 is exempt:
     its true value is 0, since the first step always leaves the identity."""
-    q = float(q)
+    q = hecke.check_thickness(float(q))
     grid = QuadratureGrid(n_grid)
     t1_all, t2_all = grid.torus_pairs()
     lam6 = np.concatenate([

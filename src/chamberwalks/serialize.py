@@ -58,10 +58,6 @@ def element_from_json(s: str) -> AffineElement:
     return element_from_obj(json.loads(s))
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x)
-
-
 def hecke_to_obj(h: hecke.HeckeElement) -> dict:
     terms = []
     if h.basis == "T":
@@ -76,12 +72,12 @@ def hecke_to_obj(h: hecke.HeckeElement) -> dict:
             entry = {"index": element_to_obj(AffineElement(mu, u))}
             entry.update(_coeff_obj(c, h.field))
             terms.append(entry)
-    return {"basis": h.basis, "q": _frac_str(h.field.q), "terms": terms}
+    return {"basis": h.basis, "q": str(h.field.q), "terms": terms}
 
 
 def _coeff_obj(c, field) -> dict:
     if field.exact:
-        return {"a": _frac_str(c.a), "b": _frac_str(c.b)}
+        return {"a": str(c.a), "b": str(c.b)}
     z = complex(c)
     return {"re": z.real, "im": z.imag}
 

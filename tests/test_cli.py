@@ -242,6 +242,20 @@ def test_module_entry_point_without_warning(package_env):
     assert json.loads(proc.stdout)["q"] == "2"
 
 
+def test_exact_walk_loads_no_sparse_library(package_env):
+    """The exact walk steps with numpy gathers alone."""
+    script = (
+        "import sys, chamberwalks\n"
+        "from chamberwalks import cli\n"
+        "assert cli.main(['walk', 'llt', '--n', '4', '--word', '']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=package_env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["walk", "exact"])  # missing --n
