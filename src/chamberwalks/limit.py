@@ -5,10 +5,12 @@ n^-4 local limit estimate.
 The exact n-step distribution follows the averaging-operator recursion: a
 step from w splits uniformly over the three wall types; an ascent moves to
 ws_i, a descent moves there with probability 1/q and stays otherwise.  The
-same kernel drives the Monte Carlo chain, so the two are independent only
-in implementation (a deterministic gather recursion vs sampled
-trajectories), while the spectral route goes through the trace
-decomposition instead.
+Monte Carlo chain samples the same kernel, so the two are independent only
+in implementation: a deterministic gather recursion against trajectories
+drawn in blocks of k steps, one uint16 draw per trial and block and one
+gather from a fused k-step table, with the acceptance exactly 1/q for
+rational q.  The spectral route goes through the trace decomposition
+instead.
 
 The chain lives on a ball of the affine Weyl group.  The ball is built from
 arrays: the closed-form length is evaluated over a lattice box of (m, n, u)
@@ -311,45 +313,80 @@ def exact_distribution_rational(walk: dict, n: int, q) -> dict:
     return dist
 
 
+def _mc_tables(space: StateSpace, q: Fraction, n: int, trials: int) -> list:
+    """The step tables [T_1, ..., T_k] of ``mc_simulate``, int32 arrays of
+    shape (states, W^j) with W = 3a for q = a/b.
+
+    Digit d = 3j + i of T_1 picks wall type i and accepts the move when
+    j < b: ``T_1[s, d]`` is ``target[s, i]`` then, else the ascent target
+    or s itself.  ``T_(j+1)[s, r W + d] = T_1[T_j[s, r], d]``, so the first
+    step is the most significant digit; an entry -1 (an ascent out of the
+    ball) stays -1.  k is the largest k <= n with W^k <= 2^16 and
+    states x W^k <= trials, and 1 if there is none.
+    """
+    states, w = len(space.target), 3 * q.numerator
+    if w * states >= 2 ** 31:
+        raise ValueError(f"{states} states overflow the int32 step table")
+    k = 1
+    while k < n and w ** (k + 1) <= 2 ** 16 and states * w ** (k + 1) <= trials:
+        k += 1
+    stay = np.where(space.ascent, space.target, np.arange(states)[:, None])
+    one = np.concatenate(
+        (np.tile(space.target, q.denominator),
+         np.tile(stay, q.numerator - q.denominator)), axis=1,
+    ).astype(np.int32)
+    tables = [one]
+    for _ in range(k - 1):
+        prev = tables[-1]
+        tables.append(np.where(prev[:, :, None] < 0, -1, one[prev])
+                      .reshape(states, -1))
+    return tables
+
+
 def mc_simulate(n: int, trials: int, seed: int, q) -> WalkDistribution:
     """Empirical distribution of the uniform nearest-neighbour radial chain.
 
-    All trials advance together on one Philox stream keyed by the seed:
-    step k draws ``trials`` wall types, then ``trials`` acceptance uniforms.
-    The result is reproducible for fixed (n, trials, seed, q), but the draws
-    a given trial sees depend on ``trials``, so runs with different trial
-    counts do not share trajectories.
+    All trials advance together on one Philox stream keyed by the seed, in
+    blocks of k steps.  A block draws one uint16 per trial, uniform on
+    [0, W^k) with W = 3a for q = a/b, and moves every trial k steps by one
+    gather, ``state = T_k[W^k state + r]`` (see ``_mc_tables``).  Read in
+    base W, most significant digit first, the draw gives one digit
+    d = 3j + i per step: wall type i, and a descent accepted when j < b, so
+    the acceptance probability is exactly 1/q.  k is the largest k <= n
+    with W^k <= 2^16 and states x W^k <= trials, so the table is never
+    larger than the trials' state array; the n mod k steps left over take
+    one more draw on T_(n mod k).  A trial starts a block of m steps at
+    length <= n - m, and those rows of T_m hold no -1.
 
-    A step is one gather from a flat int32 next-state table built per call:
-    ``table[6 s + 3 a + i]`` is the state reached from s on wall type i when
-    the acceptance draw a is 0 or 1, i.e. ``target[s, i]`` if the move is an
-    ascent or accepted, else s.  The draws and their order are those of
-    the two-gather kernel (ascent and target indexed by (state, pick), a
-    move on an ascent or an accepted descent) that the tests keep as the
-    oracle, so the stream and the masses match it bit for bit.  Raises if
-    6 x states does not fit in int32.
+    The result is reproducible for fixed (n, trials, seed, q), but the draws
+    a given trial sees, and k, depend on ``trials``, so runs with different
+    trial counts do not share trajectories.  q is read as a Fraction: a
+    float such as 2.1 has a numerator near 2^52, and q with W > 2^16
+    raises, as does W x states >= 2^31.
     """
     _check_steps(n)
     if trials < 1:
         raise ValueError("need at least one trial")
-    q = hecke.check_thickness(float(q))
+    given, q = q, Fraction(hecke.check_thickness(q))
+    w = 3 * q.numerator
+    if w > 2 ** 16:
+        raise ValueError(
+            f"q = {given} is {q}: a draw needs 3 x {q.numerator} values, over "
+            f"2^16; pass q as a Fraction with a numerator up to 21845, such "
+            f"as Fraction('2.1')")
     space = state_space(max(n, 1))
-    states = len(space.target)
-    if 6 * states >= 2 ** 31:
-        raise ValueError(f"{states} states overflow the int32 step table")
-    # A state reached before the last step has length < n, so the targets
-    # -1 of ascents leaving the ball are never read.
-    stay = np.arange(states)[:, None]
-    table = np.concatenate(
-        (np.where(space.ascent, space.target, stay), space.target), axis=1,
-    ).astype(np.int32).ravel()
+    tables = _mc_tables(space, q, n, trials)
+    k = len(tables)
     rng = np.random.Generator(np.random.Philox(key=seed))
     state = np.full(trials, space.state(IDENTITY), dtype=np.int32)
-    for _ in range(n):
-        pick = rng.integers(0, 3, size=trials)
-        accept = rng.random(trials) < 1.0 / q
-        state = table[6 * state + 3 * accept + pick]
-    counts = np.bincount(state, minlength=states)
+    idx = np.empty_like(state)
+    for done in range(0, n, k):
+        m = min(k, n - done)
+        r = rng.integers(0, w ** m, size=trials, dtype=np.uint16)
+        np.multiply(state, w ** m, out=idx)
+        np.add(idx, r, out=idx)
+        np.take(tables[m - 1].ravel(), idx, out=state)
+    counts = np.bincount(state, minlength=len(space.target))
     return WalkDistribution(n, space, counts / trials)
 
 

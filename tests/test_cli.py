@@ -49,6 +49,17 @@ def test_walk_mc_deterministic(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_walk_mc_reads_decimal_q_exactly(capsys):
+    """--q 2.1 is Fraction('2.1') = 21/10 (draws on [0, 63)), not the float
+    2.1, whose numerator is near 2^52 and which mc_simulate rejects."""
+    code, out = run(capsys, ["walk", "mc", "--q", "2.1", "--n", "3",
+                             "--trials", "1000", "--seed", "1"])
+    assert code == 0
+    rows = out.strip().split("\n")[1:]
+    masses = [float(row.rsplit(",", 2)[1]) for row in rows]
+    assert abs(sum(masses) - 1.0) < 1e-12
+
+
 def test_walk_llt_trend(capsys):
     code, out = run(capsys, ["walk", "llt", "--q", "2", "--n", "20,40,80",
                              "--word", ""])

@@ -91,6 +91,9 @@ def test_general_radial_walk_matches_algebra(field2):
 
 # {s0: 1/2, s0 s1: 1/2}: its length-2 element moves two letters per step
 TWO_LETTER_SPEC = {W.GEN[0]: Fraction(1, 2), W.from_word((0, 1)): Fraction(1, 2)}
+# {s0, s1 s2, s2 s0} at 1/3 each: multi-letter words on an infinite support
+THREE_WORD_SPEC = {W.GEN[0]: Fraction(1, 3), W.from_word((1, 2)): Fraction(1, 3),
+                   W.from_word((2, 0)): Fraction(1, 3)}
 
 
 def _plain_recursion(walk, n, q):
@@ -127,6 +130,7 @@ def test_rational_cross_check_two_letter_walk():
     (L.simple_walk_spec(), 0, 2), (L.simple_walk_spec(), 1, 3),
     (L.simple_walk_spec(), 17, Fraction(5, 2)), (L.simple_walk_spec(), 40, 2),
     (TWO_LETTER_SPEC, 9, 3), (TWO_LETTER_SPEC, 20, Fraction(5, 2)),
+    (THREE_WORD_SPEC, 12, Fraction(5, 2)),
 ])
 def test_exact_distribution_cone_matches_plain_recursion(walk, n, q):
     """Recomputing only the states of length <= k L at step k changes no bit
@@ -138,8 +142,9 @@ def test_exact_distribution_cone_matches_plain_recursion(walk, n, q):
     assert np.array_equal(L.exact_distribution(walk, n, q).masses, plain[n])
 
 
-@pytest.mark.parametrize("walk", [L.simple_walk_spec(), TWO_LETTER_SPEC],
-                         ids=["simple", "two-letter"])
+@pytest.mark.parametrize("walk", [L.simple_walk_spec(), TWO_LETTER_SPEC,
+                                  THREE_WORD_SPEC],
+                         ids=["simple", "two-letter", "three-word"])
 @pytest.mark.parametrize("q", [2, 3, Fraction(5, 2)])
 @pytest.mark.parametrize("word", [(), (2,), (2, 0, 1), (1, 2, 1, 0)])
 def test_masses_at_matches_exact_distribution(walk, q, word):
@@ -150,7 +155,7 @@ def test_masses_at_matches_exact_distribution(walk, q, word):
         got = L.masses_at(walk, w, ns, q)
         want = [L.exact_distribution(walk, n, q).mass(w) for n in ns]
         assert got == want, ns
-    if word == (1, 2, 1, 0) and walk is not TWO_LETTER_SPEC:
+    if W.length(w) > 3 * max(W.length(v) for v in walk):
         assert L.masses_at(walk, w, [0, 1, 2, 3], q) == [0.0] * 4
 
 
@@ -247,34 +252,81 @@ def test_mc_deterministic_and_zero_steps():
     assert z.mass(W.IDENTITY) == 1.0
 
 
-def _two_gather_mc(n, trials, seed, q):
-    """Reference kernel for mc_simulate: per step, gather the ascent flag
-    and the target of (state, pick) and move on an ascent or an accepted
-    descent.  Same draws in the same order."""
-    q = float(q)
+def _block_size(w, states, n, trials):
+    k = 1
+    while k < n and w ** (k + 1) <= 2 ** 16 and states * w ** (k + 1) <= trials:
+        k += 1
+    return k
+
+
+def _digit_mc(n, trials, seed, q):
+    """Reference kernel for mc_simulate, with no table: per block of m steps
+    one uint16 draw on [0, W^m), W = 3a for q = a/b, replayed digit by
+    digit, most significant first.  Digit d picks wall type d mod 3 and
+    moves on an ascent or when d div 3 < b."""
+    q = Fraction(q)
+    w, b = 3 * q.numerator, q.denominator
     space = L.state_space(max(n, 1))
+    k = _block_size(w, len(space.elems), n, trials)
     rng = np.random.Generator(np.random.Philox(key=seed))
     state = np.full(trials, space.state(W.IDENTITY), dtype=np.int64)
-    for _ in range(n):
-        pick = rng.integers(0, 3, size=trials)
-        accept = rng.random(trials) < 1.0 / q
-        move = space.ascent[state, pick] | accept
-        state = np.where(move, space.target[state, pick], state)
+    for done in range(0, n, k):
+        m = min(k, n - done)
+        r = rng.integers(0, w ** m, size=trials, dtype=np.uint16).astype(np.int64)
+        for p in reversed(range(m)):
+            d = r // w ** p % w
+            pick = d % 3
+            move = space.ascent[state, pick] | (d // 3 < b)
+            state = np.where(move, space.target[state, pick], state)
     return np.bincount(state, minlength=len(space.elems)) / trials
 
 
 @pytest.mark.parametrize("n, trials, seed, q", [
     (0, 5, 1, 2), (1, 1, 3, 2), (17, 30001, 5, Fraction(5, 2)),
     (40, 20000, 8, 3), (12, 5000, 2, Fraction(3, 2)), (25, 4000, 9, 9),
+    # n = 11 with 100000 trials (199 states): k = 3 at q = 2, k = 2 at
+    # q = 5/2 and 3/2, each with n mod k != 0
+    (11, 100000, 4, 2), (11, 100000, 6, Fraction(5, 2)),
+    (11, 100000, 7, Fraction(3, 2)),
 ])
 def test_mc_stream_is_pinned(n, trials, seed, q):
-    """The flat-table kernel reproduces the two-gather kernel bit for bit."""
+    """The fused-table kernel reproduces the digit-by-digit kernel bit for
+    bit."""
     emp = L.mc_simulate(n, trials, seed, q)
-    assert np.array_equal(emp.masses, _two_gather_mc(n, trials, seed, q))
+    assert np.array_equal(emp.masses, _digit_mc(n, trials, seed, q))
+
+
+@pytest.mark.parametrize("n, trials, q", [
+    (11, 100000, 2), (11, 100000, Fraction(5, 2)), (11, 100000, Fraction(3, 2)),
+    (10, 10 ** 6, 2), (40, 2 * 10 ** 6, 2), (6, 10 ** 6, 9),
+])
+def test_mc_tables_reachable_entries_inside_the_ball(n, trials, q):
+    """T_j holds -1 only in rows of length > n - j, which no trial reaches
+    before a block of j steps; the rows just above do hold -1."""
+    space = L.state_space(n)
+    tables = L._mc_tables(space, Fraction(q), n, trials)
+    assert len(tables) == _block_size(3 * Fraction(q).numerator,
+                                      len(space.elems), n, trials)
+    for j, table in enumerate(tables, 1):
+        assert table.dtype == np.int32
+        assert not (table[space.lengths <= n - j] < 0).any(), j
+        assert (table[space.lengths == n - j + 1] < 0).any(), j
+
+
+@pytest.mark.parametrize("n, trials, q", [
+    (0, 5, 2), (1, 1, 2), (11, 100000, 2), (11, 100000, Fraction(5, 2)),
+    (40, 2 * 10 ** 6, 2), (8, 10 ** 9, 2), (3, 10 ** 9, 2), (5, 10 ** 9, 9),
+])
+def test_mc_table_is_no_larger_than_the_trials(n, trials, q):
+    space = L.state_space(max(n, 1))
+    w = 3 * Fraction(q).numerator
+    tables = L._mc_tables(space, Fraction(q), n, trials)
+    assert tables[-1].size <= max(trials, w * len(space.elems))
+    assert len(tables) <= max(n, 1) and w ** len(tables) <= 2 ** 16
 
 
 def test_mc_step_table_must_fit_int32(monkeypatch):
-    """6 x states >= 2^31 raises before anything of that size is built; the
+    """W x states >= 2^31 raises before anything of that size is built; the
     stub's zero-strided rows (4e8 of them) take no memory."""
     real = L.state_space(1)
     rows = 400_000_000
@@ -286,6 +338,17 @@ def test_mc_step_table_must_fit_int32(monkeypatch):
     monkeypatch.setattr(L, "state_space", lambda radius: stub)
     with pytest.raises(ValueError, match="int32"):
         L.mc_simulate(1, 10, 0, 2)
+
+
+def test_mc_rejects_q_with_large_numerator():
+    """W = 3a > 2^16 raises and names q; the float 2.1 is
+    4728779608739021/2^51, while Fraction('2.1') = 21/10 runs."""
+    with pytest.raises(ValueError, match="q = 2.1 is 4728779608739021/"):
+        L.mc_simulate(2, 10, 0, 2.1)
+    with pytest.raises(ValueError, match="Fraction"):
+        L.mc_simulate(2, 10, 0, Fraction(21846, 5))
+    L.mc_simulate(2, 10, 0, Fraction(21845, 5))
+    assert L.mc_simulate(2, 10, 0, Fraction("2.1")).total() == 1.0
 
 
 def test_mc_one_step_matches_kernel():
