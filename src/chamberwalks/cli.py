@@ -168,11 +168,10 @@ def cmd_trace(args) -> int:
             "N": None,
         }
     if args.method in ("plancherel", "all"):
-        v_full = plancherel.plancherel_trace(h, args.grid)
-        v_half = plancherel.plancherel_trace(h, args.grid // 2)
+        value, estimate = plancherel.plancherel_estimate(h, args.grid)
         results["plancherel"] = {
-            "value": v_full.real,
-            "abs_err_estimate": abs(v_full - v_half),
+            "value": value.real,
+            "abs_err_estimate": estimate,
             "N": args.grid,
         }
     ok = True

@@ -3,7 +3,8 @@
 Two coefficient modes share one element type:
 
 * exact  -- elements of the real quadratic field Q(sqrt(q)) for a fixed
-  rational q > 1, stored as a + b*sqrt(q) with Fraction components, and
+  rational q > 1, stored as one canonical integer triple (A + B*sqrt(q))/D
+  (D > 0, gcd(A, B, D) = 1) and read as the Fractions a = A/D, b = B/D, and
 * numeric -- complex doubles (used for evaluation at torus points).
 
 Two bases share one element type as well:
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 
 from . import weyl
 from .weyl import (
@@ -60,94 +62,123 @@ __all__ = [
 
 
 class QSqrt:
-    """a + b*sqrt(q) with rational a, b.  Created through a ScalarField,
-    which canonicalizes the representation when q is a perfect square."""
+    """(A + B*sqrt(q)) / D with Python ints A, B, D, kept canonical: D > 0,
+    gcd(A, B, D) = 1, and B = 0 when q is the square of a rational.  The
+    canonical form is unique, so equality and hashing compare the triple.
+    Created through a ScalarField (make) or by _norm from another scalar;
+    the rational parts a = A/D and b = B/D are read as Fractions."""
 
-    __slots__ = ("a", "b", "field")
+    __slots__ = ("_a", "_b", "_d", "field")
 
-    def __init__(self, a, b, field):
-        self.a = a
-        self.b = b
+    def __init__(self, a: int, b: int, d: int, field):
+        self._a = a
+        self._b = b
+        self._d = d
         self.field = field
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def __repr__(self):
         return f"({self.a} + {self.b}*sqrt({self.field.q}))"
 
     def __eq__(self, other):
         if isinstance(other, QSqrt):
-            return self.a == other.a and self.b == other.b
+            return self._a == other._a and self._b == other._b and self._d == other._d
         if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
+            return self._b == 0 and self._a == other * self._d
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        return hash((self._a, self._b, self._d))
 
     def __bool__(self):
-        return bool(self.a) or bool(self.b)
+        return bool(self._a or self._b)
 
     def _coerce(self, other):
-        if isinstance(other, QSqrt):
-            return other
         if isinstance(other, (int, Fraction)):
             return self.field.make(other)
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if isinstance(other, QSqrt) else self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.field.make(self.a + o.a, self.b + o.b)
+        d1, d2 = self._d, o._d
+        if d1 == d2:
+            return _norm(self._a + o._a, self._b + o._b, d1, self.field)
+        return _norm(self._a * d2 + o._a * d1, self._b * d2 + o._b * d1, d1 * d2,
+                     self.field)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QSqrt(-self.a, -self.b, self.field)
+        return QSqrt(-self._a, -self._b, self._d, self.field)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = other if isinstance(other, QSqrt) else self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.field.make(self.a - o.a, self.b - o.b)
+        d1, d2 = self._d, o._d
+        if d1 == d2:
+            return _norm(self._a - o._a, self._b - o._b, d1, self.field)
+        return _norm(self._a * d2 - o._a * d1, self._b * d2 - o._b * d1, d1 * d2,
+                     self.field)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if isinstance(other, QSqrt) else self._coerce(other)
         if o is None:
             return NotImplemented
-        q = self.field.q
-        return self.field.make(
-            self.a * o.a + self.b * o.b * q, self.a * o.b + self.b * o.a
-        )
+        field = self.field
+        a1, b1, a2, b2, qd = self._a, self._b, o._a, o._b, field.qd
+        return _norm(a1 * a2 * qd + b1 * b2 * field.qn, (a1 * b2 + b1 * a2) * qd,
+                     self._d * o._d * qd, field)
 
     __rmul__ = __mul__
 
     def inv(self):
-        q = self.field.q
-        nrm = self.a * self.a - self.b * self.b * q
+        # D / (A + B sqrt q) = D qd (A - B sqrt q) / (A^2 qd - B^2 qn)
+        field = self.field
+        a, b, qd = self._a, self._b, field.qd
+        nrm = a * a * qd - b * b * field.qn
         if nrm == 0:
             raise ZeroDivisionError("scalar is zero")
-        return self.field.make(self.a / nrm, -self.b / nrm)
+        d = self._d * qd if nrm > 0 else -self._d * qd
+        return _norm(a * d, -b * d, abs(nrm), field)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = other if isinstance(other, QSqrt) else self._coerce(other)
         if o is None:
             return NotImplemented
         return self * o.inv()
 
     def __complex__(self):
-        return complex(self.a + self.b * self.field.sqrt_q_float)
+        return complex(float(self))
 
     def __float__(self):
-        return float(self.a + self.b * self.field.sqrt_q_float)
+        # float(a) + float(b) * sqrt(q), each quotient correctly rounded
+        return self._a / self._d + self._b / self._d * self.field.sqrt_q_float
+
+
+def _norm(a: int, b: int, d: int, field) -> QSqrt:
+    """The canonical QSqrt of (a + b*sqrt(q)) / d, for d > 0 (and b = 0 when
+    q is a rational square)."""
+    g = gcd(a, b, d)
+    if g == 1:
+        return QSqrt(a, b, d, field)
+    return QSqrt(a // g, b // g, d // g, field)
 
 
 def _rational_sqrt(q: Fraction):
     """sqrt(q) as a Fraction if q is a square of a rational, else None."""
-    from math import isqrt
-
     pn, pd = q.numerator, q.denominator
     rn, rd = isqrt(pn), isqrt(pd)
     if rn * rn == pn and rd * rd == pd:
@@ -188,6 +219,7 @@ class ScalarField(_Field):
 
     def __init__(self, q):
         super().__init__(q)
+        self.qn, self.qd = self.q.numerator, self.q.denominator
         self.rational_root = _rational_sqrt(self.q)
         self.zero = self.make(0)
         self.one = self.make(1)
@@ -200,7 +232,9 @@ class ScalarField(_Field):
         a, b = Fraction(a), Fraction(b)
         if b and self.rational_root is not None:
             a, b = a + b * self.rational_root, Fraction(0)
-        return QSqrt(a, b, self)
+        d = lcm(a.denominator, b.denominator)
+        return _norm(a.numerator * (d // a.denominator), b.numerator * (d // b.denominator),
+                     d, self)
 
     def half_pow(self, k: int):
         """q^(k/2) as an exact scalar, any integer k."""

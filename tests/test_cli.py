@@ -187,8 +187,13 @@ def test_trace_all_exit_code(capsys, tmp_path, monkeypatch):
     _write_aa_star(path, "3", ((1, 0), (2,)))
     argv = ["trace", "--element", str(path), "--grid", "64", "--depth", "10"]
     assert run(capsys, argv)[0] == cli.EXIT_OK
-    real = plancherel.plancherel_trace
-    monkeypatch.setattr(plancherel, "plancherel_trace", lambda h, n: real(h, n) + 1e-3)
+    real = plancherel.plancherel_estimate
+
+    def shifted(h, n):
+        value, estimate = real(h, n)
+        return value + 1e-3, estimate
+
+    monkeypatch.setattr(plancherel, "plancherel_estimate", shifted)
     code, out = run(capsys, argv)
     assert code == cli.EXIT_TOLERANCE
     assert json.loads(out)["max_discrepancy"] > 1e-3

@@ -48,6 +48,74 @@ def test_exact_to_numeric_commutes(xa, ya):
         assert abs(exact - numer) <= 1e-12 * max(1.0, abs(exact))
 
 
+_QS = (Fraction(2), Fraction(3), Fraction(5, 2), Fraction(4), Fraction(9, 4))
+_ROOTS = {Fraction(4): Fraction(2), Fraction(9, 4): Fraction(3, 2)}
+_RATIONALS = st.fractions(min_value=-30, max_value=30, max_denominator=24)
+
+
+def _pair(q, a, b):
+    """Oracle: a + b*sqrt(q) as a pair of Fractions, sqrt(q) folded into a
+    when q is a square."""
+    a, b = Fraction(a), Fraction(b)
+    return (a + b * _ROOTS[q], Fraction(0)) if q in _ROOTS else (a, b)
+
+
+def _pair_mul(q, x, y):
+    return _pair(q, x[0] * y[0] + x[1] * y[1] * q, x[0] * y[1] + x[1] * y[0])
+
+
+def _pair_inv(q, x):
+    nrm = x[0] * x[0] - x[1] * x[1] * q
+    return _pair(q, x[0] / nrm, -x[1] / nrm)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_QS), st.lists(_RATIONALS, min_size=7, max_size=7))
+def test_scalar_matches_fraction_pair_oracle(q, parts):
+    F = H.ScalarField(q)
+    sq = F.sqrt_q_float
+    x, y, z = (F.make(a, b) for a, b in zip(parts[0:6:2], parts[1:6:2]))
+    px, py, pz = (_pair(q, a, b) for a, b in zip(parts[0:6:2], parts[1:6:2]))
+    r = parts[6]
+
+    def check(s, pair):
+        assert (s.a, s.b) == pair
+        assert type(s.a) is Fraction and type(s.b) is Fraction
+        assert bool(s) == (pair != (0, 0))
+        assert float(s) == float(pair[0] + pair[1] * sq)
+        assert complex(s) == complex(pair[0] + pair[1] * sq)
+
+    for s, pair in ((x, px), (y, py), (z, pz)):
+        check(s, pair)
+        check(-s, (-pair[0], -pair[1]))
+    check(x + y, _pair(q, px[0] + py[0], px[1] + py[1]))
+    check(x - y, _pair(q, px[0] - py[0], px[1] - py[1]))
+    check(x * y, _pair_mul(q, px, py))
+    check(x + r, _pair(q, px[0] + r, px[1]))
+    check(r - x, _pair(q, r - px[0], -px[1]))
+    check(r * x, _pair(q, r * px[0], r * px[1]))
+    if py != (0, 0):
+        check(y.inv(), _pair_inv(q, py))
+        check(x / y, _pair_mul(q, px, _pair_inv(q, py)))
+        assert (x * y) / y == x and hash((x * y) / y) == hash(x)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            y.inv()
+    # one value reached along different paths: equal, and equal hashes
+    paths = [(x + y) * z, x * z + y * z, z * y + (z * x - F.zero), z * (x + y + z) - z * z]
+    assert all(p == paths[0] for p in paths)
+    assert len({hash(p) for p in paths}) == 1
+    assert (x - x == F.zero) and hash(x - x) == hash(F.zero)
+    assert F.make(r) == r and (F.make(r) == r + 1) is False
+    with pytest.raises(ZeroDivisionError):
+        F.zero.inv()
+    with pytest.raises(ZeroDivisionError):
+        x / F.make(0, 0)
+    if q in _ROOTS:
+        with pytest.raises(ZeroDivisionError):
+            F.make(_ROOTS[q], -1).inv()
+
+
 def test_half_pow(field2):
     F = field2
     assert F.half_pow(2) == F.make(2)

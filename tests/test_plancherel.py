@@ -285,6 +285,14 @@ def test_plancherel_trace_degree_guard(field2, monkeypatch):
         P.plancherel_trace(h, 64)
 
 
+def test_plancherel_estimate_reuses_one_set_of_coefficients(field2):
+    # the value and the two-grid difference, bit for bit as two separate calls
+    h = _aa_star(field2, _NEG_WORDS)
+    value, estimate = P.plancherel_estimate(h, 64)
+    assert value == P.plancherel_trace(h, 64)
+    assert estimate == abs(value - P.plancherel_trace(h, 32))
+
+
 def test_moment_cache_is_bounded():
     bound = P._moment_tables.cache_info().maxsize
     for n in range(16, 16 + bound + 3):
