@@ -43,7 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace", help="canonical trace by several routes")
     _common_flags(p, q=None)  # None: the element's q
-    p.add_argument("--mode", choices=("exact", "numeric"), default="exact")
     p.add_argument("--grid", type=int, default=256, help="quadrature nodes per circle")
     p.add_argument("--method", choices=("exact", "plancherel", "series", "all"),
                    default="all")
@@ -155,7 +154,7 @@ def cmd_trace(args) -> int:
     if args.grid < 32:  # the quadrature estimate compares N with N // 2 >= 16 nodes
         raise ValueError("--grid must be at least 32")
     with open(args.element) as fh:
-        h = serialize.hecke_from_json(fh.read(), mode=args.mode)
+        h = serialize.hecke_from_json(fh.read())
     if args.q is not None and _parse_q(args.q) != h.field.q:
         raise ValueError(f"--q {args.q} differs from the element's q = {h.field.q}")
     if h.basis == "X":

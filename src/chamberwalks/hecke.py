@@ -1,13 +1,12 @@
 """Exact arithmetic in the affine Hecke algebra of the triangle tiling.
 
-Two coefficient modes share one element type:
+Coefficients lie in the real quadratic field Q(sqrt(q)) for a fixed
+rational q > 1, each stored as one canonical integer triple
+(A + B*sqrt(q))/D (D > 0, gcd(A, B, D) = 1) and read as the Fractions
+a = A/D, b = B/D; they become complex doubles only for evaluation at torus
+points.
 
-* exact  -- elements of the real quadratic field Q(sqrt(q)) for a fixed
-  rational q > 1, stored as one canonical integer triple (A + B*sqrt(q))/D
-  (D > 0, gcd(A, B, D) = 1) and read as the Fractions a = A/D, b = B/D, and
-* numeric -- complex doubles (used for evaluation at torus points).
-
-Two bases share one element type as well:
+Two bases share one element type:
 
 * the standard basis T_w indexed by affine group elements, with the
   quadratic relation T_i^2 = 1 + (q^(1/2) - q^(-1/2)) T_i, and
@@ -45,7 +44,7 @@ from .weyl import (
 )
 
 __all__ = [
-    "QSqrt", "ScalarField", "ComplexField",
+    "QSqrt", "ScalarField",
     "HeckeElement", "t_element", "x_element", "t_generator", "unit",
     "rmul_gen", "mul", "trace", "star", "simple_walk",
     "t_to_x", "x_to_t", "x_monomial_t_expansion",
@@ -193,9 +192,9 @@ def check_thickness(q):
     return q
 
 
-class _Field:
-    """What the exact and the numeric coefficient field share: the checked
-    thickness q and the per-field memo tables of the base changes."""
+class ScalarField:
+    """Exact coefficient field Q(sqrt(q)) for a fixed rational q > 1, with
+    the per-field memo tables of the base changes."""
 
     def __init__(self, q):
         self.q = check_thickness(Fraction(q))
@@ -204,21 +203,6 @@ class _Field:
         self._xw_cache = {}
         self._tux_cache = {}
         self._fin_inv_cache = {}
-
-    def is_zero(self, c) -> bool:
-        return not c
-
-    def to_complex(self, c) -> complex:
-        return complex(c)
-
-
-class ScalarField(_Field):
-    """Exact coefficient field Q(sqrt(q)) for a fixed rational q > 1."""
-
-    exact = True
-
-    def __init__(self, q):
-        super().__init__(q)
         self.qn, self.qd = self.q.numerator, self.q.denominator
         self.rational_root = _rational_sqrt(self.q)
         self.zero = self.make(0)
@@ -241,32 +225,6 @@ class ScalarField(_Field):
         if k % 2 == 0:
             return self.make(self.q ** (k // 2))
         return self.make(0, self.q ** ((k - 1) // 2))
-
-    def conj(self, c):
-        return c
-
-
-class ComplexField(_Field):
-    """Numeric twin of ScalarField with complex-double coefficients."""
-
-    exact = False
-
-    def __init__(self, q):
-        super().__init__(q)
-        self.zero = 0j
-        self.one = 1 + 0j
-        self.sqrt_q = complex(self.sqrt_q_float)
-        self.inv_sqrt_q = complex(float(self.q) ** -0.5)
-        self.quad = self.sqrt_q - self.inv_sqrt_q
-
-    def make(self, a, b=0):
-        return complex(float(Fraction(a)) + float(Fraction(b)) * self.sqrt_q_float)
-
-    def half_pow(self, k: int):
-        return complex(self.sqrt_q_float ** k)
-
-    def conj(self, c):
-        return c.conjugate() if isinstance(c, complex) else c
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +257,7 @@ class HeckeElement:
             raise ValueError("cannot add elements in different bases")
         out = dict(self.terms)
         for k, c in other.terms.items():
-            _acc(out, k, c, self.field)
+            _acc(out, k, c)
         return HeckeElement(self.basis, out, self.field)
 
     def __sub__(self, other):
@@ -315,7 +273,7 @@ class HeckeElement:
         return bernstein_mul(self, other)
 
     def scaled(self, c):
-        if self.field.is_zero(c):
+        if not c:
             return HeckeElement(self.basis, {}, self.field)
         return HeckeElement(
             self.basis, {k: v * c for k, v in self.terms.items()}, self.field
@@ -324,14 +282,11 @@ class HeckeElement:
     def coeff(self, key):
         return self.terms.get(key, self.field.zero)
 
-    def is_zero(self):
-        return not self.terms
 
-
-def _acc(terms: dict, key, c, field):
+def _acc(terms: dict, key, c):
     cur = terms.get(key)
     new = c if cur is None else cur + c
-    if field.is_zero(new):
+    if not new:
         terms.pop(key, None)
     else:
         terms[key] = new
@@ -345,14 +300,14 @@ def unit(field, basis="T") -> HeckeElement:
 def t_element(field, pairs) -> HeckeElement:
     terms = {}
     for w, c in pairs:
-        _acc(terms, w, c, field)
+        _acc(terms, w, c)
     return HeckeElement("T", terms, field)
 
 
 def x_element(field, pairs) -> HeckeElement:
     terms = {}
     for (mu, u), c in pairs:
-        _acc(terms, ((mu[0], mu[1]), u), c, field)
+        _acc(terms, ((mu[0], mu[1]), u), c)
     return HeckeElement("X", terms, field)
 
 
@@ -381,13 +336,13 @@ def rmul_gen(h: HeckeElement, i: int, inverse: bool = False) -> HeckeElement:
         ws = right_mul_gen(w, i)
         up = length(ws) > length(w)
         if up:
-            _acc(out, ws, c, field)
+            _acc(out, ws, c)
             if inverse:
-                _acc(out, w, -(c * quad), field)
+                _acc(out, w, -(c * quad))
         else:
-            _acc(out, ws, c, field)
+            _acc(out, ws, c)
             if not inverse:
-                _acc(out, w, c * quad, field)
+                _acc(out, w, c * quad)
     return HeckeElement("T", out, field)
 
 
@@ -417,14 +372,11 @@ def trace(h: HeckeElement):
 
 
 def star(h: HeckeElement) -> HeckeElement:
-    """Conjugate-linear involution (sum c_w T_w)^* = sum conj(c_w) T_{w^-1}."""
+    """The involution (sum c_w T_w)^* = sum c_w T_{w^-1}; the coefficients
+    are real, so conjugation fixes them."""
     if h.basis != "T":
         raise ValueError("star expects the T-basis")
-    field = h.field
-    out = {}
-    for w, c in h.terms.items():
-        _acc(out, weyl.inverse(w), field.conj(c), field)
-    return HeckeElement("T", out, field)
+    return HeckeElement("T", {weyl.inverse(w): c for w, c in h.terms.items()}, h.field)
 
 
 # ---------------------------------------------------------------------------
@@ -432,31 +384,14 @@ def star(h: HeckeElement) -> HeckeElement:
 # ---------------------------------------------------------------------------
 
 
-def _w0_rmul_gen(terms: dict, j: int, field, inverse=False) -> dict:
-    quad = field.quad
-    out = {}
-    for u, c in terms.items():
-        us = w0_mult(u, j)
-        up = w0_length(us) > w0_length(u)
-        if up:
-            _acc(out, us, c, field)
-            if inverse:
-                _acc(out, u, -(c * quad), field)
-        else:
-            _acc(out, us, c, field)
-            if not inverse:
-                _acc(out, u, c * quad, field)
-    return out
-
-
 def finite_inverse(field, u: int) -> dict:
     """Expansion of (T_u)^(-1) over the finite T-basis, as dict u' -> coeff."""
     cached = field._fin_inv_cache.get(u)
     if cached is None:
-        terms = {0: field.one}
+        h = unit(field)
         for j in reversed(W0_WORDS[u]):
-            terms = _w0_rmul_gen(terms, j, field, inverse=True)
-        field._fin_inv_cache[u] = cached = terms
+            h = rmul_gen(h, j, inverse=True)
+        field._fin_inv_cache[u] = cached = {w.u: c for w, c in h.terms.items()}
     return cached
 
 
@@ -487,11 +422,11 @@ def _left_mul_gen_x(terms: dict, i: int, field) -> dict:
     for (mu, z), c in terms.items():
         smu = w0_apply(i, mu)
         sz = w0_mult(i, z)
-        _acc(out, (smu, sz), c, field)
+        _acc(out, (smu, sz), c)
         if w0_length(sz) < w0_length(z):
-            _acc(out, (smu, z), c * quad, field)
+            _acc(out, (smu, z), c * quad)
         for e, sign in _geometric_terms(mu, i):
-            _acc(out, (e, z), c * quad if sign > 0 else -(c * quad), field)
+            _acc(out, (e, z), c * quad if sign > 0 else -(c * quad))
     return out
 
 
@@ -500,9 +435,9 @@ def _rmul_fin_gen_x(terms: dict, j: int, field) -> dict:
     out = {}
     for (mu, z), c in terms.items():
         zs = w0_mult(z, j)
-        _acc(out, (mu, zs), c, field)
+        _acc(out, (mu, zs), c)
         if w0_length(zs) < w0_length(z):
-            _acc(out, (mu, z), c * quad, field)
+            _acc(out, (mu, z), c * quad)
     return out
 
 
@@ -527,15 +462,13 @@ def bernstein_mul(h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
     for (mu, u), c1 in h1.terms.items():
         for (nu, v), c2 in h2.terms.items():
             c = c1 * c2
-            if field.is_zero(c):
-                continue
             mid = _tu_times_xmonomial(field, u, nu)
             if v:
                 mid = dict(mid)
                 for j in W0_WORDS[v]:
                     mid = _rmul_fin_gen_x(mid, j, field)
             for (gamma, z), cm in mid.items():
-                _acc(out, ((gamma[0] + mu[0], gamma[1] + mu[1]), z), c * cm, field)
+                _acc(out, ((gamma[0] + mu[0], gamma[1] + mu[1]), z), c * cm)
     return HeckeElement("X", out, field)
 
 
@@ -663,8 +596,8 @@ def _coroot_product(field, s) -> dict:
     for a, b in POS_ROOTS:
         out = {}
         for e, c in poly.items():
-            _acc(out, e, c, field)
-            _acc(out, (e[0] - a, e[1] - b), -(c * s), field)
+            _acc(out, e, c)
+            _acc(out, (e[0] - a, e[1] - b), -(c * s))
         poly = out
     return poly
 
@@ -679,11 +612,8 @@ def poly_n(field) -> dict:
     return _coroot_product(field, field.half_pow(-2))
 
 
-def apply_w0_to_poly(u: int, poly: dict, field) -> dict:
-    out = {}
-    for e, c in poly.items():
-        _acc(out, w0_apply(u, e), c, field)
-    return out
+def apply_w0_to_poly(u: int, poly: dict) -> dict:
+    return {w0_apply(u, e): c for e, c in poly.items()}
 
 
 def _lead_key(e):
@@ -709,9 +639,9 @@ def macdonald_p(field, mu) -> HeckeElement:
     den = {}
     for u in range(6):
         sgn = -1 if w0_length(u) % 2 else 1
-        for e, c in apply_w0_to_poly(u, n_shift, field).items():
-            _acc(num, e, c if sgn > 0 else -c, field)
-        _acc(den, w0_apply(u, rho), field.make(sgn), field)
+        for e, c in apply_w0_to_poly(u, n_shift).items():
+            _acc(num, e, c if sgn > 0 else -c)
+        _acc(den, w0_apply(u, rho), field.make(sgn))
 
     quot = {}
     lead_d = max(den, key=_lead_key)
@@ -725,9 +655,9 @@ def macdonald_p(field, mu) -> HeckeElement:
         lead_n = max(num, key=_lead_key)
         g = (lead_n[0] - lead_d[0], lead_n[1] - lead_d[1])
         c = num[lead_n] / cd
-        _acc(quot, g, c, field)
+        _acc(quot, g, c)
         for e, ce in den.items():
-            _acc(num, (e[0] + g[0], e[1] + g[1]), -(ce * c), field)
+            _acc(num, (e[0] + g[0], e[1] + g[1]), -(ce * c))
 
     scale = field.half_pow(6) * (field.one / w0_poincare(field))
     return HeckeElement(
@@ -825,7 +755,7 @@ def _localized_terms(h: HeckeElement, t):
             "perturbed point"
         )
     hx = t_to_x(h) if h.basis == "T" else h
-    return q, [(key, h.field.to_complex(c)) for key, c in hx.terms.items()]
+    return q, [(key, complex(c)) for key, c in hx.terms.items()]
 
 
 def tau_expansion_at(h: HeckeElement, t):
@@ -904,7 +834,7 @@ class TraceTable:
                 nu = (m, height - m)
                 if max(abs(pairing(nu, a)) for a in SIMPLE_ROOTS) <= radius:
                     self._step(nu, tau, sums)
-        self._rows = {mu: tuple((c.a, c.b) for c in row) for mu, row in tau.items()}
+        self._rows = tau
         self._radius = radius
 
     def _step(self, nu, tau, sums):
@@ -936,13 +866,14 @@ class TraceTable:
             for u in range(6):
                 v = w0_mult(i, u)
                 row[v] = b[u] if w0_length(v) > w0_length(u) else b[u] - quad * b[v]
+            row = tuple(row)
         tau[nu] = row
         for s, av in zip(sums, _COROOT):
             above = s.get(_shift(nu, av, 1))
             s[nu] = row if above is None else tuple(x + y for x, y in zip(row, above))
 
     def trace_row(self, mu):
-        """(a, b)-pairs of Tr(x^mu T_u) for the six finite elements."""
+        """The exact traces Tr(x^mu T_u) for the six finite elements."""
         row = self._rows.get((mu[0], mu[1]))
         if row is None:
             raise KeyError(f"trace table does not cover {mu}; call ensure_box")

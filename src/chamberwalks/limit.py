@@ -448,9 +448,10 @@ def _principal_at_angles(q: float, theta) -> reps.Representation:
 def c_w_value(w: AffineElement, q) -> float:
     """Quadratic form of the unit top eigenvector against the averaging
     operator of w^-1 in the 6-dimensional module at the trivial character."""
+    field = hecke.ScalarField(q)
     q = float(q)
     rep = _principal_at_angles(q, (0.0, 0.0))
-    h = hecke.t_element(hecke.ComplexField(q), [(weyl.inverse(w), 1 + 0j)])
+    h = hecke.t_element(field, [(weyl.inverse(w), field.one)])
     m = reps.evaluate(rep, h) / q ** (0.5 * weyl.length(w))
     v = spectral_data(q).top_vector
     return float(np.real(v @ m @ v))

@@ -291,9 +291,8 @@ def f_series(h: hecke.HeckeElement, t, depth: int):
     table.ensure_box((-depth, hi_m - lo_m), (-depth, hi_n - lo_n))
 
     # rows[i, j, u] = Tr(x^(hi_m - lo_m - i, hi_n - lo_n - j) T_u) as floats
-    sqrt_q = q ** 0.5
     rows = np.array([
-        [[float(ra) + float(rb) * sqrt_q for ra, rb in table.trace_row((m, n))]
+        [[float(c) for c in table.trace_row((m, n))]
          for n in range(hi_n - lo_n, -depth - 1, -1)]
         for m in range(hi_m - lo_m, -depth - 1, -1)
     ])
@@ -306,7 +305,7 @@ def f_series(h: hecke.HeckeElement, t, depth: int):
                       t1[..., None] ** np.arange(lo_m, lo_m + depth + 1), coef,
                       t2[..., None] ** np.arange(lo_n, lo_n + depth + 1))
 
-    rho = r * (2 * sqrt_q) ** 4
+    rho = r * (2 * q ** 0.5) ** 4
     if rho < 1:
         tail = (
             sum(abs(complex(c)) for _, c in support)
@@ -327,8 +326,7 @@ def table_trace(h: hecke.HeckeElement):
     support, (lo_m, hi_m, lo_n, hi_n) = _x_support(h)
     table = _trace_table(h.field.q)
     table.ensure_box((lo_m, hi_m), (lo_n, hi_n))
-    return sum((c * h.field.make(*table.trace_row(nu)[u]) for (nu, u), c in support),
-               h.field.zero)
+    return sum((c * table.trace_row(nu)[u] for (nu, u), c in support), h.field.zero)
 
 
 def central_trace_integral(p: hecke.HeckeElement, n_grid: int = 256) -> complex:
@@ -346,5 +344,5 @@ def central_trace_integral(p: hecke.HeckeElement, n_grid: int = 256) -> complex:
     q = float(field.q)
     w6, _ = _moment_tables(q, n_grid)
     e1, e2 = np.array([e for e, _ in p.terms], dtype=int).reshape(-1, 2).T
-    coef = np.array([field.to_complex(c) for c in p.terms.values()], dtype=complex)
+    coef = np.array([complex(c) for c in p.terms.values()], dtype=complex)
     return complex(np.sum(coef * _moment(w6, e1, e2)) / (6 * q ** 3))

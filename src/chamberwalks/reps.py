@@ -34,7 +34,6 @@ class Representation:
 
     q: float
     gens: tuple
-    label: str
 
     @property
     def dim(self) -> int:
@@ -103,8 +102,7 @@ def principal_series(q, t) -> Representation:
     if t1 == 0 or t2 == 0:
         raise ValueError("central character components must be nonzero")
     gens = principal_generators(q, np.array([t1]), np.array([t2]))
-    return Representation(float(q), tuple(np.array(g[0]) for g in gens),
-                          label=f"principal(t={t1:.4g},{t2:.4g})")
+    return Representation(float(q), tuple(np.array(g[0]) for g in gens))
 
 
 def induced_three_dim(q, u) -> Representation:
@@ -113,15 +111,14 @@ def induced_three_dim(q, u) -> Representation:
     if u == 0:
         raise ValueError("parameter must be nonzero")
     gens = induced_generators(q, np.array([u]))
-    return Representation(float(q), tuple(np.array(g[0]) for g in gens),
-                          label=f"induced(u={u:.4g})")
+    return Representation(float(q), tuple(np.array(g[0]) for g in gens))
 
 
 def sign_character(q) -> Representation:
     """The one-dimensional module T_i -> -q^(-1/2)."""
     q = float(q)
     m = np.array([[-(q ** -0.5)]], dtype=complex)
-    return Representation(q, (m, m, m), label="sign")
+    return Representation(q, (m, m, m))
 
 
 def _sum_over_words(h: hecke.HeckeElement, gens, image, out):
@@ -134,7 +131,7 @@ def _sum_over_words(h: hecke.HeckeElement, gens, image, out):
         raise ValueError("expected the T-basis; convert with x_to_t")
     npts, d = gens[0].shape[0], gens[0].shape[1]
     words = sorted(
-        (weyl.reduced_word(w), h.field.to_complex(c)) for w, c in h.terms.items()
+        (weyl.reduced_word(w), complex(c)) for w, c in h.terms.items()
     )
     stack = [np.broadcast_to(np.eye(d, dtype=complex), (npts, d, d))]
     path = []

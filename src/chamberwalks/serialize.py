@@ -63,26 +63,16 @@ def hecke_to_obj(h: hecke.HeckeElement) -> dict:
     if h.basis == "T":
         items = sorted(h.terms.items(), key=lambda kv: (weyl.length(kv[0]), kv[0].mu, kv[0].u))
         for w, c in items:
-            entry = {"index": element_to_obj(w)}
-            entry.update(_coeff_obj(c, h.field))
-            terms.append(entry)
+            terms.append({"index": element_to_obj(w), "a": str(c.a), "b": str(c.b)})
     else:
         items = sorted(h.terms.items(), key=lambda kv: (kv[0][0], kv[0][1]))
         for (mu, u), c in items:
-            entry = {"index": element_to_obj(AffineElement(mu, u))}
-            entry.update(_coeff_obj(c, h.field))
-            terms.append(entry)
+            terms.append({"index": element_to_obj(AffineElement(mu, u)),
+                          "a": str(c.a), "b": str(c.b)})
     return {"basis": h.basis, "q": str(h.field.q), "terms": terms}
 
 
-def _coeff_obj(c, field) -> dict:
-    if field.exact:
-        return {"a": str(c.a), "b": str(c.b)}
-    z = complex(c)
-    return {"re": z.real, "im": z.imag}
-
-
-def hecke_from_obj(obj, mode: str = "exact") -> hecke.HeckeElement:
+def hecke_from_obj(obj) -> hecke.HeckeElement:
     for key in ("basis", "q", "terms"):
         if key not in obj:
             raise ValueError(f"algebra element needs field {key!r}")
@@ -90,22 +80,19 @@ def hecke_from_obj(obj, mode: str = "exact") -> hecke.HeckeElement:
     if basis not in ("T", "X"):
         raise ValueError(f"field 'basis': expected 'T' or 'X', got {basis!r}")
     q = Fraction(str(obj["q"]))
-    field = hecke.ScalarField(q) if mode == "exact" else hecke.ComplexField(q)
+    field = hecke.ScalarField(q)
     terms = {}
     for k, entry in enumerate(obj["terms"]):
         try:
             el = element_from_obj(entry["index"])
-            if "a" in entry or "b" in entry:
-                c = field.make(Fraction(str(entry.get("a", 0))),
-                               Fraction(str(entry.get("b", 0))))
-            else:
-                if mode == "exact":
-                    raise ValueError("numeric re/im coefficients in exact mode")
-                c = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
+            if "a" not in entry and "b" not in entry:
+                raise ValueError("coefficient needs an 'a' or 'b' field (a + b*sqrt(q))")
+            c = field.make(Fraction(str(entry.get("a", 0))),
+                           Fraction(str(entry.get("b", 0))))
         except (KeyError, ValueError) as exc:
             raise ValueError(f"terms[{k}]: {exc}") from None
         key = el if basis == "T" else (el.mu, el.u)
-        hecke._acc(terms, key, c, field)
+        hecke._acc(terms, key, c)
     return hecke.HeckeElement(basis, terms, field)
 
 
@@ -113,12 +100,12 @@ def hecke_to_json(h: hecke.HeckeElement) -> str:
     return json.dumps(hecke_to_obj(h))
 
 
-def hecke_from_json(s: str, mode: str = "exact") -> hecke.HeckeElement:
+def hecke_from_json(s: str) -> hecke.HeckeElement:
     try:
         obj = json.loads(s)
     except json.JSONDecodeError as exc:
         raise ValueError(f"JSON parse error at position {exc.pos}: {exc.msg}")
-    return hecke_from_obj(obj, mode=mode)
+    return hecke_from_obj(obj)
 
 
 def format_float(x) -> str:

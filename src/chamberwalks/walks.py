@@ -105,7 +105,7 @@ def expand_t(w: AffineElement, field) -> hecke.HeckeElement:
         c = q_statistic(p, field)
         inv = hecke.finite_inverse(field, weyl.w0_inv(p.direction))
         for z, cz in inv.items():
-            hecke._acc(terms, (p.weight, z), c * cz, field)
+            hecke._acc(terms, (p.weight, z), c * cz)
     return hecke.HeckeElement("X", terms, field)
 
 
@@ -132,7 +132,7 @@ def walk_matrix(w: AffineElement, t, field):
     for u in range(6):
         for p in enumerate_walks(weyl.reduced_word(w), start=weyl.finite(u)):
             e = weyl.w0_apply(weyl.W0_LONGEST, p.weight)
-            m[p.direction, u] += field.to_complex(
+            m[p.direction, u] += complex(
                 q_statistic(p, field)
             ) * t[0] ** -e[0] * t[1] ** -e[1]
     return m

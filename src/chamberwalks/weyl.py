@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 __all__ = [
-    "AffineElement", "IDENTITY", "GEN", "W0_WORDS", "W0_LONGEST", "W0_ORDER",
+    "AffineElement", "IDENTITY", "GEN", "W0_WORDS", "W0_LONGEST",
     "PHI_VEE", "RHO_VEE", "POS_ROOTS", "SIMPLE_ROOTS",
     "pairing", "w0_mult", "w0_inv", "w0_length", "w0_apply",
     "w0_from_word", "inversion_set",
@@ -75,7 +75,6 @@ def _build_w0():
 
 W0_MATS, W0_MULT, W0_INV = _build_w0()
 W0_LONGEST = 5          # s1 s2 s1, the reflection through the highest root
-W0_ORDER = 6
 
 SIMPLE_ROOTS = ((1, 0), (0, 1))
 POS_ROOTS = ((1, 0), (0, 1), (1, 1))

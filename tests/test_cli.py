@@ -168,20 +168,6 @@ def test_trace_series_check_exit_code(capsys, tmp_path, monkeypatch):
         assert series["check_deviation"] > series["check_bound"]
 
 
-def test_trace_numeric_mode(capsys, tmp_path):
-    f = hecke.ComplexField(3)
-    a = hecke.t_element(f, [(weyl.from_word(w), f.make(k + 1) * (1 + 0.5j))
-                            for k, w in enumerate(((0, 1, 2), (1, 2), (0,)))])
-    path = tmp_path / "numeric.json"
-    path.write_text(serialize.hecke_to_json(hecke.mul(a, hecke.star(a))))
-    code, out = run(capsys, ["trace", "--mode", "numeric", "--method", "all",
-                             "--element", str(path), "--grid", "64", "--depth", "8"])
-    assert code == 0
-    data = json.loads(out)
-    vals = [data[m]["value"] for m in ("exact", "plancherel", "series")]
-    assert max(vals) - min(vals) <= 1e-12 * max(abs(v) for v in vals)
-
-
 def test_trace_all_exit_code(capsys, tmp_path, monkeypatch):
     path = tmp_path / "aa.json"
     _write_aa_star(path, "3", ((1, 0), (2,)))
@@ -220,6 +206,12 @@ def test_trace_malformed_element(capsys, tmp_path):
     path.write_text(json.dumps({"basis": "T", "q": "2",
                                 "terms": [{"index": {"mu": [0]}}]}))
     assert cli.main(["trace", "--element", str(path)]) == cli.EXIT_USAGE
+    # coefficients are exact: re/im floats are not a coefficient
+    path.write_text(json.dumps({"basis": "T", "q": "2", "terms": [
+        {"index": {"mu": [0, 0], "u": ""}, "re": 1.0, "im": 0.5}]}))
+    capsys.readouterr()
+    assert cli.main(["trace", "--element", str(path)]) == cli.EXIT_USAGE
+    assert "terms[0]" in capsys.readouterr().err
 
 
 def test_reps_check(capsys):

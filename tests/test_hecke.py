@@ -212,18 +212,10 @@ def test_star_involution(field2, ball4):
         assert H.star(H.mul(a, b)) == H.mul(H.star(b), H.star(a))
 
 
-def test_star_conjugates_numeric():
-    F = H.ComplexField(2)
-    w = W.from_word((1, 2))
-    h = H.t_element(F, [(w, 1 + 2j)])
-    assert H.star(h).terms == {W.inverse(w): 1 - 2j}
-
-
-@pytest.mark.parametrize("field", [H.ScalarField, H.ComplexField])
-def test_fields_reject_thin_q(field):
+def test_fields_reject_thin_q():
     for q in (1, "1/2", 0, -3):
         with pytest.raises(ValueError):
-            field(q)
+            H.ScalarField(q)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +426,7 @@ def _check_trace_table_against_generic(q):
             row = tab.trace_row((m, n))
             for u in range(6):
                 tr = H.trace(H.x_to_t(H.x_element(F, [(((m, n), u), F.one)])))
-                assert (tr.a, tr.b) == row[u]
+                assert tr == row[u]
 
 
 def test_trace_table_matches_generic():
@@ -454,7 +446,7 @@ def test_trace_table_rational_q():
             row = tab.trace_row((m, n))
             for u in range(6):
                 tr = H.trace(H.x_to_t(H.x_element(F, [(((m, n), u), F.one)])))
-                assert (tr.a, tr.b) == row[u]
+                assert tr == row[u]
 
 
 def test_trace_table_growth_coverage_and_symmetry():

@@ -159,13 +159,12 @@ def _f_series_by_terms(h, t, depth):
     lo_n = min([0] + [nu[1] for nu, _ in hx.terms])
     table = H.TraceTable(h.field.q)
     table.ensure_box((-depth - 2, 4), (-depth - 2, 4))
-    sqrt_q = float(h.field.q) ** 0.5
     total = 0j
     for a in range(lo_m, lo_m + depth + 1):
         for b in range(lo_n, lo_n + depth + 1):
             for (nu, u), c in hx.terms.items():
-                ra, rb = table.trace_row((nu[0] - a, nu[1] - b))[u]
-                total += complex(c) * (float(ra) + float(rb) * sqrt_q) * t[0] ** a * t[1] ** b
+                tr = float(table.trace_row((nu[0] - a, nu[1] - b))[u])
+                total += complex(c) * tr * t[0] ** a * t[1] ** b
     return total
 
 

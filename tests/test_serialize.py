@@ -37,14 +37,6 @@ def test_hecke_round_trip_exact(field2, ball4):
     assert S.hecke_from_json(S.hecke_to_json(hx)) == hx
 
 
-def test_hecke_round_trip_numeric():
-    F = H.ComplexField(2)
-    h = H.t_element(F, [(W.GEN[1], 0.5 + 0.25j)])
-    s = S.hecke_to_json(h)
-    again = S.hecke_from_json(s, mode="numeric")
-    assert again.terms == h.terms
-
-
 def test_hecke_json_schema(field2):
     obj = S.hecke_to_obj(H.t_generator(field2, 0))
     assert obj["basis"] == "T"
@@ -60,6 +52,9 @@ def test_malformed_json_reports_position():
         S.hecke_from_json(json.dumps(
             {"basis": "T", "q": "2", "terms": [{"index": {"mu": [0]}}]}
         ))
+    with pytest.raises(ValueError, match="terms\\[0\\]"):  # re/im floats are not exact
+        S.hecke_from_json(json.dumps({"basis": "T", "q": "2", "terms": [
+            {"index": {"mu": [0, 0], "u": "1"}, "re": 0.5, "im": 0.0}]}))
     with pytest.raises(ValueError, match="basis"):
         S.hecke_from_json(json.dumps({"basis": "Y", "q": "2", "terms": []}))
 

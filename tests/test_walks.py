@@ -93,7 +93,7 @@ def test_expansion_word_independent(field2):
         for p in WK.enumerate_walks(word):
             c = WK.q_statistic(p, F)
             for z, cz in H.finite_inverse(F, W.w0_inv(p.direction)).items():
-                H._acc(terms, (p.weight, z), c * cz, F)
+                H._acc(terms, (p.weight, z), c * cz)
         return terms
 
     assert expand_along((1, 2, 1)) == expand_along((2, 1, 2))
@@ -111,11 +111,12 @@ def _gallery_basis_matrix(field):
     """Coordinates of the basis T_u^(-1) T_(longest) tensor cyclic vector."""
     b = np.zeros((6, 6), dtype=complex)
     for u in range(6):
-        el = dict(H.finite_inverse(field, u))
+        el = H.t_element(field, [(W.finite(z), c)
+                                 for z, c in H.finite_inverse(field, u).items()])
         for j in W.W0_WORDS[W.W0_LONGEST]:
-            el = H._w0_rmul_gen(el, j, field)
-        for z, c in el.items():
-            b[z, u] = complex(c)
+            el = H.rmul_gen(el, j)
+        for w, c in el.terms.items():
+            b[w.u, u] = complex(c)
     return b
 
 
