@@ -47,7 +47,8 @@ __all__ = [
     "StateSpace", "state_space", "WalkDistribution",
     "simple_walk_spec", "exact_distribution", "masses_at", "mc_simulate",
     "SpectralData", "spectral_data", "c_w_value", "llt_estimate",
-    "eigen_surface", "lemma34_check", "perturbation_eigenvalues",
+    "eigen_surface", "induced_eigen_curve", "lemma34_check",
+    "perturbation_eigenvalues",
     "determinant_probe",
 ]
 

@@ -12,11 +12,20 @@ roots of unity, sized by a degree bound and checked against it), and m_nu
 are the moments of the Plancherel weight on the N-node grid (one inverse FFT
 per (q, N), kept in a bounded cache).  The masses and the central-character
 integral read the same moments.
+
+The return probabilities Tr(P^n) average powers of the eigenvalues of the
+walk operator over half the torus grid.  P has real coefficients, so
+conjugating t conjugates pi_t(P) entrywise, which keeps its spectrum and
+|c(t)|; conjugation pairs the grid's nodes, and each pair is evaluated
+once.  This holds for every real-coefficient walk.  The swap t1 <-> t2 is
+not folded: it keeps the spectrum only for walks invariant under the
+diagram automorphism.
 """
 
 from __future__ import annotations
 
 import functools
+import numbers
 
 import numpy as np
 
@@ -203,40 +212,70 @@ def mass_components(q: float, n_grid: int = 256):
     return float(m6), float(m3), float(m1)
 
 
+def _power_sums(lam, ns):
+    """Yield sum_i lam[:, i]^n for each n of the ascending distinct ns, from
+    one running power: each n multiplies the last power by lam^(n - prev),
+    a plain product when the gap is 1."""
+    pw, prev = np.ones_like(lam), 0
+    for n in ns:
+        pw = pw * (lam if n - prev == 1 else lam ** (n - prev))
+        prev = n
+        yield pw.sum(axis=1)
+
+
 def spectral_return_probabilities(q: float, ns, n_grid: int = 256):
     """Tr(P^n) for each n in ns through the spectral decomposition: the
     eigenvalues of the walk operator in the 6- and 3-dimensional families,
     raised to the n-th power and averaged against the Plancherel weights,
     plus the sign atom (eigenvalue -1/q).  The walk operator is Hermitian on
-    the unit torus.  Returns an array aligned with ns.
+    the unit torus.  Returns an array aligned with ns, duplicates included;
+    the powers come from one running product over the sorted distinct n.
 
-    Raises where a value falls below the smallest normal double (n ~ 18,000
-    at q = 2) instead of returning a subnormal or 0.  Only n = 1 is exempt:
-    its true value is 0, since the first step always leaves the identity."""
+    The torus average runs over half the grid.  P has real coefficients, so
+    pi_conj(t)(P) is the entrywise conjugate of pi_t(P) and has the same
+    (real) eigenvalues, and |c(conj t)| = |c(t)|.  Conjugation maps the
+    offset node of index k to that of N - 1 - k, so it pairs the flat points
+    p and N^2 - 1 - p of torus_pairs: the first ceil(N^2/2) points carry
+    weight 2, except the self-conjugate centre t = (-1, -1) of an odd N,
+    which carries 1.  This holds for every real-coefficient walk.  The swap
+    t1 <-> t2 is not folded as well: it fixes the spectrum only for walks
+    invariant under the diagram automorphism.
+
+    Raises ValueError unless every n is an integer >= 0.  Raises where a
+    value falls below the smallest normal double (n ~ 18,000 at q = 2)
+    instead of returning a subnormal or 0.  Only n = 1 is exempt: its true
+    value is 0, since the first step always leaves the identity."""
+    ns = list(ns)
+    for n in ns:
+        if not isinstance(n, numbers.Integral) or n < 0:
+            raise ValueError(f"step counts must be integers >= 0, got {n!r}")
     q = hecke.check_thickness(float(q))
     grid = QuadratureGrid(n_grid)
-    t1_all, t2_all = grid.torus_pairs()
+    half = (n_grid * n_grid + 1) // 2
+    t1, t2 = (t[:half] for t in grid.torus_pairs())
     lam6 = np.concatenate([
         np.linalg.eigvalsh(reps.walk_operator(q, reps.principal_generators(
-            q, t1_all[lo:lo + _CHUNK], t2_all[lo:lo + _CHUNK])))
-        for lo in range(0, len(t1_all), _CHUNK)
+            q, t1[lo:lo + _CHUNK], t2[lo:lo + _CHUNK])))
+        for lo in range(0, half, _CHUNK)
     ])
-    w6 = 1.0 / _c_abs2(q, t1_all, t2_all)
+    w6 = 2.0 / _c_abs2(q, t1, t2)
+    if n_grid % 2:
+        w6[-1] /= 2  # the centre point is its own conjugate
     u = grid.nodes
     lam3 = np.linalg.eigvalsh(reps.walk_operator(q, reps.induced_generators(q, u)))
     w3 = 1.0 / _c1_abs2(q, u)
-    out = []
-    for n in ns:
-        part6 = np.mean(np.sum(lam6 ** n, axis=1) * w6) / (6 * q ** 3)
-        part3 = (q - 1) ** 2 / (q ** 2 * (q ** 2 - 1)) * np.mean(
-            np.sum(lam3 ** n, axis=1) * w3
-        )
+    distinct = sorted(set(ns))
+    values = {}
+    for n, s6, s3 in zip(distinct, _power_sums(lam6, distinct),
+                         _power_sums(lam3, distinct)):
+        part6 = np.sum(s6 * w6) / n_grid ** 2 / (6 * q ** 3)
+        part3 = (q - 1) ** 2 / (q ** 2 * (q ** 2 - 1)) * np.mean(s3 * w3)
         atom = (q - 1) ** 3 / (q ** 3 - 1) * (-1 / q) ** n
         value = part6 + part3 + atom
         if n != 1 and value < np.finfo(float).tiny:
             raise ValueError(f"Tr(P^n) underflows at n={n}, q={q}")
-        out.append(value)
-    return np.array(out)
+        values[n] = value
+    return np.array([values[n] for n in ns])
 
 
 def simple_walk_spectral_traces(q: float, n_max: int, n_grid: int = 256):

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -84,6 +85,65 @@ def test_generic_trace_matches_powers(field2):
         h = H.mul(h, pw)
     spec = P.simple_walk_spectral_traces(2.0, 5, 96)[5]
     assert abs(P.plancherel_trace(h, 96) - spec) < 1e-11
+
+
+@functools.lru_cache(maxsize=None)
+def _full_grid_return_probabilities(q, n_grid):
+    """Tr(P^n) for n = 0..20 over every node of the full offset grid, with
+    no conjugation fold and no running power: eigenvalues node by node, a
+    direct ** n, and the weight 1/|c|^2 from the scalar c-function factors."""
+    grid = P.QuadratureGrid(n_grid)
+    t1, t2 = grid.torus_pairs()
+    ops = R.walk_operator(q, R.principal_generators(q, t1, t2))
+    lam6 = np.array([np.linalg.eigvalsh(m) for m in ops])
+    w6 = np.abs(H.d_at(q, (t1, t2)) / H.n_at(q, (t1, t2))) ** 2
+    u = grid.nodes
+    lam3 = np.array([np.linalg.eigvalsh(R.p_matrix(R.induced_three_dim(q, x)))
+                     for x in u])
+    w3 = np.abs(1 - q ** 0.5 / u) ** 2 / np.abs(1 - q ** -1.5 / u) ** 2
+    return np.array([
+        np.mean(np.sum(lam6 ** n, axis=1) * w6) / (6 * q ** 3)
+        + (q - 1) ** 2 / (q ** 2 * (q ** 2 - 1)) * np.mean(np.sum(lam3 ** n, axis=1) * w3)
+        + (q - 1) ** 3 / (q ** 3 - 1) * (-1 / q) ** n
+        for n in range(21)
+    ])
+
+
+def _assert_close(values, reference, ns):
+    """Within 1e-14 relative, aligned with ns; p_1(e) = 0, where both sides
+    are rounding noise, within 1e-15 absolute."""
+    for n, v, ref in zip(ns, values, reference):
+        if n == 1:
+            assert abs(v - ref) <= 1e-15, n
+        else:
+            assert abs(v - ref) <= 1e-14 * abs(ref), n
+
+
+@pytest.mark.parametrize("n_grid", [128, 97])
+@pytest.mark.parametrize("q", [2.0, 2.5])
+def test_spectral_fold_matches_full_grid(q, n_grid):
+    """The half-torus fold with running powers against the full grid, for
+    an even N and an odd N.  The odd grid's centre t = (-1, -1) is its own
+    conjugate, but it lies on the wall t1 t2 = 1, where the weight
+    vanishes, so its multiplicity does not show in the values."""
+    ns = range(21)
+    _assert_close(P.spectral_return_probabilities(q, ns, n_grid),
+                  _full_grid_return_probabilities(q, n_grid), ns)
+
+
+def test_spectral_unsorted_duplicated_steps():
+    q, n_grid, ns = 2.0, 97, [20, 0, 5, 5, 1]
+    values = P.spectral_return_probabilities(q, ns, n_grid)
+    single = [P.spectral_return_probabilities(q, [n], n_grid)[0] for n in ns]
+    _assert_close(values, _full_grid_return_probabilities(q, n_grid)[ns], ns)
+    _assert_close(values, single, ns)
+    assert values[2] == values[3]
+
+
+@pytest.mark.parametrize("bad", [-1, 2.5])
+def test_spectral_rejects_bad_step_counts(bad):
+    with pytest.raises(ValueError, match="integers >= 0"):
+        P.spectral_return_probabilities(2.0, [3, bad], 64)
 
 
 def test_symmetrizer_lattice_traces(field2):
