@@ -27,21 +27,21 @@ def main():
 
     print(f"# q = {args.q}")
     print(f"{'n':>8} {'p_n(c,c)':>14} {'estimate':>14} {'ratio':>8} "
-          f"{'(1-r)sqrt(n)':>12}")
+          f"{'(1-r)n':>12}")
     # p_n(c, c) is the mass at e, divided by q^l(e) = 1
     masses = limit.masses_at(limit.simple_walk_spec(), weyl.IDENTITY, ns, args.q)
     for n, p in zip(ns, masses):
         est = limit.llt_estimate(weyl.IDENTITY, n, args.q)
         r = p / est
         print(f"{n:>8} {p:>14.6e} {est:>14.6e} {r:>8.4f} "
-              f"{(1 - r) * n ** 0.5:>12.2f}")
+              f"{(1 - r) * n:>12.1f}")
     if big:
         spec = plancherel.spectral_return_probabilities(args.q, big, n_grid=512)
         for n, p in zip(big, spec):
             est = limit.llt_estimate(weyl.IDENTITY, n, args.q)
             r = p / est
             print(f"{n:>8} {p:>14.6e} {est:>14.6e} {r:>8.4f} "
-                  f"{(1 - r) * n ** 0.5:>12.2f}  (spectral)")
+                  f"{(1 - r) * n:>12.1f}  (spectral)")
 
 
 if __name__ == "__main__":

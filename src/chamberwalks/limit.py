@@ -9,8 +9,10 @@ Monte Carlo chain samples the same kernel, so the two are independent only
 in implementation: a deterministic gather recursion against trajectories
 drawn in blocks of k steps, one uint16 draw per trial and block and one
 gather from a fused k-step table, with the acceptance exactly 1/q for
-rational q.  The spectral route goes through the trace decomposition
-instead.
+rational q.  A second thread makes the draw of the next block while the
+current block gathers; it draws in block order, one block at a time, so
+the stream is the same as on one thread.  The spectral route goes through
+the trace decomposition instead.
 
 The chain lives on a ball of the affine Weyl group.  The ball is built from
 arrays: the closed-form length is evaluated over a lattice box of (m, n, u)
@@ -344,6 +346,10 @@ def _mc_tables(space: StateSpace, q: Fraction, n: int, trials: int) -> list:
     return tables
 
 
+# trials per gather chunk: the chunk's states, indices and draws stay in cache
+_GATHER_CHUNK = 1 << 16
+
+
 def mc_simulate(n: int, trials: int, seed: int, q) -> WalkDistribution:
     """Empirical distribution of the uniform nearest-neighbour radial chain.
 
@@ -359,15 +365,29 @@ def mc_simulate(n: int, trials: int, seed: int, q) -> WalkDistribution:
     one more draw on T_(n mod k).  A trial starts a block of m steps at
     length <= n - m, and those rows of T_m hold no -1.
 
+    One worker thread makes the draws, in block order and one at a time:
+    the draw of block j + 1 runs while this thread gathers block j, so the
+    stream does not depend on thread scheduling.  The gather runs in chunks
+    of ``_GATHER_CHUNK`` trials through one int32 scratch array, with
+    ``mode='clip'``, which clamps instead of checking.  Every index is in
+    range by construction: 0 <= state < states (a trial's state is a state
+    of the ball, never the -1 of an ascent out of it, by the row argument
+    above) and 0 <= r < W^m, so W^m state + r < states x W^m, the size of
+    T_m, which is below 2^31 as W x states < 2^31 and
+    states x W^k <= trials < 2^31.  ``'raise'`` would not have caught a
+    stray -1 either: numpy wraps negative indices.
+
     The result is reproducible for fixed (n, trials, seed, q), but the draws
     a given trial sees, and k, depend on ``trials``, so runs with different
     trial counts do not share trajectories.  q is read as a Fraction: a
     float such as 2.1 has a numerator near 2^52, and q with W > 2^16
-    raises, as does W x states >= 2^31.
+    raises, as do W x states >= 2^31 and trials >= 2^31.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     _check_steps(n)
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    if not 1 <= trials < 2 ** 31:
+        raise ValueError(f"need 1 <= trials < 2^31, got {trials}")
     given, q = q, Fraction(hecke.check_thickness(q))
     w = 3 * q.numerator
     if w > 2 ** 16:
@@ -380,13 +400,25 @@ def mc_simulate(n: int, trials: int, seed: int, q) -> WalkDistribution:
     k = len(tables)
     rng = np.random.Generator(np.random.Philox(key=seed))
     state = np.full(trials, space.state(IDENTITY), dtype=np.int32)
-    idx = np.empty_like(state)
-    for done in range(0, n, k):
-        m = min(k, n - done)
-        r = rng.integers(0, w ** m, size=trials, dtype=np.uint16)
-        np.multiply(state, w ** m, out=idx)
-        np.add(idx, r, out=idx)
-        np.take(tables[m - 1].ravel(), idx, out=state)
+    idx = np.empty(min(trials, _GATHER_CHUNK), dtype=np.int32)
+    blocks = [min(k, n - done) for done in range(0, n, k)]
+
+    def draw(m):
+        return rng.integers(0, w ** m, size=trials, dtype=np.uint16)
+
+    with ThreadPoolExecutor(max_workers=1) as drawer:
+        ahead = drawer.submit(draw, blocks[0]) if blocks else None
+        for j, m in enumerate(blocks):
+            r = ahead.result()
+            if j + 1 < len(blocks):
+                ahead = drawer.submit(draw, blocks[j + 1])
+            table, scale = tables[m - 1].ravel(), w ** m
+            for lo in range(0, trials, _GATHER_CHUNK):
+                part = state[lo:lo + _GATHER_CHUNK]
+                chunk = idx[:len(part)]
+                np.multiply(part, scale, out=chunk)
+                np.add(chunk, r[lo:lo + _GATHER_CHUNK], out=chunk)
+                np.take(table, chunk, out=part, mode="clip")
     counts = np.bincount(state, minlength=len(space.target))
     return WalkDistribution(n, space, counts / trials)
 

@@ -34,7 +34,7 @@ __all__ = [
     "multiply", "inverse", "right_mul_gen", "translation", "finite",
     "length", "length_array", "right_mul_gen_array",
     "reduced_word", "from_word", "is_reduced",
-    "bruhat_leq", "bruhat_leq_bruteforce", "dominance_leq",
+    "bruhat_leq", "dominance_leq",
     "barycenter", "crossing_data", "ball",
 ]
 
@@ -268,16 +268,6 @@ def bruhat_leq(v: AffineElement, w: AffineElement) -> bool:
         if _descent(x, i):
             x = right_mul_gen(x, i)
     return x == IDENTITY
-
-
-def bruhat_leq_bruteforce(v: AffineElement, w: AffineElement) -> bool:
-    """Reference implementation: enumerate all subwords of reduced_word(w)."""
-    word = reduced_word(w)
-    for mask in range(1 << len(word)):
-        sub = from_word(i for k, i in enumerate(word) if mask >> k & 1)
-        if sub == v:
-            return True
-    return False
 
 
 def dominance_leq(mu, lam) -> bool:

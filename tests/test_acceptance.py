@@ -370,10 +370,10 @@ def test_c12_local_limit_trend():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="source defect: the n^(-1/2) correction is large and not flat "
-    "((1-r)sqrt(n) = 9.20, 11.47, 12.90 at n = 100, 200, 400), so "
-    "|r(400)-1| ~ 0.65 (ratio verified to approach 1: 0.71 at n=1600, "
-    "0.91 at n=6400); see the decisions ledger",
+    reason="source defect: the correction is large and of order 1/n "
+    "((1-r)n = 92, 162, 258 at n = 100, 200, 400, levelling off near 600 "
+    "by n = 12800), so |r(400)-1| ~ 0.65 (ratio verified to approach 1: "
+    "0.71 at n=1600, 0.91 at n=6400); see the decisions ledger",
 )
 def test_c12b_local_limit_absolute_threshold():
     r = _llt_ratios()

@@ -264,6 +264,20 @@ def test_exact_walk_loads_no_sparse_library(package_env):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_import_loads_no_executor(package_env):
+    """The Monte Carlo imports its draw thread's executor on first use, so
+    importing the package and the CLI stays as cheap as before."""
+    script = (
+        "import sys\n"
+        "from chamberwalks import cli, limit\n"
+        "print('concurrent.futures' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=package_env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["walk", "exact"])  # missing --n

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -288,12 +289,52 @@ def _digit_mc(n, trials, seed, q):
     # q = 5/2 and 3/2, each with n mod k != 0
     (11, 100000, 4, 2), (11, 100000, 6, Fraction(5, 2)),
     (11, 100000, 7, Fraction(3, 2)),
+    # one trial short of, exactly and one past a gather chunk, n mod k != 0
+    (11, L._GATHER_CHUNK - 1, 10, 2), (11, L._GATHER_CHUNK, 11, Fraction(5, 2)),
+    (11, L._GATHER_CHUNK + 1, 12, Fraction(3, 2)),
 ])
 def test_mc_stream_is_pinned(n, trials, seed, q):
     """The fused-table kernel reproduces the digit-by-digit kernel bit for
     bit."""
     emp = L.mc_simulate(n, trials, seed, q)
     assert np.array_equal(emp.masses, _digit_mc(n, trials, seed, q))
+
+
+def test_mc_leaves_no_thread_behind():
+    before = threading.active_count()
+    L.mc_simulate(11, 100000, 4, 2)
+    assert threading.active_count() == before
+
+
+def test_mc_draw_error_reaches_the_caller(monkeypatch):
+    """An exception in the draw thread, here on the second block's draw,
+    is raised by mc_simulate, and the thread is gone afterwards."""
+    real = np.random.Generator
+
+    class FailingSecondDraw:
+        def __init__(self, bits):
+            self.rng, self.draws = real(bits), 0
+
+        def integers(self, *args, **kwargs):
+            self.draws += 1
+            if self.draws == 2:
+                raise RuntimeError("draw failed")
+            return self.rng.integers(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Generator", FailingSecondDraw)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="draw failed"):
+        L.mc_simulate(11, 100000, 4, 2)
+    assert threading.active_count() == before
+
+
+def test_mc_rejects_trials_past_int32():
+    """The table index W^m state + r is int32; 2^31 trials would let it
+    wrap, so they raise before any array is built."""
+    with pytest.raises(ValueError, match="2\\^31"):
+        L.mc_simulate(3, 2 ** 31, 0, 2)
+    with pytest.raises(ValueError, match="trials"):
+        L.mc_simulate(3, 0, 0, 2)
 
 
 @pytest.mark.parametrize("n, trials, q", [

@@ -39,6 +39,20 @@ def test_grid_avoids_walls():
         P.QuadratureGrid(8)
 
 
+@pytest.mark.parametrize("n", [64, 128, 256])
+@pytest.mark.parametrize("q", [2, 3, 2.5])
+def test_weight_on_the_diagonal_wall_nodes(q, n):
+    """The N nodes with k1 + k2 = N - 1 lie on the wall t1 t2 = 1 up to
+    rounding; the weight 1/|c|^2 there is finite and tiny, not a pole."""
+    t1, t2 = P.QuadratureGrid(n).torus_pairs()
+    k1, k2 = np.divmod(np.arange(n * n), n)
+    on = k1 + k2 == n - 1
+    assert np.abs(t1[on] * t2[on] - 1).max() < 1.2e-15
+    weight = 1.0 / P._c_abs2(q, t1[on], t2[on])
+    assert np.isfinite(weight).all()
+    assert weight.max() < 1e-28
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_total_mass(q):
     m6, m3, m1 = P.mass_components(float(q), 128)
