@@ -2,16 +2,19 @@
 torus-quadrature spectral decomposition, and (at small n) the exact algebra.
 
 Usage: python scripts/trace_oracles.py [--q 2] [--nmax 20] [--grid 256]
+
+--q takes an integer or a fraction such as 5/2, as the CLI does.
 """
 
 import argparse
+from fractions import Fraction
 
 from chamberwalks import hecke, limit, plancherel, weyl
 
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--q", type=int, default=2)
+    ap.add_argument("--q", type=Fraction, default=Fraction(2))
     ap.add_argument("--nmax", type=int, default=20)
     ap.add_argument("--grid", type=int, default=256)
     args = ap.parse_args()

@@ -20,12 +20,18 @@ per (q, N), kept in a bounded cache).  The masses and the central-character
 integral read the same moments.
 
 The return probabilities Tr(P^n) average powers of the eigenvalues of the
-walk operator over half the torus grid.  P has real coefficients, so
-conjugating t conjugates pi_t(P) entrywise, which keeps its spectrum and
-|c(t)|; conjugation pairs the grid's nodes, and each pair is evaluated
-once.  This holds for every real-coefficient walk.  The swap t1 <-> t2 is
-not folded: it keeps the spectrum only for walks invariant under the
-diagram automorphism.
+walk operator.  tr pi_t(P^n) is a Laurent polynomial of degree <= n in each
+variable, so its N-grid sum is again a contraction sum_nu a_nu m_nu, which
+an offset grid of K = 2n + 1 nodes per circle reproduces exactly when each
+node carries the trigonometric interpolant of the moments m_nu (one FFT of
+the moment band) in place of 1/|c|^2: K^2 eigenproblems instead of N^2,
+the same value up to rounding.  Where K would reach N the N grid itself is
+used, with 1/|c|^2 at its nodes.  Either way only half the grid is
+evaluated.  P has real coefficients, so conjugating t conjugates pi_t(P)
+entrywise, which keeps its spectrum and the weight; conjugation pairs the
+grid's nodes, and each pair is evaluated once.  This holds for every
+real-coefficient walk.  The swap t1 <-> t2 is not folded: it keeps the
+spectrum only for walks invariant under the diagram automorphism.
 """
 
 from __future__ import annotations
@@ -68,6 +74,16 @@ def c1_value(q, u) -> complex:
     return (1 - q ** -1.5 / u) / (1 - q ** 0.5 / u)
 
 
+def _offset_nodes(n: int):
+    """The n offset nodes exp(2*pi*i*(k+1/2)/n) of one circle."""
+    return np.exp(2j * np.pi * (np.arange(n) + 0.5) / n)
+
+
+def _torus_pairs(nodes):
+    """(t1, t2) over every pair of nodes, flat, t2 running fastest."""
+    return np.repeat(nodes, len(nodes)), np.tile(nodes, len(nodes))
+
+
 class QuadratureGrid:
     """N offset nodes exp(2*pi*i*(k+1/2)/N) per circle, weight 1/N each."""
 
@@ -75,12 +91,10 @@ class QuadratureGrid:
         if n < 16:
             raise ValueError("grid must have at least 16 nodes per circle")
         self.n = n
-        self.nodes = np.exp(2j * np.pi * (np.arange(n) + 0.5) / n)
+        self.nodes = _offset_nodes(n)
 
     def torus_pairs(self):
-        t1 = np.repeat(self.nodes, self.n)
-        t2 = np.tile(self.nodes, self.n)
-        return t1, t2
+        return _torus_pairs(self.nodes)
 
 
 def _c_abs2(q: float, t1, t2):
@@ -121,12 +135,33 @@ def _moment(table, *nu):
     return np.exp(1j * np.pi * sum(nu) / n) * table[tuple(np.mod(k, n) for k in nu)]
 
 
+def _interpolated_weights(q: float, n_grid: int, k: int):
+    """The Plancherel weights on the offset grid of odd k < n_grid nodes per
+    circle that reproduce the n_grid moments: the trigonometric interpolants
+    w_k(t) = sum m_nu t^(-nu) over |nu_i| <= (k-1)/2, at the nodes.  The
+    node e^(i pi (2j+1)/k) turns t^(-nu) into e^(-2 pi i j nu/k) times the
+    phase e^(-i pi nu/k), so each interpolant is one FFT of its phased band
+    laid out at nu mod k.  The weights are real and conjugation-invariant,
+    since 1/|c|^2 is and the grid is closed under conjugation, so the moments
+    are real and even.  Returns w6 (k x k, indexed [k1, k2] as t1, t2) and
+    w3 (k)."""
+    table6, table3 = _moment_tables(q, n_grid)
+    nu = (np.arange(k) + k // 2) % k - k // 2  # 0, ..., (k-1)/2, -(k-1)/2, ..., -1
+    phase = np.exp(-1j * np.pi * nu / k)
+    band6 = _moment(table6, nu[:, None], nu[None, :]) * np.outer(phase, phase)
+    band3 = _moment(table3, nu) * phase
+    return np.fft.fft2(band6).real, np.fft.fft(band3).real
+
+
 def _char_degree(h: hecke.HeckeElement) -> int:
     """Degree bound d of chi_t(h) in each of t1, t2 (and of chi_u(h) in u):
-    the most letters 0 in the reduced word of a support element.  Only
-    pi(T_0) depends on the parameter, with monomial entries t^(-e) for roots
-    e, whose coordinates lie in {-1, 0, 1}."""
-    return max((weyl.reduced_word(w).count(0) for w in h.terms), default=0)
+    the largest |coordinate| over the finite Weyl group orbit of the
+    translation part mu of a support element t_mu u.  In the Bernstein
+    basis T_(t_mu u) has its lattice support in the convex hull of that
+    orbit, whose coordinates peak at the vertices.  _laurent_coefficients
+    checks the bound on every call."""
+    return max((abs(c) for w in h.terms for u in range(6)
+                for c in weyl.w0_apply(u, w.mu)), default=0)
 
 
 def _laurent_coefficients(values, d: int):
@@ -232,20 +267,33 @@ def _power_sums(lam, ns):
 def spectral_return_probabilities(q: float, ns, n_grid: int = 256):
     """Tr(P^n) for each n in ns through the spectral decomposition: the
     eigenvalues of the walk operator in the 6- and 3-dimensional families,
-    raised to the n-th power and averaged against the Plancherel weights,
-    plus the sign atom (eigenvalue -1/q).  The walk operator is Hermitian on
-    the unit torus.  Returns an array aligned with ns, duplicates included;
-    the powers come from one running product over the sorted distinct n.
+    raised to the n-th power and averaged against the Plancherel weights
+    over the n_grid offset grid, plus the sign atom (eigenvalue -1/q).  The
+    walk operator is Hermitian on the unit torus.  Returns an array aligned
+    with ns, duplicates included; the powers come from one running product
+    over the sorted distinct n.
 
-    The torus average runs over half the grid.  P has real coefficients, so
-    pi_conj(t)(P) is the entrywise conjugate of pi_t(P) and has the same
-    (real) eigenvalues, and |c(conj t)| = |c(t)|.  Conjugation maps the
-    offset node of index k to that of N - 1 - k, so it pairs the flat points
-    p and N^2 - 1 - p of torus_pairs: the first ceil(N^2/2) points carry
-    weight 2, except the self-conjugate centre t = (-1, -1) of an odd N,
-    which carries 1.  This holds for every real-coefficient walk.  The swap
-    t1 <-> t2 is not folded as well: it fixes the spectrum only for walks
-    invariant under the diagram automorphism.
+    The average is taken on the offset grid of K = min(N, 2 max(ns) + 1)
+    nodes per circle, N = n_grid.  tr pi_t(P^n) is a Laurent polynomial of
+    degree <= n in each of t1, t2 (only pi(T_0) depends on t, through the
+    monomials t^(-e) of roots e), and so is tr pi_u(P^n) in u.  For K < N
+    each node carries the trigonometric interpolant w_K of the N-grid
+    moments m_nu (|nu_i| <= (K-1)/2) in place of 1/|c|^2.  By discrete
+    orthogonality the K-grid sum is then sum_nu a_nu m_nu over the
+    coefficients a_nu of the trace: the N-grid trapezoid sum, up to
+    rounding, from K^2 nodes instead of N^2.  For K = N the interpolant is
+    the weight itself, and the nodes carry 1/|c|^2 and 1/|c1|^2.
+
+    The 6-dimensional average runs over half the K grid.  P has real
+    coefficients, so pi_conj(t)(P) is the entrywise conjugate of pi_t(P)
+    and has the same (real) eigenvalues, and the weight takes the same value
+    at t and conj(t).  Conjugation maps the offset node of index k to that
+    of K - 1 - k, so it pairs the flat points p and K^2 - 1 - p: the first
+    ceil(K^2/2) points carry weight 2, except the self-conjugate centre
+    t = (-1, -1) of an odd K, which carries 1.  This holds for every
+    real-coefficient walk.  The swap t1 <-> t2 is not folded as well: it
+    fixes the spectrum only for walks invariant under the diagram
+    automorphism.
 
     Raises ValueError unless every n is an integer >= 0.  Raises where a
     value falls below the smallest normal double (n ~ 18,000 at q = 2)
@@ -256,25 +304,29 @@ def spectral_return_probabilities(q: float, ns, n_grid: int = 256):
         if not isinstance(n, numbers.Integral) or n < 0:
             raise ValueError(f"step counts must be integers >= 0, got {n!r}")
     q = hecke.check_thickness(float(q))
-    grid = QuadratureGrid(n_grid)
-    half = (n_grid * n_grid + 1) // 2
-    t1, t2 = (t[:half] for t in grid.torus_pairs())
+    distinct = sorted(set(ns))
+    k = min(n_grid, 2 * max(distinct, default=0) + 1)
+    half = (k * k + 1) // 2
+    # the N grid checks N here; for K < N the moments do
+    u = QuadratureGrid(n_grid).nodes if k == n_grid else _offset_nodes(k)
+    t1, t2 = (t[:half] for t in _torus_pairs(u))
+    if k == n_grid:
+        w6, w3 = 2.0 / _c_abs2(q, t1, t2), 1.0 / _c1_abs2(q, u)
+    else:
+        w6, w3 = _interpolated_weights(q, n_grid, k)
+        w6 = 2.0 * w6.reshape(-1)[:half]
+    if k % 2:
+        w6[-1] /= 2  # the centre point is its own conjugate
     lam6 = np.concatenate([
         np.linalg.eigvalsh(reps.walk_operator(q, reps.principal_generators(
             q, t1[lo:lo + _CHUNK], t2[lo:lo + _CHUNK])))
         for lo in range(0, half, _CHUNK)
     ])
-    w6 = 2.0 / _c_abs2(q, t1, t2)
-    if n_grid % 2:
-        w6[-1] /= 2  # the centre point is its own conjugate
-    u = grid.nodes
     lam3 = np.linalg.eigvalsh(reps.walk_operator(q, reps.induced_generators(q, u)))
-    w3 = 1.0 / _c1_abs2(q, u)
-    distinct = sorted(set(ns))
     values = {}
     for n, s6, s3 in zip(distinct, _power_sums(lam6, distinct),
                          _power_sums(lam3, distinct)):
-        part6 = np.sum(s6 * w6) / n_grid ** 2 / (6 * q ** 3)
+        part6 = np.sum(s6 * w6) / k ** 2 / (6 * q ** 3)
         part3 = (q - 1) ** 2 / (q ** 2 * (q ** 2 - 1)) * np.mean(s3 * w3)
         atom = (q - 1) ** 3 / (q ** 3 - 1) * (-1 / q) ** n
         value = part6 + part3 + atom

@@ -519,8 +519,13 @@ def test_no_underflow_error_short_of_it():
     tiny = np.finfo(float).tiny
     assert L.llt_estimate(W.IDENTITY, 17000, 2) > tiny
     assert P.spectral_return_probabilities(2.0, [17000], 128)[0] > tiny
-    # p_1(e) = 0 exactly, and this grid returns exactly 0 for it
-    assert P.spectral_return_probabilities(3.0, [1], 256)[0] == 0.0
+    # p_1(e) = 0 exactly; the grid returns rounding noise of either sign,
+    # and n = 1 is exempt from the underflow error.  A negative value shows
+    # that the exemption, not a positive accident, lets the call through.
+    p1 = [P.spectral_return_probabilities(q, [1], n_grid)[0]
+          for q, n_grid in ((3.0, 256), (2.0, 256), (3.0, 64))]
+    assert max(abs(p) for p in p1) <= 1e-15
+    assert min(p1) < 0
 
 
 def test_llt_ratio_trend():

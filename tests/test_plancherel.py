@@ -154,6 +154,34 @@ def test_spectral_unsorted_duplicated_steps():
     assert values[2] == values[3]
 
 
+@pytest.mark.parametrize("ns", [range(21), [0], [1], [0, 1]])
+@pytest.mark.parametrize("n_grid", [24, 41, 42])
+def test_spectral_band_grid_matches_full_grid(n_grid, ns):
+    """The K = min(N, 2 max(ns) + 1) grid against the full N grid: at n <= 20
+    N = 24 and 41 give K = N, N = 42 gives K = 41 < N, and ns = [0], [1],
+    [0, 1] give K = 1 or 3, where the nodes carry the interpolant of the
+    N-grid moments."""
+    q = 2.0
+    ns = list(ns)
+    _assert_close(P.spectral_return_probabilities(q, ns, n_grid),
+                  _full_grid_return_probabilities(q, n_grid)[ns], ns)
+
+
+def test_spectral_evaluates_the_band_grid_only(monkeypatch):
+    """At n <= 20 the eigenvalues are taken on half the 41 x 41 grid, not on
+    half the 256 x 256 grid."""
+    points = []
+    real = R.principal_generators
+
+    def counting(q, t1, t2):
+        points.append(len(t1))
+        return real(q, t1, t2)
+
+    monkeypatch.setattr(R, "principal_generators", counting)
+    P.spectral_return_probabilities(2.0, range(21), 256)
+    assert sum(points) <= (41 * 41 + 1) // 2
+
+
 @pytest.mark.parametrize("bad", [-1, 2.5])
 def test_spectral_rejects_bad_step_counts(bad):
     with pytest.raises(ValueError, match="integers >= 0"):
@@ -356,6 +384,31 @@ def test_plancherel_trace_degree_guard(field2, monkeypatch):
     monkeypatch.setattr(P, "_char_degree", lambda h: real(h) - 1)
     with pytest.raises(ValueError, match="degree bound 9"):
         P.plancherel_trace(h, 64)
+
+
+def test_char_degree_bounds_the_measured_degree():
+    """On ball(11) the orbit bound is never below the degree that an FFT
+    measures in either family, and never above the count of letters 0 it
+    replaced.  That count is a degree bound of at most 11 here, so 32
+    points per axis read every degree without aliasing."""
+    F, q, m = H.ScalarField(2), 2.0, 32
+    roots = np.exp(2j * np.pi * np.arange(m) / m)
+    gens6 = R.principal_generators(q, np.repeat(roots, m), np.tile(roots, m))
+    gens3 = R.induced_generators(q, roots)
+    freq = np.abs(np.fft.fftfreq(m, 1 / m))
+
+    def degree(coef):
+        nonzero = np.argwhere(np.abs(coef) > 1e-9 * max(1.0, np.abs(coef).max()))
+        return int(freq[nonzero].max(initial=0))
+
+    for w in W.ball(11):
+        h = H.t_element(F, [(w, F.one)])
+        c6 = np.fft.fft2(R.characters(h, gens6).reshape(m, m))
+        c3 = np.fft.fft(R.characters(h, gens3))
+        bound = P._char_degree(h)
+        assert max(degree(c6), degree(c3)) <= bound <= W.reduced_word(w).count(0), w
+    assert P._char_degree(H.t_element(F, [(W.AffineElement((1, 5), 5), F.one)])) == 5
+    assert P._char_degree(H.t_element(F, [(_TEN_ZEROS, F.one)])) == 10
 
 
 def test_plancherel_estimate_reuses_one_set_of_coefficients(field2):
