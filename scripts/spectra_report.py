@@ -4,9 +4,12 @@ as a recorded probe; the source identity's printed constants are
 q-independent and are not asserted).
 
 Usage: python scripts/spectra_report.py [--q 2]
+
+--q takes an integer or a fraction such as 5/2, as the CLI does.
 """
 
 import argparse
+from fractions import Fraction
 
 import numpy as np
 
@@ -15,9 +18,9 @@ from chamberwalks import limit
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--q", type=float, default=2.0)
+    ap.add_argument("--q", type=Fraction, default=Fraction(2))
     args = ap.parse_args()
-    q = args.q
+    q = float(args.q)
 
     sd = limit.spectral_data(q)
     numeric = limit.eigen_surface((0.0, 0.0), q)

@@ -75,7 +75,9 @@ def _emit(args, text: str):
 
 
 def _parse_q(s: str) -> Fraction:
-    q = Fraction(s)
+    from . import serialize
+
+    q = serialize._fraction(s, "--q")
     if q <= 1:
         raise ValueError("--q must exceed 1")
     return q

@@ -683,10 +683,8 @@ def _w0_on_character(u: int, t):
 
 
 def d_at(q: float, t) -> complex:
-    out = 1.0 + 0j
-    for a, b in POS_ROOTS:
-        out *= 1 - t[0] ** (-a) * t[1] ** (-b)
-    return out
+    # n_at at q = 1, bit for bit: dividing by 1.0 is exact
+    return n_at(1.0, t)
 
 
 def n_at(q: float, t) -> complex:

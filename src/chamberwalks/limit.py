@@ -473,17 +473,12 @@ def spectral_data(q) -> SpectralData:
     )
 
 
-def _principal_at_angles(q: float, theta) -> reps.Representation:
-    t = (np.exp(1j * theta[0]), np.exp(1j * theta[1]))
-    return reps.principal_series(q, t)
-
-
 def c_w_value(w: AffineElement, q) -> float:
     """Quadratic form of the unit top eigenvector against the averaging
     operator of w^-1 in the 6-dimensional module at the trivial character."""
     field = hecke.ScalarField(q)
     q = float(q)
-    rep = _principal_at_angles(q, (0.0, 0.0))
+    rep = reps.principal_series(q, (1.0, 1.0))
     h = hecke.t_element(field, [(weyl.inverse(w), field.one)])
     m = reps.evaluate(rep, h) / q ** (0.5 * weyl.length(w))
     v = spectral_data(q).top_vector
@@ -516,7 +511,7 @@ def llt_estimate(w: AffineElement, n: int, q) -> float:
 def eigen_surface(theta, q):
     """Six eigenvalues of the walk operator in the 6-dimensional module at
     the unit-torus character e^(i theta), sorted descending."""
-    rep = _principal_at_angles(float(q), theta)
+    rep = reps.principal_series(float(q), np.exp(1j * np.asarray(theta)))
     m = reps.p_matrix(rep)
     assert np.abs(m - m.conj().T).max() < 1e-12
     vals = np.linalg.eigvalsh(m)
@@ -578,20 +573,15 @@ def determinant_probe(q, grid: int = 24):
     lam1 = spectral_data(q).spectral_radius
     scale = (3 * q ** 0.5) ** 6
     thetas = np.linspace(-np.pi, np.pi, grid, endpoint=False)
-    rows, vals = [], []
-    for th1 in thetas:
-        for th2 in thetas:
-            rep = _principal_at_angles(q, (th1, th2))
-            m = reps.p_matrix(rep)
-            d = np.linalg.det(m - lam1 * np.eye(6))
-            shell1 = np.cos(th1) + np.cos(th2) + np.cos(th1 + th2)
-            shell2 = (
-                np.cos(th1 + 2 * th2) + np.cos(2 * th1 + th2) + np.cos(th1 - th2)
-            )
-            rows.append([1.0, shell1, shell2])
-            vals.append(scale * np.real(d))
-    rows = np.array(rows)
-    vals = np.array(vals)
+    th1, th2 = np.repeat(thetas, grid), np.tile(thetas, grid)
+    m = reps.walk_operator(q, reps.principal_generators(
+        q, np.exp(1j * th1), np.exp(1j * th2)))
+    vals = scale * np.linalg.det(m - lam1 * np.eye(6)).real
+    rows = np.stack([
+        np.ones_like(th1),
+        np.cos(th1) + np.cos(th2) + np.cos(th1 + th2),
+        np.cos(th1 + 2 * th2) + np.cos(2 * th1 + th2) + np.cos(th1 - th2),
+    ], axis=1)
     coef, *_ = np.linalg.lstsq(rows, vals, rcond=None)
     resid = np.abs(rows @ coef - vals).max()
     return coef, float(resid)

@@ -6,8 +6,9 @@ The quadrature grid offsets every node by half a step, so no node lies on
 the walls t1 = 1 or t2 = 1.  The third wall t1 t2 = 1 is not avoided: the N
 nodes with k1 + k2 = N - 1 lie on it up to rounding (|t1 t2 - 1| is below
 1.2e-15 for N <= 256), and ``c_value`` raises at some of them.  The weight
-1/|c|^2 vanishes on the walls, so ``_c_abs2`` keeps it finite and below
-1e-28 on those nodes, and the quadrature sums are unaffected.  The
+1/|c|^2 vanishes on the walls, and ``_weights`` takes it as |d/n|^2 from
+``hecke.d_at`` and ``hecke.n_at``, whose product form stays finite there:
+below 1e-28 on those nodes, so the quadrature sums are unaffected.  The
 integrands are smooth and periodic, so the product trapezoid rule converges
 faster than any power of 1/N.
 
@@ -20,18 +21,11 @@ per (q, N), kept in a bounded cache).  The masses and the central-character
 integral read the same moments.
 
 The return probabilities Tr(P^n) average powers of the eigenvalues of the
-walk operator.  tr pi_t(P^n) is a Laurent polynomial of degree <= n in each
-variable, so its N-grid sum is again a contraction sum_nu a_nu m_nu, which
-an offset grid of K = 2n + 1 nodes per circle reproduces exactly when each
-node carries the trigonometric interpolant of the moments m_nu (one FFT of
-the moment band) in place of 1/|c|^2: K^2 eigenproblems instead of N^2,
-the same value up to rounding.  Where K would reach N the N grid itself is
-used, with 1/|c|^2 at its nodes.  Either way only half the grid is
-evaluated.  P has real coefficients, so conjugating t conjugates pi_t(P)
-entrywise, which keeps its spectrum and the weight; conjugation pairs the
-grid's nodes, and each pair is evaluated once.  This holds for every
-real-coefficient walk.  The swap t1 <-> t2 is not folded: it keeps the
-spectrum only for walks invariant under the diagram automorphism.
+walk operator.  Their N-grid sums are contractions sum_nu a_nu m_nu as
+well, over |nu_i| <= n, so a grid of K = 2n + 1 < N nodes per circle whose
+nodes carry the interpolant of the moments gives the same value up to
+rounding; conjugation pairs its nodes, and each pair is evaluated once
+(spectral_return_probabilities).
 """
 
 from __future__ import annotations
@@ -44,18 +38,13 @@ import numpy as np
 from . import hecke, reps, weyl
 
 __all__ = [
-    "c_value", "c1_value", "w0_poincare_float", "QuadratureGrid",
-    "plancherel_trace", "plancherel_estimate", "spectral_return_probabilities",
-    "simple_walk_spectral_traces", "f_series", "table_trace",
-    "central_trace_integral", "mass_components",
+    "c_value", "c1_value", "plancherel_trace", "plancherel_estimate",
+    "spectral_return_probabilities", "simple_walk_spectral_traces", "f_series",
+    "table_trace", "central_trace_integral", "mass_components",
 ]
 
 # torus points per batch of 6x6 matrices (bounds the memory of one batch)
 _CHUNK = 8192
-
-
-def w0_poincare_float(q: float) -> float:
-    return 1 + 2 * q + 2 * q * q + q ** 3
 
 
 def c_value(q, t) -> complex:
@@ -84,42 +73,47 @@ def _torus_pairs(nodes):
     return np.repeat(nodes, len(nodes)), np.tile(nodes, len(nodes))
 
 
-class QuadratureGrid:
-    """N offset nodes exp(2*pi*i*(k+1/2)/N) per circle, weight 1/N each."""
-
-    def __init__(self, n: int):
-        if n < 16:
-            raise ValueError("grid must have at least 16 nodes per circle")
-        self.n = n
-        self.nodes = _offset_nodes(n)
-
-    def torus_pairs(self):
-        return _torus_pairs(self.nodes)
+def _grid_nodes(n: int):
+    """The offset nodes of the n-node quadrature grid, n >= 16."""
+    if n < 16:
+        raise ValueError("grid must have at least 16 nodes per circle")
+    return _offset_nodes(n)
 
 
-def _c_abs2(q: float, t1, t2):
-    num = np.ones(np.shape(t1))
-    den = np.ones(np.shape(t1))
-    for a, b in weyl.POS_ROOTS:
-        ta = t1 ** (-a) * t2 ** (-b)
-        num = num * np.abs(1 - ta / q) ** 2
-        den = den * np.abs(1 - ta) ** 2
-    return num / den
+def _weights(q: float, t1, t2, u):
+    """The Plancherel weights 1/|c|^2 = |d/n|^2 at the torus points (t1, t2)
+    and 1/|c1|^2 at the circle points u, as real arrays."""
+    return (np.abs(hecke.d_at(q, (t1, t2)) / hecke.n_at(q, (t1, t2))) ** 2,
+            np.abs(c1_value(q, u)) ** -2)
 
 
-def _c1_abs2(q: float, u):
-    return np.abs(1 - q ** -1.5 / u) ** 2 / np.abs(1 - q ** 0.5 / u) ** 2
+def _terms(q: float, avg6, avg3, chi_sign):
+    """The three terms of the Plancherel formula, from the weighted averages
+    over the 6- and 3-dimensional families and the sign character:
+    avg6/(6 q^3), (q-1)^2/(q^2(q^2-1)) avg3 and (q-1)^3/(q^3-1) chi_sign."""
+    return (avg6 / (6 * q ** 3),
+            (q - 1) ** 2 / (q ** 2 * (q ** 2 - 1)) * avg3,
+            (q - 1) ** 3 / (q ** 3 - 1) * chi_sign)
+
+
+def _over_principal(q: float, t1, t2, f):
+    """f of the principal generators at the points (t1, t2), taken over
+    batches of _CHUNK points and concatenated."""
+    return np.concatenate([
+        f(reps.principal_generators(q, t1[lo:lo + _CHUNK], t2[lo:lo + _CHUNK]))
+        for lo in range(0, len(t1), _CHUNK)
+    ])
 
 
 @functools.lru_cache(maxsize=16)
 def _moment_tables(q: float, n: int):
-    """The inverse FFTs of the Plancherel weights 1/|c|^2 (N x N, indexed
-    [k1, k2] as t1, t2) and 1/|c1|^2 (N) over the offset grid: the raw
-    tables behind _moment.  Cached per (q, N), read-only."""
-    grid = QuadratureGrid(n)
-    t1, t2 = grid.torus_pairs()
-    tables = (np.fft.ifft2(1.0 / _c_abs2(q, t1, t2).reshape(n, n)),
-              np.fft.ifft(1.0 / _c1_abs2(q, grid.nodes)))
+    """The inverse FFTs of the Plancherel weights of _weights, 1/|c|^2
+    (N x N, indexed [k1, k2] as t1, t2) and 1/|c1|^2 (N), over the offset
+    grid of _grid_nodes: the raw tables behind _moment.  Cached per (q, N),
+    read-only."""
+    u = _grid_nodes(n)
+    w6, w3 = _weights(q, *_torus_pairs(u), u)
+    tables = (np.fft.ifft2(w6.reshape(n, n)), np.fft.ifft(w3))
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -143,14 +137,14 @@ def _interpolated_weights(q: float, n_grid: int, k: int):
     phase e^(-i pi nu/k), so each interpolant is one FFT of its phased band
     laid out at nu mod k.  The weights are real and conjugation-invariant,
     since 1/|c|^2 is and the grid is closed under conjugation, so the moments
-    are real and even.  Returns w6 (k x k, indexed [k1, k2] as t1, t2) and
-    w3 (k)."""
+    are real and even.  Returns w6 (k^2, flat in the order of _torus_pairs)
+    and w3 (k)."""
     table6, table3 = _moment_tables(q, n_grid)
     nu = (np.arange(k) + k // 2) % k - k // 2  # 0, ..., (k-1)/2, -(k-1)/2, ..., -1
     phase = np.exp(-1j * np.pi * nu / k)
     band6 = _moment(table6, nu[:, None], nu[None, :]) * np.outer(phase, phase)
     band3 = _moment(table3, nu) * phase
-    return np.fft.fft2(band6).real, np.fft.fft(band3).real
+    return np.fft.fft2(band6).real.reshape(-1), np.fft.fft(band3).real
 
 
 def _char_degree(h: hecke.HeckeElement) -> int:
@@ -191,12 +185,8 @@ def _character_coefficients(h: hecke.HeckeElement):
     m = 1 << (4 * d + 1).bit_length()
     roots = np.exp(2j * np.pi * np.arange(m) / m)
 
-    t1_all, t2_all = np.repeat(roots, m), np.tile(roots, m)
-    chars6 = np.concatenate([
-        reps.characters(h, reps.principal_generators(
-            q, t1_all[lo:lo + _CHUNK], t2_all[lo:lo + _CHUNK]))
-        for lo in range(0, m * m, _CHUNK)
-    ])
+    chars6 = _over_principal(q, *_torus_pairs(roots),
+                             lambda gens: reps.characters(h, gens))
     a6 = _laurent_coefficients(chars6.reshape(m, m), d)
     a3 = _laurent_coefficients(reps.characters(h, reps.induced_generators(q, roots)), d)
     return q, a6, a3, reps.character(reps.sign_character(q), h)
@@ -209,10 +199,8 @@ def _contract(coefficients, n_grid: int) -> complex:
     w6, w3 = _moment_tables(q, n_grid)
     d = len(a3) // 2
     nu = np.arange(-d, d + 1)
-    part6 = np.sum(a6 * _moment(w6, nu[:, None], nu[None, :])) / (6 * q ** 3)
-    part3 = (q - 1) ** 2 / (q ** 2 * (q ** 2 - 1)) * np.sum(a3 * _moment(w3, nu))
-    part1 = (q - 1) ** 3 / (q ** 3 - 1) * chi_sign
-    return complex(part6 + part3 + part1)
+    return complex(sum(_terms(q, np.sum(a6 * _moment(w6, nu[:, None], nu[None, :])),
+                              np.sum(a3 * _moment(w3, nu)), chi_sign)))
 
 
 def plancherel_trace(h: hecke.HeckeElement, n_grid: int = 256) -> complex:
@@ -244,13 +232,12 @@ def plancherel_estimate(h: hecke.HeckeElement, n_grid: int = 256):
 
 def mass_components(q: float, n_grid: int = 256):
     """Plancherel masses of the three spectral components (sum to 1): the
-    moments m_0 of the two weights on the n_grid offset grid."""
-    hecke.check_thickness(q)
-    w6, w3 = _moment_tables(float(q), n_grid)
-    m6 = _moment(w6, 0, 0).real / q ** 3
-    m3 = 3 * (q - 1) ** 2 / (q ** 2 * (q ** 2 - 1)) * _moment(w3, 0).real
-    m1 = (q - 1) ** 3 / (q ** 3 - 1)
-    return float(m6), float(m3), float(m1)
+    terms of the unit, whose characters are the dimensions 6, 3 and 1,
+    from the moments m_0 of the two weights on the n_grid offset grid."""
+    q = hecke.check_thickness(float(q))
+    w6, w3 = _moment_tables(q, n_grid)
+    return tuple(map(float, _terms(q, 6 * _moment(w6, 0, 0).real,
+                                   3 * _moment(w3, 0).real, 1.0)))
 
 
 def _power_sums(lam, ns):
@@ -308,28 +295,20 @@ def spectral_return_probabilities(q: float, ns, n_grid: int = 256):
     k = min(n_grid, 2 * max(distinct, default=0) + 1)
     half = (k * k + 1) // 2
     # the N grid checks N here; for K < N the moments do
-    u = QuadratureGrid(n_grid).nodes if k == n_grid else _offset_nodes(k)
+    u = _grid_nodes(n_grid) if k == n_grid else _offset_nodes(k)
     t1, t2 = (t[:half] for t in _torus_pairs(u))
-    if k == n_grid:
-        w6, w3 = 2.0 / _c_abs2(q, t1, t2), 1.0 / _c1_abs2(q, u)
-    else:
-        w6, w3 = _interpolated_weights(q, n_grid, k)
-        w6 = 2.0 * w6.reshape(-1)[:half]
+    w6, w3 = (_weights(q, t1, t2, u) if k == n_grid
+              else _interpolated_weights(q, n_grid, k))
+    w6 = 2.0 * w6[:half]
     if k % 2:
         w6[-1] /= 2  # the centre point is its own conjugate
-    lam6 = np.concatenate([
-        np.linalg.eigvalsh(reps.walk_operator(q, reps.principal_generators(
-            q, t1[lo:lo + _CHUNK], t2[lo:lo + _CHUNK])))
-        for lo in range(0, half, _CHUNK)
-    ])
+    lam6 = _over_principal(
+        q, t1, t2, lambda gens: np.linalg.eigvalsh(reps.walk_operator(q, gens)))
     lam3 = np.linalg.eigvalsh(reps.walk_operator(q, reps.induced_generators(q, u)))
     values = {}
     for n, s6, s3 in zip(distinct, _power_sums(lam6, distinct),
                          _power_sums(lam3, distinct)):
-        part6 = np.sum(s6 * w6) / k ** 2 / (6 * q ** 3)
-        part3 = (q - 1) ** 2 / (q ** 2 * (q ** 2 - 1)) * np.mean(s3 * w3)
-        atom = (q - 1) ** 3 / (q ** 3 - 1) * (-1 / q) ** n
-        value = part6 + part3 + atom
+        value = sum(_terms(q, np.sum(s6 * w6) / k ** 2, np.mean(s3 * w3), (-1 / q) ** n))
         if n != 1 and value < np.finfo(float).tiny:
             raise ValueError(f"Tr(P^n) underflows at n={n}, q={q}")
         values[n] = value
@@ -442,4 +421,4 @@ def central_trace_integral(p: hecke.HeckeElement, n_grid: int = 256) -> complex:
     w6, _ = _moment_tables(q, n_grid)
     e1, e2 = np.array([e for e, _ in p.terms], dtype=int).reshape(-1, 2).T
     coef = np.array([complex(c) for c in p.terms.values()], dtype=complex)
-    return complex(np.sum(coef * _moment(w6, e1, e2)) / (6 * q ** 3))
+    return complex(_terms(q, np.sum(coef * _moment(w6, e1, e2)), 0, 0)[0])

@@ -72,23 +72,33 @@ def hecke_to_obj(h: hecke.HeckeElement) -> dict:
     return {"basis": h.basis, "q": str(h.field.q), "terms": terms}
 
 
+def _fraction(value, where: str) -> Fraction:
+    try:
+        return Fraction(str(value))
+    except ZeroDivisionError:
+        raise ValueError(f"{where}: {value!r} has a zero denominator") from None
+
+
 def hecke_from_obj(obj) -> hecke.HeckeElement:
     for key in ("basis", "q", "terms"):
-        if key not in obj:
+        if not isinstance(obj, dict) or key not in obj:
             raise ValueError(f"algebra element needs field {key!r}")
     basis = obj["basis"]
     if basis not in ("T", "X"):
         raise ValueError(f"field 'basis': expected 'T' or 'X', got {basis!r}")
-    q = Fraction(str(obj["q"]))
-    field = hecke.ScalarField(q)
+    if not isinstance(obj["terms"], list):
+        raise ValueError(f"field 'terms': expected a list, got {obj['terms']!r}")
+    field = hecke.ScalarField(_fraction(obj["q"], "field 'q'"))
     terms = {}
     for k, entry in enumerate(obj["terms"]):
         try:
+            if not isinstance(entry, dict):
+                raise ValueError(f"expected a term object, got {entry!r}")
             el = element_from_obj(entry["index"])
             if "a" not in entry and "b" not in entry:
                 raise ValueError("coefficient needs an 'a' or 'b' field (a + b*sqrt(q))")
-            c = field.make(Fraction(str(entry.get("a", 0))),
-                           Fraction(str(entry.get("b", 0))))
+            c = field.make(_fraction(entry.get("a", 0), "field 'a'"),
+                           _fraction(entry.get("b", 0), "field 'b'"))
         except (KeyError, ValueError) as exc:
             raise ValueError(f"terms[{k}]: {exc}") from None
         key = el if basis == "T" else (el.mu, el.u)

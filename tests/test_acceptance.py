@@ -247,7 +247,7 @@ def test_c08_generating_series_depth40():
             c1 = 1.0 / (qf ** 3 * P.c_value(qf, t) * P.c_value(qf, tinv))
             worst = max(worst, abs(v1 - c1) / abs(c1))
             v0, _ = P.f_series(H.symmetrizer_one(F), t, 40)
-            c0 = 1.0 / (P.w0_poincare_float(qf) * P.c_value(qf, tinv))
+            c0 = 1.0 / (float(H.w0_poincare(F)) * P.c_value(qf, tinv))
             worst = max(worst, abs(v0 - c0) / abs(c0))
     elapsed = time.time() - t0
     report(8, worst < 1e-6,

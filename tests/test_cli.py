@@ -90,6 +90,10 @@ def test_walk_negative_steps(capsys):
 
 def test_walk_bad_q(capsys):
     assert cli.main(["walk", "exact", "--q", "1", "--n", "2"]) == cli.EXIT_USAGE
+    # a zero denominator is an input error, not a crash
+    assert cli.main(["walk", "exact", "--q", "1/0", "--n", "2"]) == cli.EXIT_USAGE
+    assert cli.main(["spectrum", "--q", "1/0"]) == cli.EXIT_USAGE
+    assert "zero denominator" in capsys.readouterr().err
 
 
 def test_walks_subcommand(capsys):
@@ -212,6 +216,15 @@ def test_trace_malformed_element(capsys, tmp_path):
     capsys.readouterr()
     assert cli.main(["trace", "--element", str(path)]) == cli.EXIT_USAGE
     assert "terms[0]" in capsys.readouterr().err
+    # malformed q, terms and coefficients are input errors, not crashes
+    one = {"index": {"mu": [0, 0], "u": ""}, "a": "1"}
+    for bad, where in (({"q": "1/0", "terms": [one]}, "field 'q'"),
+                       ({"q": "2", "terms": 5}, "field 'terms'"),
+                       ({"q": "2", "terms": [5]}, "terms[0]"),
+                       ({"q": "2", "terms": [one, dict(one, a="1/0")]}, "terms[1]")):
+        path.write_text(json.dumps({"basis": "T", **bad}))
+        assert cli.main(["trace", "--element", str(path)]) == cli.EXIT_USAGE
+        assert where in capsys.readouterr().err
 
 
 def test_reps_check(capsys):

@@ -32,11 +32,20 @@ def test_c1_no_torus_pole():
         assert np.isfinite(v.real) and abs(v) > 0
 
 
+def _offset_grid(n):
+    """The n offset nodes e^(2 pi i (k + 1/2)/n) of one circle and the flat
+    torus pairs (t1, t2) over them, t2 running fastest."""
+    u = np.exp(2j * np.pi * (np.arange(n) + 0.5) / n)
+    return u, np.repeat(u, n), np.tile(u, n)
+
+
 def test_grid_avoids_walls():
-    grid = P.QuadratureGrid(64)
-    assert np.abs(grid.nodes - 1.0).min() > 1e-3
-    with pytest.raises(ValueError):
-        P.QuadratureGrid(8)
+    assert np.abs(P._grid_nodes(64) - 1.0).min() > 1e-3
+    with pytest.raises(ValueError, match="at least 16 nodes"):
+        P.mass_components(2.0, 8)
+    # n = 100 asks for K = 201 > N nodes, so the N grid itself is used
+    with pytest.raises(ValueError, match="at least 16 nodes"):
+        P.spectral_return_probabilities(2.0, [100], 8)
 
 
 @pytest.mark.parametrize("n", [64, 128, 256])
@@ -44,11 +53,11 @@ def test_grid_avoids_walls():
 def test_weight_on_the_diagonal_wall_nodes(q, n):
     """The N nodes with k1 + k2 = N - 1 lie on the wall t1 t2 = 1 up to
     rounding; the weight 1/|c|^2 there is finite and tiny, not a pole."""
-    t1, t2 = P.QuadratureGrid(n).torus_pairs()
+    u, t1, t2 = _offset_grid(n)
     k1, k2 = np.divmod(np.arange(n * n), n)
     on = k1 + k2 == n - 1
     assert np.abs(t1[on] * t2[on] - 1).max() < 1.2e-15
-    weight = 1.0 / P._c_abs2(q, t1[on], t2[on])
+    weight, _ = P._weights(q, t1[on], t2[on], u)
     assert np.isfinite(weight).all()
     assert weight.max() < 1e-28
 
@@ -105,13 +114,14 @@ def test_generic_trace_matches_powers(field2):
 def _full_grid_return_probabilities(q, n_grid):
     """Tr(P^n) for n = 0..20 over every node of the full offset grid, with
     no conjugation fold and no running power: eigenvalues node by node, a
-    direct ** n, and the weight 1/|c|^2 from the scalar c-function factors."""
-    grid = P.QuadratureGrid(n_grid)
-    t1, t2 = grid.torus_pairs()
+    direct ** n, and the weight 1/|c|^2 written out from the positive roots."""
+    u, t1, t2 = _offset_grid(n_grid)
     ops = R.walk_operator(q, R.principal_generators(q, t1, t2))
     lam6 = np.array([np.linalg.eigvalsh(m) for m in ops])
-    w6 = np.abs(H.d_at(q, (t1, t2)) / H.n_at(q, (t1, t2))) ** 2
-    u = grid.nodes
+    w6 = np.ones(len(t1))
+    for a, b in W.POS_ROOTS:
+        ta = t1 ** -a * t2 ** -b
+        w6 *= np.abs(1 - ta) ** 2 / np.abs(1 - ta / q) ** 2
     lam3 = np.array([np.linalg.eigvalsh(R.p_matrix(R.induced_three_dim(q, x)))
                      for x in u])
     w3 = np.abs(1 - q ** 0.5 / u) ** 2 / np.abs(1 - q ** -1.5 / u) ** 2
@@ -194,9 +204,8 @@ def test_symmetrizer_lattice_traces(field2):
     F = field2
     q = 2.0
     e0x = H.t_to_x(H.symmetrizer_one(F))
-    wq = P.w0_poincare_float(q)
-    grid = P.QuadratureGrid(256)
-    t1, t2 = grid.torus_pairs()
+    wq = float(H.w0_poincare(F))
+    _, t1, t2 = _offset_grid(256)
     cbar = np.ones_like(t1)
     for a, b in W.POS_ROOTS:
         ta = t1 ** a * t2 ** b
@@ -225,7 +234,7 @@ def test_f_series_symmetrizer(field2):
     q = 2.0
     t = (0.04, 0.05)
     val, _ = P.f_series(H.symmetrizer_one(field2), t, 20)
-    closed = 1.0 / (P.w0_poincare_float(q) * P.c_value(q, (1 / t[0], 1 / t[1])))
+    closed = 1.0 / (float(H.w0_poincare(field2)) * P.c_value(q, (1 / t[0], 1 / t[1])))
     assert abs(val - closed) / abs(closed) < 1e-10
 
 
@@ -340,8 +349,7 @@ def _grid_sum_trace(h, n):
     node by node over the N x N and N offset grids, with the weights written
     out from the positive roots."""
     q = float(h.field.q)
-    grid = P.QuadratureGrid(n)
-    t1_all, t2_all = grid.torus_pairs()
+    u, t1_all, t2_all = _offset_grid(n)
     total6 = 0j
     for lo in range(0, n * n, 4096):
         t1, t2 = t1_all[lo:lo + 4096], t2_all[lo:lo + 4096]
@@ -350,7 +358,6 @@ def _grid_sum_trace(h, n):
             ta = t1 ** -a * t2 ** -b
             weight *= np.abs(1 - ta) ** 2 / np.abs(1 - ta / q) ** 2
         total6 += np.sum(R.characters(h, R.principal_generators(q, t1, t2)) * weight)
-    u = grid.nodes
     weight3 = np.abs(1 - q ** 0.5 / u) ** 2 / np.abs(1 - q ** -1.5 / u) ** 2
     chars3 = R.characters(h, R.induced_generators(q, u))
     return (total6 / n ** 2 / (6 * q ** 3)
@@ -497,7 +504,7 @@ def test_central_trace_integral(field2):
     F = field2
     one = H.unit(F, "X")
     v = P.central_trace_integral(one, 128)
-    assert abs(v - 1 / P.w0_poincare_float(2.0)) < 1e-10
+    assert abs(v - 1 / float(H.w0_poincare(F))) < 1e-10
     for lam in ((1, 1), (2, 1)):
         p = H.macdonald_p(F, lam)
         assert abs(P.central_trace_integral(p, 128)) < 1e-10
