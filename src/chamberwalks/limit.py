@@ -31,12 +31,26 @@ at one relative position w: it works on the ball of radius
 (n L + l(w)) / 2, which holds every path from e to w, and recomputes at
 step k only the light cone, the states of length <= min(k L,
 l(w) + (n - k) L).  Every term a step drops or reads stale is an exact 0
-or multiplies one, so both return the bits of the full recursion.
+or multiplies one, so both return the bits of the full recursion on the
+quotient described next.
+
+The walk is stepped on orbits, not on states.  A permutation of the three
+generators extends to an automorphism of W (a diagram automorphism of the
+triangle), and it maps the walk to itself when it maps the spec to itself.
+The group H of those permutations (``_symmetries``) fixes the distribution
+from e, which is therefore constant on H-orbits, so each step recomputes
+one row per orbit, at its first state (``_orbits``), and reads one value
+per orbit.  The uniform walk has |H| = 6 and steps about a sixth of the
+ball.  A spec with trivial H has one state per orbit, and its masses are
+the bits of the plain recursion.  With nontrivial H they move within
+rounding of it: the plain recursion computes the members of an orbit by
+different sums and gets ulp-different copies, where the quotient reads one.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -168,28 +182,30 @@ def _check_steps(n: int):
         raise ValueError(f"step count must be >= 0, got {n}")
 
 
-def _walk_matrix(space: StateSpace, walk: dict, q: float):
-    """The walk operator P in gather form (diag, idx, val):
+def _walk_matrix(space: StateSpace, walk: dict, q: float, reps, orbit):
+    """The walk operator P on orbits in gather form (diag, idx, val):
 
-        (P x)[t] = diag[t] x[t] + sum_k val[k, t] x[idx[k, t]].
+        (P x)[o] = diag[o] x[o] + sum_k val[k, o] x[idx[k, o]],
 
-    Each row t is pulled back through each word, last letter first.  Under
+    with x[o] the mass of each state of orbit o; orbit[s] is the orbit of
+    state s and reps[o] the first state of orbit o.  Row o is the row of
+    t = reps[o], pulled back through each word, last letter first.  Under
     wall type i, t receives the mass of t s_i with weight 1 if that move is
     an ascent (l(t s_i) < l(t)) and 1/q otherwise, and keeps 1 - 1/q of its
     own mass if t s_i is shorter.  A word of length l gives 2^l paths: the
-    one that stays at every letter adds to diag, each other one is a slot k.
-    A path through a state outside the ball has weight 0 and a placeholder
-    index.  The slot order of a row does not depend on the radius."""
-    n = len(space.elems)
-    states = np.arange(n)
+    one that stays at every letter adds to diag, each other one is a slot k,
+    which reads the orbit of the state it ends at.  A path through a state
+    outside the ball has weight 0 and a placeholder index.  The slot order
+    of a row does not depend on the radius."""
+    states = np.arange(len(space.elems))
     inside = space.target >= 0
     pull = np.where(inside, space.target, states[:, None])
     move = np.where(space.ascent, 1.0 / q, 1.0) * inside
     keep = np.where(space.ascent, 0.0, 1.0 - 1.0 / q)
-    diag = np.zeros(n)
+    diag = np.zeros(len(reps))
     idx, val = [], []
     for w, a in walk.items():
-        paths = [(states, 1.0)]
+        paths = [(reps, 1.0)]
         for i in reversed(weyl.reduced_word(w)):
             paths = [nxt for s, v in paths
                      for nxt in ((s, v * keep[s, i]), (pull[s, i], v * move[s, i]))]
@@ -198,23 +214,82 @@ def _walk_matrix(space: StateSpace, walk: dict, q: float):
         for s, v in rest:
             idx.append(s)
             val.append(float(a) * v)
-    return diag, np.array(idx).reshape(-1, n), np.array(val).reshape(-1, n)
+    idx = orbit[np.array(idx, dtype=np.intp)]
+    return diag, idx.reshape(-1, len(reps)), np.array(val).reshape(-1, len(reps))
+
+
+def _symmetries(walk: dict) -> tuple:
+    """The group H of permutations of the generators (s0, s1, s2) whose
+    automorphisms s_i -> s_perm[i] map the walk spec to itself, as a tuple
+    of permutations with the identity first."""
+    spec = {w: Fraction(a) for w, a in walk.items()}
+    words = {w: weyl.reduced_word(w) for w in spec}
+    return tuple(
+        perm for perm in itertools.permutations(range(3))
+        if {weyl.from_word([perm[i] for i in words[w]]): a
+            for w, a in spec.items()} == spec)
+
+
+def _automorphisms(space: StateSpace, perms) -> np.ndarray:
+    """sigma[s, j], the state of the image of state s under the automorphism
+    s_i -> s_perms[j][i], as an int32 array of shape (states, len(perms)).
+
+    Automorphisms preserve length, so each maps the ball onto itself.  They
+    are built one length layer at a time from the target table: a state s
+    of length l > 0 is p s_i with p = s s_i its first descent, of length
+    l - 1, and its image is sigma(p) s_perm[i]."""
+    descent = np.argmin(space.ascent, axis=1)
+    flat = space.target.ravel()
+    below = flat[3 * np.arange(len(descent)) + descent]
+    letter = np.asarray(perms, dtype=np.int32).reshape(-1, 3)[:, descent].T
+    sigma = np.zeros(letter.shape, dtype=np.int32)
+    layers = np.searchsorted(space.lengths, np.arange(1, space.radius + 2))
+    for lo, hi in zip(layers[:-1], layers[1:]):
+        sigma[lo:hi] = flat[3 * sigma[below[lo:hi]] + letter[lo:hi]]
+    return sigma
+
+
+def _orbits(space: StateSpace, group) -> tuple:
+    """(reps, orbit) of the ball under a group of generator permutations.
+
+    reps[o] is the first state of orbit o in state order, so reps is
+    increasing and, as automorphisms preserve length, the orbits are ordered
+    by length too; orbit[s] is the orbit of state s, int32.  A subgroup of
+    S3 is generated by its first 3-cycle and its first transposition, where
+    it has them, so two state maps suffice: each state takes the least
+    label reachable through them."""
+    gens = []
+    for fixed in (0, 1):  # a 3-cycle fixes no letter, a transposition one
+        gens += [p for p in group if sum(p[i] == i for i in range(3)) == fixed][:1]
+    maps = _automorphisms(space, gens).T
+    label = np.arange(len(space.elems), dtype=np.int32)
+    while True:
+        nxt = label
+        for sigma in maps:
+            nxt = np.minimum(nxt, nxt[sigma])
+        if np.array_equal(nxt, label):
+            break
+        label = nxt
+    first = label == np.arange(len(label))
+    orbit = (np.cumsum(first, dtype=np.int32) - 1)[label]
+    return np.flatnonzero(first), orbit
 
 
 def _max_step_length(walk: dict) -> int:
     return max((weyl.length(w) for w in walk), default=1)
 
 
-def _propagate(space: StateSpace, op, bounds):
-    """Masses after 0, 1, 2, ... steps from the identity, yielded as one
-    array updated in place.  Step k recomputes only the states of length
-    <= bounds[k - 1], a row prefix of the operator since states are ordered
-    by length; every other entry keeps its value."""
+def _propagate(lengths, op, bounds):
+    """Masses per orbit after 0, 1, 2, ... steps from the identity (state 0
+    and orbit 0), yielded as one array updated in place.  Step k recomputes
+    only the orbits of length <= bounds[k - 1], a row prefix of the operator
+    since orbits are ordered by length; every other entry keeps its
+    value."""
     diag, idx, val = op
-    x = np.zeros(len(space.elems))
-    x[space.state(IDENTITY)] = 1.0
+    x = np.zeros(len(lengths))
+    x[0] = 1.0
     yield x
-    for r in np.searchsorted(space.lengths, bounds, side="right"):
+    for r in np.searchsorted(lengths, bounds, side="right"):
         acc = diag[:r] * x[:r]
         for k in range(len(idx)):
             acc += val[k, :r] * x.take(idx[k, :r])
@@ -228,9 +303,13 @@ def exact_distribution(walk: dict, n: int, q, snapshots=None):
     With snapshots=[n1, n2, ...] returns {ni: WalkDistribution} capturing the
     distribution at each requested step count (all in 0..n).
 
-    Step k recomputes only the states of length <= k L, L the longest
+    Step k recomputes only the orbits of length <= k L, L the longest
     element of the walk's support: the rest are unreachable and hold an
-    exact 0, which is what the full step would write there.
+    exact 0, which is what the full step would write there.  The masses are
+    stepped one value per orbit of the spec's symmetry group (see the
+    module docstring) and expanded to every state of the ball: bit for bit
+    the plain recursion when that group is trivial, within rounding of it
+    otherwise.
     """
     _check_steps(n)
     wanted = set(snapshots or ())
@@ -240,14 +319,15 @@ def exact_distribution(walk: dict, n: int, q, snapshots=None):
     q = hecke.check_thickness(float(q))
     step = _max_step_length(walk)
     space = state_space(max(n * step, 1))
-    op = _walk_matrix(space, walk, q)
+    reps, orbit = _orbits(space, _symmetries(walk))
+    op = _walk_matrix(space, walk, q, reps, orbit)
     out = {}
-    steps = _propagate(space, op, [k * step for k in range(1, n + 1)])
+    steps = _propagate(space.lengths[reps], op, [k * step for k in range(1, n + 1)])
     for k, masses in enumerate(steps):
         if k in wanted:
-            out[k] = WalkDistribution(k, space, masses.copy())
+            out[k] = WalkDistribution(k, space, masses[orbit])
     if snapshots is None:
-        return WalkDistribution(n, space, masses)
+        return WalkDistribution(n, space, masses[orbit])
     return out
 
 
@@ -259,15 +339,16 @@ def masses_at(walk: dict, w: AffineElement, ns, q) -> list:
     longest element of the walk's support, the ball has radius
     R = floor((n L + l(w)) / 2): a generator path from e to w of n L letters
     that leaves it would need more than n L letters to come back.  Step k
-    recomputes only the states of length <= min(k L, l(w) + (n - k) L, R),
+    recomputes only the orbits of length <= min(k L, l(w) + (n - k) L, R),
     the ones reachable in k steps from which w is still reachable in the
-    n - k left.  Each recomputed state sums the same terms in the same order
-    as on the full ball: a row's slots come in the same order on both balls
-    and carry the same weights between cone states, since no path between
-    them leaves radius R; a state outside the ball or not yet reached holds
-    an exact 0, which adds nothing to a sum; and the stale values above the
-    cone lie more than L above every state still in it, so no step reads
-    them.
+    n - k left.  Each recomputed orbit sums the same terms in the same order
+    as on the full ball: an orbit's first state does not depend on the
+    radius, a row's slots come in the same order on both balls and carry
+    the same weights between cone states, since no path between them leaves
+    radius R; a state outside the ball or not yet reached holds an exact 0,
+    which adds nothing to a sum; and the stale values above the cone lie
+    more than L above every state still in it, so no step reads them.  The
+    mass at w is the value of its orbit.
     """
     ns = list(ns)
     if not ns:
@@ -281,10 +362,11 @@ def masses_at(walk: dict, w: AffineElement, ns, q) -> list:
         return [0.0] * len(ns)
     radius = (n * step + lw) // 2
     space = state_space(radius)
-    op = _walk_matrix(space, walk, q)
-    target = space.state(w)
+    reps, orbit = _orbits(space, _symmetries(walk))
+    op = _walk_matrix(space, walk, q, reps, orbit)
+    target = orbit[space.state(w)]
     bounds = [min(k * step, lw + (n - k) * step, radius) for k in range(1, n + 1)]
-    at = [float(x[target]) for x in _propagate(space, op, bounds)]
+    at = [float(x[target]) for x in _propagate(space.lengths[reps], op, bounds)]
     return [at[k] for k in ns]
 
 

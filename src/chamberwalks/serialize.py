@@ -46,8 +46,9 @@ def element_from_obj(obj) -> AffineElement:
     mu = obj["mu"]
     if not (isinstance(mu, (list, tuple)) and len(mu) == 2):
         raise ValueError(f"element field 'mu': expected [m, n], got {mu!r}")
+    m, n = (_integer(x, "element field 'mu'") for x in mu)
     word = parse_word(str(obj["u"]), alphabet=(1, 2))
-    return AffineElement((int(mu[0]), int(mu[1])), weyl.w0_from_word(word))
+    return AffineElement((m, n), weyl.w0_from_word(word))
 
 
 def element_to_json(w: AffineElement) -> str:
@@ -77,6 +78,17 @@ def _fraction(value, where: str) -> Fraction:
         return Fraction(str(value))
     except ZeroDivisionError:
         raise ValueError(f"{where}: {value!r} has a zero denominator") from None
+
+
+def _integer(value, where: str) -> int:
+    """value as an int if it is an integral number or numeric string."""
+    try:
+        x = Fraction(str(value))
+        if x.denominator == 1:
+            return x.numerator
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"{where}: {value!r} is not an integer")
 
 
 def hecke_from_obj(obj) -> hecke.HeckeElement:

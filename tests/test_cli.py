@@ -225,6 +225,17 @@ def test_trace_malformed_element(capsys, tmp_path):
         path.write_text(json.dumps({"basis": "T", **bad}))
         assert cli.main(["trace", "--element", str(path)]) == cli.EXIT_USAGE
         assert where in capsys.readouterr().err
+    # lattice coordinates are integers: null and 1.5 are refused, not
+    # a crash or a silent truncation
+    for mu in ([None, 0], [1.5, 0]):
+        bad = {"index": {"mu": mu, "u": ""}, "a": "1"}
+        path.write_text(json.dumps({"basis": "T", "q": "2", "terms": [bad]}))
+        assert cli.main(["trace", "--element", str(path)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: terms[0]: element field 'mu'"), err
+    path.write_text(json.dumps({"basis": "T", "q": "2", "terms": [
+        {"index": {"mu": [2, 0.0], "u": ""}, "a": "1"}]}))
+    assert cli.main(["trace", "--element", str(path), "--method", "exact"]) == cli.EXIT_OK
 
 
 def test_reps_check(capsys):
