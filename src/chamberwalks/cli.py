@@ -13,6 +13,10 @@ import json
 import sys
 from fractions import Fraction
 
+import numpy as np
+
+from . import hecke, limit, plancherel, reps, serialize, walks, weyl
+
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
 EXIT_USAGE = 2
@@ -29,8 +33,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     walk = sub.add_parser("walk", help="n-step walk distributions")
     wsub = walk.add_subparsers(dest="walk_command", required=True)
-    for name in ("exact", "mc", "llt", "compare"):
+    for name, run in (("exact", cmd_distribution), ("mc", cmd_distribution),
+                      ("llt", cmd_llt), ("compare", cmd_compare)):
         p = wsub.add_parser(name)
+        p.set_defaults(run=run)
         _common_flags(p)
         if name == "llt":
             p.add_argument("--n", required=True, help="comma-separated step counts")
@@ -42,6 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("trace", help="canonical trace by several routes")
+    p.set_defaults(run=cmd_trace)
     _common_flags(p, q=None)  # None: the element's q
     p.add_argument("--grid", type=int, default=256, help="quadrature nodes per circle")
     p.add_argument("--method", choices=("exact", "plancherel", "series", "all"),
@@ -50,6 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=24)
 
     p = sub.add_parser("walks", help="enumerate positively folded galleries")
+    p.set_defaults(run=cmd_walks)
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.add_argument("--type", required=True, dest="type_word")
     p.add_argument("--start", default="", help="start alcove as word over 0,1,2")
@@ -57,102 +65,97 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reps", help="module checks")
     rsub = p.add_subparsers(dest="reps_command", required=True)
     pc = rsub.add_parser("check")
+    pc.set_defaults(run=cmd_reps)
     _common_flags(pc)
     pc.add_argument("--t", required=True, help="re,im,re,im of (t1,t2)")
     pc.add_argument("--u", default=None, help="re,im parameter of the 3-dim module")
 
     p = sub.add_parser("spectrum", help="closed-form spectral data")
+    p.set_defaults(run=cmd_spectrum)
     _common_flags(p)
     return top
 
 
 def _emit(args, text: str):
+    if not text.endswith("\n"):
+        text += "\n"
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
 
 
 def _parse_q(s: str) -> Fraction:
-    from . import serialize
-
     q = serialize._fraction(s, "--q")
     if q <= 1:
         raise ValueError("--q must exceed 1")
     return q
 
 
-def _dist_rows(dist, q: float):
-    from . import serialize, weyl
-
-    rows = []
-    for w, mass in dist.items():  # state order: (length, mu, u)
-        word = serialize.word_to_str(weyl.reduced_word(w))
-        rows.append((
-            word,
-            w.mu[0], w.mu[1],
-            serialize.word_to_str(weyl.W0_WORDS[w.u]),
-            float(mass),
-            dist.p_value(w, q),
-        ))
-    return rows
+def _parse_complex(s: str, flag: str, count: int) -> list:
+    """Exactly `count` complex numbers from a flag's re,im pairs."""
+    try:
+        parts = [float(x) for x in s.split(",")]
+    except ValueError:
+        parts = []
+    if len(parts) != 2 * count:
+        raise ValueError(f"{flag} expects " + ",".join(["re,im"] * count))
+    return [complex(*parts[k:k + 2]) for k in range(0, len(parts), 2)]
 
 
-def cmd_walk(args) -> int:
-    from . import limit, serialize, weyl
-
+def _query(args):
+    """q, the --word of a walk query, its element w and the sphere size q^l(w)."""
     q = _parse_q(args.q)
-    spec = limit.simple_walk_spec()
-    header = ["word", "mu_m", "mu_n", "theta", "mass", "p_n"]
-
-    if args.walk_command == "exact":
-        dist = limit.exact_distribution(spec, args.n, q)
-        _emit(args, serialize.write_csv(None, header, _dist_rows(dist, float(q))))
-        return EXIT_OK
-
-    if args.walk_command == "mc":
-        dist = limit.mc_simulate(args.n, args.trials, args.seed, q)
-        _emit(args, serialize.write_csv(None, header, _dist_rows(dist, float(q))))
-        return EXIT_OK
-
     word = serialize.parse_word(args.word)
     target = weyl.from_word(word)
+    return q, word, target, float(q) ** weyl.length(target)
 
-    if args.walk_command == "llt":
-        ns = [int(s) for s in str(args.n).split(",") if s]
-        sphere = float(q) ** weyl.length(target)
-        rows = []
-        for n, mass in zip(ns, limit.masses_at(spec, target, ns, q)):
-            p = mass / sphere
-            est = limit.llt_estimate(target, n, q)
-            rows.append((n, p, est, p / est))
-        _emit(args, serialize.write_csv(None, ["n", "p_n", "estimate", "ratio"], rows))
-        return EXIT_OK
 
-    # compare: exact vs Monte Carlo vs asymptotic estimate
-    [exact_mass] = limit.masses_at(spec, target, [args.n], q)
+def cmd_distribution(args) -> int:
+    q = _parse_q(args.q)
+    if args.walk_command == "exact":
+        dist = limit.exact_distribution(limit.simple_walk_spec(), args.n, q)
+    else:
+        dist = limit.mc_simulate(args.n, args.trials, args.seed, q)
+    rows = [(serialize.word_to_str(weyl.reduced_word(w)), w.mu[0], w.mu[1],
+             serialize.word_to_str(weyl.W0_WORDS[w.u]), float(mass), dist.p_value(w, float(q)))
+            for w, mass in dist.items()]  # state order: (length, mu, u)
+    header = ["word", "mu_m", "mu_n", "theta", "mass", "p_n"]
+    _emit(args, serialize.write_csv(None, header, rows))
+    return EXIT_OK
+
+
+def cmd_llt(args) -> int:
+    q, _, target, sphere = _query(args)
+    ns = [int(s) for s in str(args.n).split(",") if s]
+    rows = []
+    for n, mass in zip(ns, limit.masses_at(limit.simple_walk_spec(), target, ns, q)):
+        p = mass / sphere
+        est = limit.llt_estimate(target, n, q)
+        rows.append((n, p, est, p / est))
+    _emit(args, serialize.write_csv(None, ["n", "p_n", "estimate", "ratio"], rows))
+    return EXIT_OK
+
+
+def cmd_compare(args) -> int:
+    """Exact vs Monte Carlo vs asymptotic estimate at one relative position."""
+    q, word, target, sphere = _query(args)
+    [exact_mass] = limit.masses_at(limit.simple_walk_spec(), target, [args.n], q)
     emp = limit.mc_simulate(args.n, args.trials, args.seed, q)
     emp_mass = emp.mass(target)
     sigma = (max(exact_mass * (1 - exact_mass), 1e-300) / args.trials) ** 0.5
     dev = abs(emp_mass - exact_mass) / sigma
     est = limit.llt_estimate(target, args.n, q) if args.n >= 1 else float("nan")
-    p_exact = exact_mass / float(q) ** weyl.length(target)
-    rows = [(
-        serialize.word_to_str(word), args.n, exact_mass, emp_mass,
-        dev, p_exact, est, p_exact / est,
-    )]
-    _emit(args, serialize.write_csv(
-        None,
-        ["word", "n", "exact_mass", "mc_mass", "mc_sigmas", "p_n", "llt", "ratio"],
-        rows,
-    ))
+    p_exact = exact_mass / sphere
+    header = ["word", "n", "exact_mass", "mc_mass", "mc_sigmas", "p_n", "llt", "ratio"]
+    row = (serialize.word_to_str(word), args.n, exact_mass, emp_mass,
+           dev, p_exact, est, p_exact / est)
+    _emit(args, serialize.write_csv(None, header, [row]))
     return EXIT_OK if dev <= 4.0 else EXIT_TOLERANCE
 
 
 def cmd_trace(args) -> int:
-    from . import hecke, plancherel, serialize
-
     if args.grid < 32:  # the quadrature estimate compares N with N // 2 >= 16 nodes
         raise ValueError("--grid must be at least 32")
     with open(args.element) as fh:
@@ -202,10 +205,6 @@ def _series_trace(h, depth: int) -> dict:
     the largest deviation of F_t(h) at the given depth from the intertwiner
     closed form f_t(h) / (q^3 c(t) c(1/t)) at a few small t, with its bound:
     the series' tail bound plus 1e-12 max(1, |closed form|)."""
-    import numpy as np
-
-    from . import hecke, plancherel
-
     q = float(h.field.q)
     hx = hecke.t_to_x(h)  # all three readers take the X-basis form
     t1, t2 = _CHECK_RHO / (16 * q * q) * np.exp(1j * np.array(_CHECK_ANGLES).T)
@@ -223,17 +222,10 @@ def _series_trace(h, depth: int) -> dict:
 
 
 def cmd_walks(args) -> int:
-    from . import serialize, walks, weyl
-
-    try:
-        word = serialize.parse_word(args.type_word)
-        start = weyl.from_word(serialize.parse_word(args.start))
-        gallery = walks.enumerate_walks(word, start=start)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    word = serialize.parse_word(args.type_word)
+    start = weyl.from_word(serialize.parse_word(args.start))
     lines = []
-    for p in gallery:
+    for p in walks.enumerate_walks(word, start=start):
         lines.append(" | ".join([
             serialize.word_to_str(p.type_word),
             " ".join(p.tags) or "-",
@@ -242,30 +234,22 @@ def cmd_walks(args) -> int:
             "theta=" + (serialize.word_to_str(weyl.W0_WORDS[p.direction]) or '""'),
             f"folds={p.fold_count}",
         ]))
-    _emit(args, "\n".join(lines) if lines else "")
+    _emit(args, "\n".join(lines))
     return EXIT_OK
 
 
 def cmd_reps(args) -> int:
-    from . import reps
-
     q = _parse_q(args.q)
-    try:
-        parts = [float(x) for x in args.t.split(",")]
-        t = (complex(parts[0], parts[1]), complex(parts[2], parts[3]))
-    except (ValueError, IndexError):
-        print("error: --t expects re,im,re,im", file=sys.stderr)
-        return EXIT_USAGE
-    rep = reps.principal_series(q, t)
+    t = tuple(_parse_complex(args.t, "--t", 2))
     out = {
         "q": str(q),
         "t": [[t[0].real, t[0].imag], [t[1].real, t[1].imag]],
-        "max_relation_residual": reps.max_relation_residual(rep),
+        "max_relation_residual": reps.max_relation_residual(reps.principal_series(q, t)),
         "irreducible": reps.is_principal_irreducible(q, t),
     }
     if args.u is not None:
-        ur, ui = (float(x) for x in args.u.split(","))
-        rep3 = reps.induced_three_dim(q, complex(ur, ui))
+        [u] = _parse_complex(args.u, "--u", 1)
+        rep3 = reps.induced_three_dim(q, u)
         out["induced_max_relation_residual"] = reps.max_relation_residual(rep3)
     _emit(args, json.dumps(out, default=float))
     bad = out["max_relation_residual"] > 1e-12 or (
@@ -275,10 +259,6 @@ def cmd_reps(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    import numpy as np
-
-    from . import limit
-
     q = _parse_q(args.q)
     sd = limit.spectral_data(q)
     numeric = limit.eigen_surface((0.0, 0.0), q)
@@ -301,23 +281,12 @@ def cmd_spectrum(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "walk":
-            return cmd_walk(args)
-        if args.command == "trace":
-            return cmd_trace(args)
-        if args.command == "walks":
-            return cmd_walks(args)
-        if args.command == "reps":
-            return cmd_reps(args)
-        if args.command == "spectrum":
-            return cmd_spectrum(args)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_USAGE  # pragma: no cover
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
+import numpy as np
+
 from . import weyl
 from .weyl import (
     IDENTITY,
@@ -46,11 +48,9 @@ from .weyl import (
 __all__ = [
     "QSqrt", "ScalarField",
     "HeckeElement", "t_element", "x_element", "t_generator", "unit",
-    "rmul_gen", "mul", "trace", "star", "simple_walk",
-    "t_to_x", "x_to_t", "x_monomial_t_expansion",
+    "rmul_gen", "mul", "trace", "star", "simple_walk", "t_to_x", "x_to_t",
     "w0_poincare", "symmetrizer_one", "intertwiner_tau", "tau_element",
-    "macdonald_p", "poly_n", "poly_d", "apply_w0_to_poly",
-    "tau_expansion_at", "f_value", "orbit_characters",
+    "macdonald_p", "poly_d", "tau_expansion_at", "f_value", "orbit_characters",
     "TraceTable", "check_thickness",
 ]
 
@@ -702,8 +702,6 @@ def _component_char(t, z: int, e) -> complex:
 def _tau_module_apply(terms, q: float, t, vec):
     """Apply an X-basis element (numeric term list) to a vector in the
     localized rank-6 module with basis indexed by the finite group."""
-    import numpy as np
-
     sq = q ** 0.5
     quad = sq - 1 / sq
     out = np.zeros(6, dtype=complex)
@@ -762,8 +760,6 @@ def tau_expansion_at(h: HeckeElement, t):
 
     Raises ValueError near the singular set d(t) = 0; perturb t instead.
     """
-    import numpy as np
-
     q, terms = _localized_terms(h, t)
     out = np.zeros(6, dtype=complex)
     for u in range(6):

@@ -56,7 +56,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import hecke, reps, weyl
+from . import hecke, plancherel, reps, weyl
 from .weyl import IDENTITY, AffineElement
 
 __all__ = [
@@ -107,10 +107,20 @@ class StateSpace:
         return AffineElement((m, n), u)
 
 
+# the largest lattice box state_space builds: at 107-111 bytes per entry its
+# build peaks near 1.9 GB; the largest radius admitted is 2501
+_MAX_BOX_ENTRIES = 2 ** 24
+
+
 @functools.lru_cache(maxsize=2)
 def state_space(radius: int) -> StateSpace:
-    """The ball of the given radius, cached for the two latest radii."""
+    """The ball of the given radius, cached for the two latest radii.  Raises
+    ValueError before any allocation if its box exceeds _MAX_BOX_ENTRIES."""
     b = radius // 3 + 2
+    entries = (2 * b + 1) ** 2 * 6
+    if entries > _MAX_BOX_ENTRIES:
+        raise ValueError(f"radius {radius} needs a lattice box of {entries} entries, "
+                         f"above the limit of {_MAX_BOX_ENTRIES}")
     side = np.arange(-b, b + 1)
     grid = np.meshgrid(side, side, np.arange(6), indexing="ij", sparse=True)
     box_lengths = weyl.length_array(*grid)
@@ -616,8 +626,6 @@ def lemma34_check(theta, q) -> float:
 
     Raises on the degenerate directions where the comparison polynomial
     vanishes."""
-    from . import plancherel
-
     q = float(q)
     t1, t2 = theta
     g = t1 * t1 * t2 * t2 * (t1 + t2) ** 2

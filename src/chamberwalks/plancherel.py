@@ -355,6 +355,8 @@ def f_series(h: hecke.HeckeElement, t, depth: int):
     |t_i| over all points, times the largest |t1^lo_m t2^lo_n|; it is inf
     where that sum diverges, even if the series converges.
     """
+    if depth < 0:
+        raise ValueError(f"series depth must be >= 0, got {depth}")
     q = float(h.field.q)
     t1, t2 = np.asarray(t[0], dtype=complex), np.asarray(t[1], dtype=complex)
     r = max(np.abs(t1).max(), np.abs(t2).max())

@@ -61,7 +61,6 @@ def principal_generators(q, t1, t2):
     m1 = np.zeros((6, 6), dtype=complex)
     m2 = np.zeros((6, 6), dtype=complex)
     g0 = np.zeros((npts, 6, 6), dtype=complex)
-    phi = (1, 1)
     for u in range(6):
         for i, m in ((1, m1), (2, m2)):
             su = weyl.w0_mult(i, u)
@@ -69,7 +68,7 @@ def principal_generators(q, t1, t2):
             if weyl.w0_length(su) < weyl.w0_length(u):
                 m[u, u] += quad
         # affine generator
-        e = weyl.w0_apply(weyl.w0_inv(u), phi)
+        e = weyl.w0_apply(weyl.w0_inv(u), weyl.PHI_VEE)
         target = weyl.w0_mult(weyl.W0_LONGEST, u)
         g0[:, target, u] += t1 ** (-e[0]) * t2 ** (-e[1])
         if not weyl._is_negative_root(e):  # phi not an inversion of u
@@ -179,14 +178,15 @@ def p_matrix(rep: Representation) -> np.ndarray:
     return walk_operator(rep.q, rep.gens)
 
 
-def is_principal_irreducible(q, t, tol: float = 1e-12) -> bool:
+def is_principal_irreducible(q, t) -> bool:
     """Kato's criterion: irreducible iff t^(a) avoids q and 1/q for every
-    root a, i.e. none of t1, t2, t1*t2 equals q or 1/q."""
+    root a, i.e. none of t1, t2, t1*t2 equals q or 1/q to within
+    1e-12 max(1, q)."""
     q = float(q)
     vals = (complex(t[0]), complex(t[1]), complex(t[0]) * complex(t[1]))
     for v in vals:
         for bad in (q, 1.0 / q):
-            if abs(v - bad) <= tol * max(1.0, q):
+            if abs(v - bad) <= 1e-12 * max(1.0, q):
                 return False
     return True
 

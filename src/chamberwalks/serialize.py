@@ -10,9 +10,9 @@ from . import hecke, weyl
 from .weyl import AffineElement
 
 __all__ = [
-    "word_to_str", "parse_word", "element_to_obj", "element_from_obj",
-    "element_to_json", "element_from_json", "hecke_to_obj", "hecke_from_obj",
-    "hecke_to_json", "hecke_from_json", "format_float", "write_csv",
+    "word_to_str", "parse_word", "element_from_obj", "element_to_json",
+    "element_from_json", "hecke_to_obj", "hecke_to_json", "hecke_from_json",
+    "format_float", "write_csv",
 ]
 
 

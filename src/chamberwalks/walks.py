@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import hecke, weyl
 from .weyl import AffineElement, IDENTITY
 
@@ -126,8 +128,6 @@ def matrix_element_monomials(w: AffineElement, u: int, v: int, field):
 
 def walk_matrix(w: AffineElement, t, field):
     """Full 6x6 matrix of pi_t(T_{w^-1}) in the gallery basis."""
-    import numpy as np
-
     m = np.zeros((6, 6), dtype=complex)
     for u in range(6):
         for p in enumerate_walks(weyl.reduced_word(w), start=weyl.finite(u)):

@@ -96,6 +96,13 @@ def test_walk_bad_q(capsys):
     assert "zero denominator" in capsys.readouterr().err
 
 
+def test_walk_beyond_the_memory_limit(capsys):
+    # the ball of radius 10000 (n = 20000) is refused before it is built
+    assert cli.main(["walk", "llt", "--q", "2", "--n", "20000", "--word", ""]) == cli.EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: radius 10000 needs a lattice box")
+
+
 def test_walks_subcommand(capsys):
     code, out = run(capsys, ["walks", "--type", "1,2,1,0"])
     assert code == 0
@@ -154,6 +161,15 @@ def test_trace_series_estimate_bounds_error(capsys, tmp_path, q):
             data = json.loads(out)
             assert data["value"] == exact and data["abs_err_estimate"] == 0.0
             assert data["check_deviation"] <= data["check_bound"], (k, depth, data)
+
+
+def test_trace_series_negative_depth(capsys, tmp_path):
+    path = tmp_path / "aa.json"
+    _write_aa_star(path, "3", ((1, 0), (2,)))
+    argv = ["trace", "--method", "series", "--depth", "-1", "--element", str(path)]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: series depth must be >= 0, got -1\n"
 
 
 def test_trace_series_check_exit_code(capsys, tmp_path, monkeypatch):
@@ -246,6 +262,18 @@ def test_reps_check(capsys):
     assert data["max_relation_residual"] < 1e-12
     assert data["induced_max_relation_residual"] < 1e-12
     assert data["irreducible"] is True
+
+
+def test_reps_check_coordinate_count(capsys):
+    """--t takes exactly four numbers and --u exactly two; another count is
+    a usage error, not a crash or a silently dropped number."""
+    base = ["reps", "check", "--q", "2"]
+    for flags, err in ((["--t", "0.5,0.5,0.3,0.1", "--u", "1"], "--u expects re,im"),
+                       (["--t", "0.5,0.5,0.3,0.1,7"], "--t expects re,im,re,im"),
+                       (["--t", "0.5,0.5,0.3,x"], "--t expects re,im,re,im")):
+        assert cli.main(base + flags) == cli.EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"error: {err}\n"
 
 
 def test_reps_check_reducible_point(capsys):

@@ -1,9 +1,11 @@
-"""Every name a module exports through __all__ exists, and every private
-helper a docstring names is defined, so a deleted helper cannot linger as a
-stale export or a stale reference."""
+"""Every name a module exports through __all__ exists and is used outside
+its module, every private helper a docstring names is defined, so a deleted
+helper cannot linger as a stale export or a stale reference, and every
+module imports at its top."""
 
 import ast
 import importlib
+import inspect
 import pathlib
 import re
 
@@ -13,12 +15,50 @@ import chamberwalks
 
 MODULES = ["chamberwalks"] + [f"chamberwalks.{name}" for name in chamberwalks.__all__]
 SRC = pathlib.Path(chamberwalks.__file__).resolve().parent
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_all_names_exist(module):
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_exports_are_named_outside_their_module():
+    """Every exported function or constant is named by another module of the
+    package, a script, a test or the benchmark; one that only its own module
+    names is a helper, not surface.  Classes are exempt: they are the types
+    the surface returns."""
+    paths = [*SRC.glob("*.py"), *(path for folder in ("scripts", "tests", "perfbench")
+                                  for path in (ROOT / folder).rglob("*.py"))]
+    texts = {path.resolve(): path.read_text() for path in paths}
+    unnamed = []
+    for module in chamberwalks.__all__:
+        mod = importlib.import_module(f"chamberwalks.{module}")
+        own = SRC / f"{module}.py"
+        for name in mod.__all__:
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            if not inspect.isclass(getattr(mod, name)) and not any(
+                    word.search(text) for path, text in texts.items() if path != own):
+                unnamed.append(f"{module}.{name}")
+    assert unnamed == []
+
+
+def test_no_function_imports_locally():
+    """A function-local import saves nothing once the package __init__ has
+    loaded every module and numpy.  The one exception is the executor of the
+    Monte Carlo's draw thread, which importing the package does not load."""
+    local = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Import):
+                        local += [(path.stem, fn.name, alias.name) for alias in node.names]
+                    elif isinstance(node, ast.ImportFrom):
+                        module = "." * node.level + (node.module or "")
+                        local.append((path.stem, fn.name, module))
+    assert local == [("limit", "mc_simulate", "concurrent.futures")]
 
 
 def _docstring_names_and_definitions():

@@ -267,6 +267,13 @@ def test_state_space_cache_is_bounded():
     assert L.state_space(bound + 3) is L.state_space(bound + 3)
 
 
+def test_state_space_refuses_an_oversized_box():
+    """Radius 10000 would need a box of 2.7e8 entries (about 28 GB): it
+    raises before allocating anything."""
+    with pytest.raises(ValueError, match="radius 10000 needs a lattice box of 267013446"):
+        L.state_space(10_000)
+
+
 def test_lookups_outside_the_ball():
     """Elements one step beyond the radius, far outside the lookup box, and
     one box width below a supported element (where a negative index would

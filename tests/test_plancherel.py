@@ -259,6 +259,9 @@ def test_f_series_domain_guard(field2):
         P.f_series(H.unit(field2), (0.9, 0.05), 5)
     with pytest.raises(ValueError):
         P.f_series(H.unit(field2), (np.array([0.05, 0.9]), 0.05), 5)
+    # a negative depth would sum an empty coefficient grid
+    with pytest.raises(ValueError, match="depth"):
+        P.f_series(H.unit(field2), (0.05, 0.05), -1)
 
 
 def _f_series_by_terms(h, t, depth):
