@@ -284,6 +284,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
+    except OverflowError:
+        # the floats the commands form from q are its powers and their ratios
+        q = getattr(args, "q", None)
+        print(f"error: {'q' if q is None else '--q ' + q} is too large: a power of q "
+              "overflows a double", file=sys.stderr)
+        return EXIT_USAGE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

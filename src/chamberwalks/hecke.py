@@ -35,7 +35,7 @@ from .weyl import (
     POS_ROOTS,
     SIMPLE_ROOTS,
     W0_WORDS,
-    length,
+    is_ascent,
     pairing,
     reduced_word,
     right_mul_gen,
@@ -203,6 +203,8 @@ class ScalarField:
         self._xw_cache = {}
         self._tux_cache = {}
         self._fin_inv_cache = {}
+        self._fin_mul_table = None
+        self._fin_t0_cache = {}
         self.qn, self.qd = self.q.numerator, self.q.denominator
         self.rational_root = _rational_sqrt(self.q)
         self.zero = self.make(0)
@@ -334,8 +336,7 @@ def rmul_gen(h: HeckeElement, i: int, inverse: bool = False) -> HeckeElement:
     out = {}
     for w, c in h.terms.items():
         ws = right_mul_gen(w, i)
-        up = length(ws) > length(w)
-        if up:
+        if is_ascent(w, i):
             _acc(out, ws, c)
             if inverse:
                 _acc(out, w, -(c * quad))
@@ -357,11 +358,11 @@ def mul(h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
     a time along its reduced words."""
     if h1.basis != "T" or h2.basis != "T":
         raise ValueError("mul expects both factors in the T-basis")
-    field = h1.field
-    out = HeckeElement("T", {}, field)
+    out = {}
     for w, c in h2.terms.items():
-        out = out + rmul_word(h1, reduced_word(w)).scaled(c)
-    return out
+        for k, v in rmul_word(h1, reduced_word(w)).terms.items():
+            _acc(out, k, v * c)
+    return HeckeElement("T", out, h1.field)
 
 
 def trace(h: HeckeElement):
@@ -430,14 +431,18 @@ def _left_mul_gen_x(terms: dict, i: int, field) -> dict:
     return out
 
 
-def _rmul_fin_gen_x(terms: dict, j: int, field) -> dict:
+def _rmul_fin_gen_x(terms: dict, j: int, field, inverse: bool = False) -> dict:
+    """(sum over x^mu T_z terms) * T_j, or * T_j^(-1) = T_j - quad, j in {1, 2}."""
     quad = field.quad
     out = {}
     for (mu, z), c in terms.items():
         zs = w0_mult(z, j)
         _acc(out, (mu, zs), c)
         if w0_length(zs) < w0_length(z):
-            _acc(out, (mu, z), c * quad)
+            if not inverse:
+                _acc(out, (mu, z), c * quad)
+        elif inverse:
+            _acc(out, (mu, z), -(c * quad))
     return out
 
 
@@ -453,22 +458,52 @@ def _tu_times_xmonomial(field, u: int, nu) -> dict:
     return cached
 
 
+def _finite_products(field) -> tuple:
+    """T_z T_v in the finite subalgebra for all z, v in W0, as
+    table[z][v] = ((z', coeff), ...); built once per field, each T_z T_v as
+    T_z T_v' T_j from the prefix v' of the reduced word of v = v' s_j."""
+    if field._fin_mul_table is None:
+        table = []
+        for z in range(6):
+            row = [{((0, 0), z): field.one}]
+            for word in W0_WORDS[1:]:   # ordered by length: each prefix comes first
+                row.append(_rmul_fin_gen_x(row[weyl.w0_from_word(word[:-1])], word[-1], field))
+            table.append(tuple(tuple((z2, c) for (_, z2), c in terms.items()) for terms in row))
+        field._fin_mul_table = tuple(table)
+    return field._fin_mul_table
+
+
 def bernstein_mul(h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
-    """Product in the Bernstein basis."""
+    """Product in the Bernstein basis, grouped: h1 = sum over u of
+    (sum c x^mu) T_u and h2 = sum over nu of x^nu B_nu with B_nu = sum c_v
+    T_v finite.  T_u h2 is formed once per u, from T_u x^nu (cached per
+    field) times B_nu through the table of finite products T_z T_v, and
+    each x^mu of u shifts it."""
     if h1.basis != "X" or h2.basis != "X":
         raise ValueError("bernstein_mul expects both factors in the X-basis")
     field = h1.field
+    products = _finite_products(field)
+    left = {}
+    for (mu, u), c in h1.terms.items():
+        left.setdefault(u, []).append((mu, c))
+    right_rows = {}     # T_z B_nu for each nu and z, as dicts z' -> coeff
+    for (nu, v), c in h2.terms.items():
+        rows = right_rows.get(nu)
+        if rows is None:
+            rows = right_rows[nu] = [{} for _ in range(6)]
+        for z, row in enumerate(rows):
+            for z2, cz in products[z][v]:
+                _acc(row, z2, c * cz)
     out = {}
-    for (mu, u), c1 in h1.terms.items():
-        for (nu, v), c2 in h2.terms.items():
-            c = c1 * c2
-            mid = _tu_times_xmonomial(field, u, nu)
-            if v:
-                mid = dict(mid)
-                for j in W0_WORDS[v]:
-                    mid = _rmul_fin_gen_x(mid, j, field)
+    for u, lattice_part in left.items():
+        mid = {}    # T_u h2
+        for nu, rows in right_rows.items():
+            for (gamma, z), cm in _tu_times_xmonomial(field, u, nu).items():
+                for z2, c in rows[z].items():
+                    _acc(mid, (gamma, z2), cm * c)
+        for mu, c1 in lattice_part:
             for (gamma, z), cm in mid.items():
-                _acc(out, ((gamma[0] + mu[0], gamma[1] + mu[1]), z), c * cm)
+                _acc(out, ((gamma[0] + mu[0], gamma[1] + mu[1]), z), c1 * cm)
     return HeckeElement("X", out, field)
 
 
@@ -477,32 +512,41 @@ def bernstein_mul(h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
 # ---------------------------------------------------------------------------
 
 
-def _gen_x_form(field, i: int) -> HeckeElement:
-    """Generator T_i written in the Bernstein basis.
-
-    For i in {1, 2} this is x^0 T_i.  The affine generator equals the
-    gallery element x_{s0} = x^(phi^vee) (T_{s_phi})^(-1), because the single
-    step of its unfolded gallery is a positive crossing.
-    """
-    if i in (1, 2):
-        return HeckeElement("X", {((0, 0), i): field.one}, field)
-    inv = finite_inverse(field, weyl.W0_LONGEST)
-    return HeckeElement(
-        "X", {(weyl.PHI_VEE, z): c for z, c in inv.items()}, field
-    )
+def _finite_times_t0(field, u: int) -> dict:
+    """T_u T_0 in the Bernstein basis, cached per field.  The affine
+    generator T_0 equals the gallery element x_{s0} = x^(phi^vee)
+    (T_{s_phi})^(-1), because the single step of its unfolded gallery is a
+    positive crossing; s_phi = s_1 s_2 s_1 reads the same backwards, so
+    T_u T_0 is T_u x^(phi^vee) times T_1^(-1) T_2^(-1) T_1^(-1)."""
+    cached = field._fin_t0_cache.get(u)
+    if cached is None:
+        cached = _tu_times_xmonomial(field, u, weyl.PHI_VEE)
+        for j in W0_WORDS[weyl.W0_LONGEST]:
+            cached = _rmul_fin_gen_x(cached, j, field, inverse=True)
+        field._fin_t0_cache[u] = cached
+    return cached
 
 
 def _t_word_to_x(field, w: AffineElement) -> HeckeElement:
+    """T_w in the Bernstein basis, as T_(w s_i) T_i for the last letter i of
+    the reduced word of w; cached per field.  Each term x^mu T_u of T_(w s_i)
+    becomes x^mu (T_u T_i): a finite generator multiplies the finite part
+    alone, and T_u T_0 comes from _finite_times_t0."""
     cached = field._tx_cache.get(w)
     if cached is None:
         word = reduced_word(w)
         if not word:
             cached = unit(field, "X")
         else:
-            prefix = weyl.from_word(word[:-1])
-            cached = bernstein_mul(
-                _t_word_to_x(field, prefix), _gen_x_form(field, word[-1])
-            )
+            prefix = _t_word_to_x(field, weyl.from_word(word[:-1])).terms
+            if word[-1]:
+                terms = _rmul_fin_gen_x(prefix, word[-1], field)
+            else:
+                terms = {}
+                for (mu, u), c in prefix.items():
+                    for (gamma, z), cm in _finite_times_t0(field, u).items():
+                        _acc(terms, ((gamma[0] + mu[0], gamma[1] + mu[1]), z), c * cm)
+            cached = HeckeElement("X", terms, field)
         field._tx_cache[w] = cached
     return cached
 
@@ -512,10 +556,11 @@ def t_to_x(h: HeckeElement) -> HeckeElement:
     if h.basis != "T":
         raise ValueError("t_to_x expects the T-basis")
     field = h.field
-    out = HeckeElement("X", {}, field)
+    out = {}
     for w, c in h.terms.items():
-        out = out + _t_word_to_x(field, w).scaled(c)
-    return out
+        for k, v in _t_word_to_x(field, w).terms.items():
+            _acc(out, k, v * c)
+    return HeckeElement("X", out, field)
 
 
 def x_monomial_t_expansion(field, mu) -> HeckeElement:
@@ -539,12 +584,12 @@ def x_to_t(h: HeckeElement) -> HeckeElement:
     if h.basis != "X":
         raise ValueError("x_to_t expects the X-basis")
     field = h.field
-    out = HeckeElement("T", {}, field)
+    out = {}
     for (mu, u), c in h.terms.items():
-        piece = x_monomial_t_expansion(field, mu)
-        piece = rmul_word(piece, W0_WORDS[u])
-        out = out + piece.scaled(c)
-    return out
+        piece = rmul_word(x_monomial_t_expansion(field, mu), W0_WORDS[u])
+        for k, v in piece.terms.items():
+            _acc(out, k, v * c)
+    return HeckeElement("T", out, field)
 
 
 # ---------------------------------------------------------------------------
@@ -670,8 +715,20 @@ def macdonald_p(field, mu) -> HeckeElement:
 # ---------------------------------------------------------------------------
 
 
+def _power(z, k: int) -> complex:
+    """z^k; a negative power is taken as a power of conj(z)/|z|^2, which is
+    1/z at every z != 0.  Formed so, at a point of the unit torus the six
+    characters of orbit_characters pair off exactly: each equals another
+    with its coordinates conjugated and swapped, to the last bit.  A
+    division breaks that by a rounding, which near a wall moved one f_value
+    term by 5.8e-5 (see the decisions ledger)."""
+    if k >= 0:
+        return z ** k
+    return (z.conjugate() / (z.real * z.real + z.imag * z.imag)) ** -k
+
+
 def _char_pow(t, e) -> complex:
-    return t[0] ** e[0] * t[1] ** e[1]
+    return _power(t[0], e[0]) * _power(t[1], e[1])
 
 
 def _w0_on_character(u: int, t):
@@ -694,51 +751,55 @@ def n_at(q: float, t) -> complex:
     return out
 
 
-def _component_char(t, z: int, e) -> complex:
-    """Value of x^e on the tau_z component: t^(z^-1 e)."""
-    return _char_pow(t, w0_apply(w0_inv(z), e))
+# The localized module at a character t has the basis tau_z (z in W0), and
+# x^e acts on tau_z by t^(z^-1 e).  For i in {1, 2} and each z, _GEN_STEPS[i][z]
+# holds s_i z, whether s_i z is longer than z, and the root z^-1(-a_i^vee)
+# whose character T_i reads on tau_z (on tau_(s_i z) it reads its negative).
+_GEN_STEPS = {
+    i: tuple((w0_mult(i, z), w0_length(w0_mult(i, z)) > w0_length(z),
+              w0_apply(w0_inv(z), (-av[0], -av[1]))) for z in range(6))
+    for i, av in zip((1, 2), _COROOT)
+}
+# each element of W0 after its first generator, W0_WORDS being ordered by length
+_WORD_TAIL = tuple(weyl.w0_from_word(word[1:]) for word in W0_WORDS)
 
 
-def _tau_module_apply(terms, q: float, t, vec):
-    """Apply an X-basis element (numeric term list) to a vector in the
-    localized rank-6 module with basis indexed by the finite group."""
+def _module_columns(q: float, t):
+    """The six columns T_u tau_e (u in W0) of the localized module at t, as
+    cols[u][z].  With y = t^(z^-1(-a_i^vee)),
+
+        T_i tau_z = a tau_(s_i z) + quad/(1 - y) tau_z,
+
+    a = 1/(1 - 1/y) when s_i z > z and a = q (1 - 1/(q y))(1 - y/q)/(1 - 1/y)
+    when s_i z < z.  The two generator matrices are built once from the
+    characters of the six roots, and each column is one generator applied
+    to the column of a shorter element."""
     sq = q ** 0.5
     quad = sq - 1 / sq
-    out = np.zeros(6, dtype=complex)
-    for (mu, u), c in terms:
-        cur = np.array(vec, dtype=complex)
-        # T_u: apply generators right-to-left
-        for i in reversed(W0_WORDS[u]):
-            av = _COROOT[i - 1]
-            nxt = np.zeros(6, dtype=complex)
-            for z in range(6):
-                comp = cur[z]
-                if comp == 0:
-                    continue
-                sz = w0_mult(i, z)
-                up = w0_length(sz) > w0_length(z)
-                pole_new = 1 - _component_char(t, sz, (-av[0], -av[1]))
-                pole_old = 1 - _component_char(t, z, (-av[0], -av[1]))
-                if up:
-                    nxt[sz] += comp / pole_new
-                else:
-                    g = q * (1 - _component_char(t, sz, (-av[0], -av[1])) / q) * (
-                        1 - _component_char(t, sz, av) / q
-                    )
-                    nxt[sz] += comp * g / pole_new
-                nxt[z] += comp * quad / pole_old
-            cur = nxt
-        for z in range(6):
-            if cur[z] != 0:
-                cur[z] *= _component_char(t, z, mu)
-        out += c * cur
-    return out
+    char = {e: _char_pow(t, e) for a, b in POS_ROOTS for e in ((a, b), (-a, -b))}
+    gens = {}
+    for i, steps in _GEN_STEPS.items():
+        gens[i] = []
+        for sz, up, e in steps:
+            y, y_inv = char[e], char[-e[0], -e[1]]
+            pole = 1 - y_inv
+            a = 1 / pole if up else q * (1 - y_inv / q) * (1 - y / q) / pole
+            gens[i].append((sz, a, quad / (1 - y)))
+    cols = [[1, 0, 0, 0, 0, 0]]
+    for u in range(1, 6):
+        step = gens[W0_WORDS[u][0]]
+        col = [0] * 6
+        for z, c in enumerate(cols[_WORD_TAIL[u]]):
+            if c:
+                sz, across, diagonal = step[z]
+                col[sz] += c * across
+                col[z] += c * diagonal
+        cols.append(col)
+    return cols
 
 
 # |d(t)| below which a character counts as singular
 _SINGULAR_TOL = 1e-10
-# the basis vector of the identity in the localized rank-6 module
-_IDENTITY_VEC = (1, 0, 0, 0, 0, 0)
 
 
 def _localized_terms(h: HeckeElement, t):
@@ -754,25 +815,31 @@ def _localized_terms(h: HeckeElement, t):
     return q, [(key, complex(c)) for key, c in hx.terms.items()]
 
 
+def _module_component(terms, q: float, t, z: int) -> complex:
+    """Component z of h tau_e in the localized module at t, from the numeric
+    X-basis terms c x^mu T_u of h: the sum of c (T_u tau_e)_z t^(z^-1 mu)."""
+    cols = _module_columns(q, t)
+    zi = w0_inv(z)
+    return sum(c * cols[u][z] * _char_pow(t, w0_apply(zi, mu)) for (mu, u), c in terms)
+
+
 def tau_expansion_at(h: HeckeElement, t):
     """Coefficients (p_u(t)/d(t))_u of h in the intertwiner basis, evaluated
-    at a generic character t = (t1, t2).
+    at a generic character t = (t1, t2): coefficient u is component u of
+    h tau_e in the localized module at the character u^-1 t.
 
     Raises ValueError near the singular set d(t) = 0; perturb t instead.
     """
     q, terms = _localized_terms(h, t)
-    out = np.zeros(6, dtype=complex)
-    for u in range(6):
-        s = _w0_on_character(w0_inv(u), t)
-        out[u] = _tau_module_apply(terms, q, s, _IDENTITY_VEC)[u]
-    return out
+    return np.array([_module_component(terms, q, _w0_on_character(w0_inv(u), t), u)
+                     for u in range(6)], dtype=complex)
 
 
 def f_value(h: HeckeElement, t) -> complex:
     """The normalized trace-generating-function coefficient f_t(h): the
     identity component of h in the localized intertwiner basis."""
     q, terms = _localized_terms(h, t)
-    return complex(_tau_module_apply(terms, q, t, _IDENTITY_VEC)[0])
+    return complex(_module_component(terms, q, t, 0))
 
 
 def orbit_characters(t):

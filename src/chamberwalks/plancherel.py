@@ -6,11 +6,12 @@ The quadrature grid offsets every node by half a step, so no node lies on
 the walls t1 = 1 or t2 = 1.  The third wall t1 t2 = 1 is not avoided: the N
 nodes with k1 + k2 = N - 1 lie on it up to rounding (|t1 t2 - 1| is below
 1.2e-15 for N <= 256), and ``c_value`` raises at some of them.  The weight
-1/|c|^2 vanishes on the walls, and ``_weights`` takes it as |d/n|^2 from
-``hecke.d_at`` and ``hecke.n_at``, whose product form stays finite there:
-below 1e-28 on those nodes, so the quadrature sums are unaffected.  The
-integrands are smooth and periodic, so the product trapezoid rule converges
-faster than any power of 1/N.
+1/|c|^2 vanishes on the walls, and ``_grid_weights`` takes it as the
+product f(t1) f(t2) f(t1 t2) of one factor per positive root.  On the grid
+t1 t2 is a plain N-th root of unity, where the third factor is evaluated
+directly, so the weight is exactly 0 on those nodes (f(1) = 0).  The
+integrands are smooth and periodic, so the product trapezoid rule
+converges faster than any power of 1/N.
 
 The characters of a Hecke element are Laurent polynomials in the torus
 parameters, so each quadrature sum is a finite contraction sum_nu a_nu m_nu:
@@ -80,11 +81,26 @@ def _grid_nodes(n: int):
     return _offset_nodes(n)
 
 
-def _weights(q: float, t1, t2, u):
-    """The Plancherel weights 1/|c|^2 = |d/n|^2 at the torus points (t1, t2)
-    and 1/|c1|^2 at the circle points u, as real arrays."""
-    return (np.abs(hecke.d_at(q, (t1, t2)) / hecke.n_at(q, (t1, t2))) ** 2,
-            np.abs(c1_value(q, u)) ** -2)
+def _root_factor(q: float, z):
+    """f(z) = |1 - z|^2 / |1 - z/q|^2 at points z of the unit circle: the
+    factor of one positive root in 1/|c|^2."""
+    return np.abs(1 - z) ** 2 / np.abs(1 - z / q) ** 2
+
+
+def _grid_weights(q: float, n: int):
+    """The Plancherel weights on the offset grid of n >= 16 nodes per circle:
+    1/|c|^2 (n^2, flat in the order of _torus_pairs) and 1/|c1|^2 (n).  On
+    the unit torus |1 - t^-a| = |1 - t^a|, so 1/|c|^2 = |d/n|^2 is the
+    product f(t1) f(t2) f(t1 t2) of _root_factor over the positive roots.
+    The nodes k1, k2 have t1 t2 = e^(2 pi i (k1 + k2 + 1)/n), a plain n-th
+    root of unity, so f is evaluated at n offset nodes and n roots of unity,
+    and the third factor is read at (k1 + k2 + 1) mod n.  It is exactly 0 at
+    the root 1, on the nodes k1 + k2 = n - 1 of the wall t1 t2 = 1."""
+    u = _grid_nodes(n)
+    k = np.arange(n)
+    diagonal = _root_factor(q, np.exp(2j * np.pi * k / n))[(k[:, None] + k + 1) % n]
+    offset = _root_factor(q, u)
+    return (np.outer(offset, offset) * diagonal).reshape(-1), np.abs(c1_value(q, u)) ** -2
 
 
 def _terms(q: float, avg6, avg3, chi_sign):
@@ -107,12 +123,10 @@ def _over_principal(q: float, t1, t2, f):
 
 @functools.lru_cache(maxsize=16)
 def _moment_tables(q: float, n: int):
-    """The inverse FFTs of the Plancherel weights of _weights, 1/|c|^2
-    (N x N, indexed [k1, k2] as t1, t2) and 1/|c1|^2 (N), over the offset
-    grid of _grid_nodes: the raw tables behind _moment.  Cached per (q, N),
-    read-only."""
-    u = _grid_nodes(n)
-    w6, w3 = _weights(q, *_torus_pairs(u), u)
+    """The inverse FFTs of the Plancherel weights of _grid_weights, 1/|c|^2
+    (N x N, indexed [k1, k2] as t1, t2) and 1/|c1|^2 (N): the raw tables
+    behind _moment.  Cached per (q, N), read-only."""
+    w6, w3 = _grid_weights(q, n)
     tables = (np.fft.ifft2(w6.reshape(n, n)), np.fft.ifft(w3))
     for table in tables:
         table.setflags(write=False)
@@ -294,10 +308,10 @@ def spectral_return_probabilities(q: float, ns, n_grid: int = 256):
     distinct = sorted(set(ns))
     k = min(n_grid, 2 * max(distinct, default=0) + 1)
     half = (k * k + 1) // 2
-    # the N grid checks N here; for K < N the moments do
-    u = _grid_nodes(n_grid) if k == n_grid else _offset_nodes(k)
+    u = _offset_nodes(k)
     t1, t2 = (t[:half] for t in _torus_pairs(u))
-    w6, w3 = (_weights(q, t1, t2, u) if k == n_grid
+    # either one checks the N grid
+    w6, w3 = (_grid_weights(q, n_grid) if k == n_grid
               else _interpolated_weights(q, n_grid, k))
     w6 = 2.0 * w6[:half]
     if k % 2:

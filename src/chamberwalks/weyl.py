@@ -32,7 +32,7 @@ __all__ = [
     "pairing", "w0_mult", "w0_inv", "w0_length", "w0_apply",
     "w0_from_word", "inversion_set",
     "multiply", "inverse", "right_mul_gen", "translation", "finite",
-    "length", "length_array", "right_mul_gen_array",
+    "length", "is_ascent", "length_array", "right_mul_gen_array",
     "reduced_word", "from_word", "is_reduced",
     "bruhat_leq", "dominance_leq",
     "barycenter", "crossing_data", "ball",
@@ -196,6 +196,29 @@ def length(w: AffineElement) -> int:
     return total
 
 
+# The affine simple roots alpha_i = (b, k), the function x -> <x, b> + k
+# that is positive on the fundamental alcove: (a_1, 0), (a_2, 0), (-phi, 1).
+# _ASCENT[u][i] holds (u b, k, [u b > 0]), the part of t_mu u (alpha_i) that
+# does not depend on mu.
+_ASCENT = tuple(
+    tuple((ub, k, not _is_negative_root(ub))
+          for ub, k in ((w0_apply(u, (-1, -1)), 1),
+                        (w0_apply(u, SIMPLE_ROOTS[0]), 0),
+                        (w0_apply(u, SIMPLE_ROOTS[1]), 0)))
+    for u in range(6)
+)
+
+
+def is_ascent(w: AffineElement, i: int) -> bool:
+    """length(w s_i) > length(w), without computing either length.  The
+    step is an ascent exactly when the affine root w(alpha_i) is positive;
+    for w = t_mu u and alpha_i = (b, k) that root is (u b, k - <mu, u b>),
+    positive when its constant is > 0, or is 0 and u b is a positive root."""
+    root, k, positive = _ASCENT[w.u][i]
+    m = k - pairing(w.mu, root)
+    return m > 0 or (m == 0 and positive)
+
+
 # Array forms of right_mul_gen and length over integer arrays m, n, u (any
 # broadcastable shapes), for building whole state spaces at once.
 _MULT_ARRAY = np.array(W0_MULT)
@@ -223,23 +246,16 @@ def length_array(m, n, u):
     )
 
 
-def _descent(w: AffineElement, i: int) -> bool:
-    return length(right_mul_gen(w, i)) < length(w)
-
-
 def reduced_word(w: AffineElement) -> tuple:
     """Reduced word over {0,1,2}, lexicographically smallest descent first
     when read from the right (so the result is deterministic)."""
     letters = []
     cur = w
-    cur_len = length(cur)
-    while cur_len > 0:
+    for _ in range(length(w)):
         for i in (0, 1, 2):
-            nxt = right_mul_gen(cur, i)
-            nxt_len = length(nxt)
-            if nxt_len < cur_len:
+            if not is_ascent(cur, i):
                 letters.append(i)
-                cur, cur_len = nxt, nxt_len
+                cur = right_mul_gen(cur, i)
                 break
         else:  # pragma: no cover - impossible for a nontrivial element
             raise AssertionError("element of positive length with no descent")
@@ -265,7 +281,7 @@ def bruhat_leq(v: AffineElement, w: AffineElement) -> bool:
         return False
     x = v
     for i in reversed(reduced_word(w)):
-        if _descent(x, i):
+        if not is_ascent(x, i):
             x = right_mul_gen(x, i)
     return x == IDENTITY
 

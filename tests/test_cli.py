@@ -96,6 +96,19 @@ def test_walk_bad_q(capsys):
     assert "zero denominator" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, q", [
+    (["walk", "llt", "--q", "1e300", "--n", "4", "--word", "0,1"], "1e300"),
+    (["spectrum", "--q", "1e400"], "1e400"),
+])
+def test_huge_q_is_a_usage_error(capsys, argv, q):
+    """q^l(w) = 1e600 and float(1e400) overflow a double: one error line that
+    names q, exit 2, no traceback and nothing on stdout."""
+    assert cli.main(argv) == cli.EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: --q {q} is too large") and out.err.count("\n") == 1
+
+
 def test_walk_beyond_the_memory_limit(capsys):
     # the ball of radius 10000 (n = 20000) is refused before it is built
     assert cli.main(["walk", "llt", "--q", "2", "--n", "20000", "--word", ""]) == cli.EXIT_USAGE

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chamberwalks import hecke as H
+from chamberwalks import reps as R
 from chamberwalks import weyl as W
 
 
@@ -283,6 +285,55 @@ def test_cross_basis_oracle(q):
         assert H.t_to_x(H.mul(a, b)) == H.bernstein_mul(H.t_to_x(a), H.t_to_x(b))
 
 
+def _per_pair_bernstein_mul(h1, h2):
+    """The Bernstein product one term pair at a time: T_u x^nu from the
+    cache, right-multiplied by T_v one generator at a time, then shifted by
+    mu and scaled by c1 c2."""
+    field = h1.field
+    out = {}
+    for (mu, u), c1 in h1.terms.items():
+        for (nu, v), c2 in h2.terms.items():
+            mid = H._tu_times_xmonomial(field, u, nu)
+            for j in W.W0_WORDS[v]:
+                mid = H._rmul_fin_gen_x(mid, j, field)
+            for (gamma, z), cm in mid.items():
+                H._acc(out, ((gamma[0] + mu[0], gamma[1] + mu[1]), z), c1 * c2 * cm)
+    return H.HeckeElement("X", out, field)
+
+
+def _random_x_element(rng, field, size):
+    """Random X-basis terms: lattice parts in [-2, 2]^2 (repeated, so that
+    terms share mu and nu), all six finite parts, coefficients in
+    Q(sqrt(q))."""
+    return H.x_element(field, [
+        (((rng.randint(-2, 2), rng.randint(-2, 2)), rng.randrange(6)),
+         field.make(Fraction(rng.randint(-3, 3), rng.randint(1, 2)), rng.randint(-1, 1)))
+        for _ in range(size)])
+
+
+@pytest.mark.parametrize("q", [2, 3, Fraction(5, 2)])
+def test_grouped_bernstein_mul_matches_per_pair_oracle(q, ball4):
+    F = H.ScalarField(q)
+    rng = random.Random(29)
+    elems = sorted(ball4, key=lambda w: (w.mu, w.u))
+    for _ in range(12):
+        a = H.t_to_x(H.t_element(F, [(rng.choice(elems), F.make(rng.randint(1, 3)))
+                                     for _ in range(3)]))
+        b = H.t_to_x(H.t_element(F, [(rng.choice(elems), F.make(rng.randint(1, 3)))
+                                     for _ in range(3)]))
+        assert H.bernstein_mul(a, b) == _per_pair_bernstein_mul(a, b)
+    for size in (1, 4, 12):
+        a, b = _random_x_element(rng, F, size), _random_x_element(rng, F, size)
+        assert H.bernstein_mul(a, b) == _per_pair_bernstein_mul(a, b)
+        assert H.bernstein_mul(b, a) == _per_pair_bernstein_mul(b, a)
+
+
+def test_is_ascent_matches_lengths(ball8):
+    for w in ball8:
+        for i in (0, 1, 2):
+            assert W.is_ascent(w, i) == (W.length(W.right_mul_gen(w, i)) > W.length(w))
+
+
 # ---------------------------------------------------------------------------
 # Symmetrizer, intertwiners, spherical functions.
 # ---------------------------------------------------------------------------
@@ -394,6 +445,80 @@ def test_tau_expansion_singular_rejected(field2):
     F = field2
     with pytest.raises(ValueError):
         H.tau_expansion_at(H.unit(F, "X"), (1.0, 0.5))
+
+
+def _per_term_module_apply(terms, q, t, vec):
+    """h vec in the localized rank-6 module at t, one X-term c x^mu T_u at a
+    time: T_u by its generators right to left, each reading its characters
+    t^(z^-1 e) afresh, then x^mu componentwise."""
+    def char(z, e):
+        e = W.w0_apply(W.w0_inv(z), e)
+        return t[0] ** e[0] * t[1] ** e[1]
+
+    quad = q ** 0.5 - q ** -0.5
+    out = np.zeros(6, dtype=complex)
+    for (mu, u), c in terms:
+        cur = np.array(vec, dtype=complex)
+        for i in reversed(W.W0_WORDS[u]):
+            av = W.SIMPLE_ROOTS[i - 1]
+            neg = (-av[0], -av[1])
+            nxt = np.zeros(6, dtype=complex)
+            for z in range(6):
+                if cur[z] == 0:
+                    continue
+                sz = W.w0_mult(i, z)
+                pole_new = 1 - char(sz, neg)
+                if W.w0_length(sz) > W.w0_length(z):
+                    nxt[sz] += cur[z] / pole_new
+                else:
+                    g = q * (1 - char(sz, neg) / q) * (1 - char(sz, av) / q)
+                    nxt[sz] += cur[z] * g / pole_new
+                nxt[z] += cur[z] * quad / (1 - char(z, neg))
+            cur = nxt
+        for z in range(6):
+            cur[z] *= char(z, mu)
+        out += c * cur
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, Fraction(5, 2)])
+def test_module_columns_match_per_term_oracle(q, ball4):
+    """f_value and tau_expansion_at against the module action term by term,
+    on and off the unit torus."""
+    F = H.ScalarField(q)
+    rng = random.Random(41)
+    elems = sorted(ball4, key=lambda w: (w.mu, w.u))
+    points = [(np.exp(0.7j), np.exp(-1.9j)), (np.exp(2.2j), np.exp(0.4j)),
+              (0.6 * np.exp(0.3j), 1.7 * np.exp(-1.1j)), (0.05, 0.04 + 0.02j),
+              (1.3 + 0.4j, -0.5 + 0.9j)]
+    e0 = (1, 0, 0, 0, 0, 0)
+    for t in points:
+        for _ in range(4):
+            h = H.t_element(F, [(rng.choice(elems), F.make(rng.randint(1, 3)))
+                                for _ in range(3)])
+            terms = [(key, complex(c)) for key, c in H.t_to_x(h).terms.items()]
+            want = _per_term_module_apply(terms, float(q), t, e0)[0]
+            assert abs(H.f_value(h, t) - want) <= 1e-12 * abs(want)
+            want = np.array([
+                _per_term_module_apply(terms, float(q), H._w0_on_character(W.w0_inv(u), t),
+                                       e0)[u] for u in range(6)])
+            got = H.tau_expansion_at(h, t)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_orbit_identity_at_a_near_wall_point(field2):
+    """Orbit entry 12 of the algebra_trace benchmark inputs at seed 302: t1 t2
+    lies 7.3e-5 from the wall.  With negative powers formed by division the
+    two near-wall orbit points disagreed in their last bits and one f_value
+    term moved by 5.8e-5, a deviation of 1.58e-9 times the largest term;
+    see the decisions ledger."""
+    F = field2
+    t = (np.exp(1j * 2.418652034278627), np.exp(1j * -2.4185793971014222))
+    h = H.t_element(F, [(W.AffineElement(mu, u), F.make(c))
+                        for mu, u, c in (((0, 0), 2, 3), ((1, 1), 4, 3), ((0, -1), 1, 2))])
+    terms = [H.f_value(h, s) for s in H.orbit_characters(t)]
+    chi = R.character(R.principal_series(2, t), h)
+    assert abs(sum(terms) - chi) <= 1e-9 * max(1.0, max(abs(f) for f in terms))
 
 
 # ---------------------------------------------------------------------------

@@ -52,14 +52,29 @@ def test_grid_avoids_walls():
 @pytest.mark.parametrize("q", [2, 3, 2.5])
 def test_weight_on_the_diagonal_wall_nodes(q, n):
     """The N nodes with k1 + k2 = N - 1 lie on the wall t1 t2 = 1 up to
-    rounding; the weight 1/|c|^2 there is finite and tiny, not a pole."""
+    rounding; the weight 1/|c|^2 there is exactly 0, the root factor f(1),
+    not a pole, and every other node carries a positive finite weight."""
     u, t1, t2 = _offset_grid(n)
     k1, k2 = np.divmod(np.arange(n * n), n)
     on = k1 + k2 == n - 1
     assert np.abs(t1[on] * t2[on] - 1).max() < 1.2e-15
-    weight, _ = P._weights(q, t1[on], t2[on], u)
-    assert np.isfinite(weight).all()
-    assert weight.max() < 1e-28
+    weight, _ = P._grid_weights(q, n)
+    assert (weight[on] == 0).all()
+    assert np.isfinite(weight).all() and (weight[~on] > 0).all()
+
+
+@pytest.mark.parametrize("n", [16, 96, 256])
+@pytest.mark.parametrize("q", [2, 3, 2.5, 1.01])
+def test_moment_tables_match_the_full_grid_weight(q, n):
+    """The moments of the product-form weight against the inverse FFT of
+    |d/n|^2 written out at all N^2 nodes from hecke.d_at and hecke.n_at."""
+    u, t1, t2 = _offset_grid(n)
+    weight = np.abs(H.d_at(q, (t1, t2)) / H.n_at(q, (t1, t2))) ** 2
+    want6 = np.fft.ifft2(weight.reshape(n, n))
+    want3 = np.fft.ifft(np.abs(P.c1_value(q, u)) ** -2)
+    got6, got3 = P._moment_tables(q, n)
+    assert np.abs(got6 - want6).max() <= 1e-15 * np.abs(want6).max()
+    assert np.abs(got3 - want3).max() <= 1e-15 * np.abs(want3).max()
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
