@@ -42,7 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n", required=True, help="comma-separated step counts")
         else:
             p.add_argument("--n", type=int, required=True)
-        p.add_argument("--word", default="", help="relative position, e.g. '0,1'")
+        if name in ("llt", "compare"):
+            p.add_argument("--word", default="", help="relative position, e.g. '0,1'")
         if name in ("mc", "compare"):
             p.add_argument("--trials", type=int, default=100000)
             p.add_argument("--seed", type=int, default=0)
@@ -87,10 +88,18 @@ def _emit(args, text: str):
 
 
 def _parse_q(s: str) -> Fraction:
-    q = serialize._fraction(s, "--q")
+    q = serialize.parse_fraction(s, "--q")
     if q <= 1:
         raise ValueError("--q must exceed 1")
     return q
+
+
+def _parse_steps(s: str) -> list:
+    """The step counts of a comma-separated --n."""
+    try:
+        return [int(x) for x in s.split(",") if x]
+    except ValueError:
+        raise ValueError(f"--n expects comma-separated integers, got {s!r}") from None
 
 
 def _parse_complex(s: str, flag: str, count: int) -> list:
@@ -128,7 +137,7 @@ def cmd_distribution(args) -> int:
 
 def cmd_llt(args) -> int:
     q, _, target, sphere = _query(args)
-    ns = [int(s) for s in str(args.n).split(",") if s]
+    ns = _parse_steps(args.n)
     rows = []
     for n, mass in zip(ns, limit.masses_at(limit.simple_walk_spec(), target, ns, q)):
         p = mass / sphere

@@ -37,7 +37,7 @@ quotient described next.
 The walk is stepped on orbits, not on states.  A permutation of the three
 generators extends to an automorphism of W (a diagram automorphism of the
 triangle), and it maps the walk to itself when it maps the spec to itself.
-The group H of those permutations (``_symmetries``) fixes the distribution
+The group H of those permutations (``_read_spec``) fixes the distribution
 from e, which is therefore constant on H-orbits, so each step recomputes
 one row per orbit, at its first state (``_orbits``), and reads one value
 per orbit.  The uniform walk has |H| = 6 and steps about a sixth of the
@@ -176,15 +176,25 @@ def simple_walk_spec():
     return {weyl.GEN[i]: Fraction(1, 3) for i in range(3)}
 
 
-def _validate_spec(walk: dict):
-    total = Fraction(0)
-    for w, a in walk.items():
-        a = Fraction(a)
-        if a < 0:
-            raise ValueError("radial walk coefficients must be nonnegative")
-        total += a
-    if total != 1:
+def _read_spec(walk: dict) -> tuple:
+    """(words, L, H) of a walk spec, after checking that its coefficients
+    are nonnegative and sum to one.  words lists the (reduced word, float
+    coefficient) of each element in spec order, L is the length of the
+    longest element, and H is the group of permutations of the generators
+    (s0, s1, s2) whose automorphisms s_i -> s_perm[i] map the spec to
+    itself, as a tuple of permutations with the identity first."""
+    spec = {w: Fraction(a) for w, a in walk.items()}
+    if any(a < 0 for a in spec.values()):
+        raise ValueError("radial walk coefficients must be nonnegative")
+    if sum(spec.values()) != 1:
         raise ValueError("radial walk coefficients must sum to one")
+    words = {w: weyl.reduced_word(w) for w in spec}
+    group = tuple(
+        perm for perm in itertools.permutations(range(3))
+        if {weyl.from_word([perm[i] for i in words[w]]): a
+            for w, a in spec.items()} == spec)
+    return ([(words[w], float(a)) for w, a in spec.items()],
+            max(map(len, words.values())), group)
 
 
 def _check_steps(n: int):
@@ -192,14 +202,15 @@ def _check_steps(n: int):
         raise ValueError(f"step count must be >= 0, got {n}")
 
 
-def _walk_matrix(space: StateSpace, walk: dict, q: float, reps, orbit):
+def _walk_matrix(space: StateSpace, words, q: float, reps, orbit):
     """The walk operator P on orbits in gather form (diag, idx, val):
 
         (P x)[o] = diag[o] x[o] + sum_k val[k, o] x[idx[k, o]],
 
     with x[o] the mass of each state of orbit o; orbit[s] is the orbit of
-    state s and reps[o] the first state of orbit o.  Row o is the row of
-    t = reps[o], pulled back through each word, last letter first.  Under
+    state s and reps[o] the first state of orbit o.  words are the
+    (reduced word, coefficient) pairs of ``_read_spec``.  Row o is the row
+    of t = reps[o], pulled back through each word, last letter first.  Under
     wall type i, t receives the mass of t s_i with weight 1 if that move is
     an ascent (l(t s_i) < l(t)) and 1/q otherwise, and keeps 1 - 1/q of its
     own mass if t s_i is shorter.  A word of length l gives 2^l paths: the
@@ -214,30 +225,18 @@ def _walk_matrix(space: StateSpace, walk: dict, q: float, reps, orbit):
     keep = np.where(space.ascent, 0.0, 1.0 - 1.0 / q)
     diag = np.zeros(len(reps))
     idx, val = [], []
-    for w, a in walk.items():
+    for word, a in words:
         paths = [(reps, 1.0)]
-        for i in reversed(weyl.reduced_word(w)):
+        for i in reversed(word):
             paths = [nxt for s, v in paths
                      for nxt in ((s, v * keep[s, i]), (pull[s, i], v * move[s, i]))]
         (_, stay), *rest = paths
-        diag += float(a) * stay
+        diag += a * stay
         for s, v in rest:
             idx.append(s)
-            val.append(float(a) * v)
+            val.append(a * v)
     idx = orbit[np.array(idx, dtype=np.intp)]
     return diag, idx.reshape(-1, len(reps)), np.array(val).reshape(-1, len(reps))
-
-
-def _symmetries(walk: dict) -> tuple:
-    """The group H of permutations of the generators (s0, s1, s2) whose
-    automorphisms s_i -> s_perm[i] map the walk spec to itself, as a tuple
-    of permutations with the identity first."""
-    spec = {w: Fraction(a) for w, a in walk.items()}
-    words = {w: weyl.reduced_word(w) for w in spec}
-    return tuple(
-        perm for perm in itertools.permutations(range(3))
-        if {weyl.from_word([perm[i] for i in words[w]]): a
-            for w, a in spec.items()} == spec)
 
 
 def _automorphisms(space: StateSpace, perms) -> np.ndarray:
@@ -285,10 +284,6 @@ def _orbits(space: StateSpace, group) -> tuple:
     return np.flatnonzero(first), orbit
 
 
-def _max_step_length(walk: dict) -> int:
-    return max((weyl.length(w) for w in walk), default=1)
-
-
 def _propagate(lengths, op, bounds):
     """Masses per orbit after 0, 1, 2, ... steps from the identity (state 0
     and orbit 0), yielded as one array updated in place.  Step k recomputes
@@ -305,6 +300,17 @@ def _propagate(lengths, op, bounds):
             acc += val[k, :r] * x.take(idx[k, :r])
         x[:r] = acc
         yield x
+
+
+def _quotient_walk(words, group, q: float, radius: int, bounds):
+    """(space, orbit, masses) of a walk read by ``_read_spec`` on the ball
+    of the given radius: the ball, the orbit of each state under the
+    spec's group H, and the ``_propagate`` generator of the per-orbit
+    masses under the given bounds."""
+    space = state_space(radius)
+    reps, orbit = _orbits(space, group)
+    op = _walk_matrix(space, words, q, reps, orbit)
+    return space, orbit, _propagate(space.lengths[reps], op, bounds)
 
 
 def exact_distribution(walk: dict, n: int, q, snapshots=None):
@@ -325,14 +331,11 @@ def exact_distribution(walk: dict, n: int, q, snapshots=None):
     wanted = set(snapshots or ())
     if any(not 0 <= k <= n for k in wanted):
         raise ValueError(f"snapshots must lie in 0..{n}")
-    _validate_spec(walk)
+    words, step, group = _read_spec(walk)
     q = hecke.check_thickness(float(q))
-    step = _max_step_length(walk)
-    space = state_space(max(n * step, 1))
-    reps, orbit = _orbits(space, _symmetries(walk))
-    op = _walk_matrix(space, walk, q, reps, orbit)
+    space, orbit, steps = _quotient_walk(words, group, q, max(n * step, 1),
+                                         [k * step for k in range(1, n + 1)])
     out = {}
-    steps = _propagate(space.lengths[reps], op, [k * step for k in range(1, n + 1)])
     for k, masses in enumerate(steps):
         if k in wanted:
             out[k] = WalkDistribution(k, space, masses[orbit])
@@ -365,25 +368,23 @@ def masses_at(walk: dict, w: AffineElement, ns, q) -> list:
         raise ValueError("need at least one step count")
     for k in ns:
         _check_steps(k)
-    _validate_spec(walk)
+    words, step, group = _read_spec(walk)
     q = hecke.check_thickness(float(q))
-    n, step, lw = max(ns), _max_step_length(walk), weyl.length(w)
+    n, lw = max(ns), weyl.length(w)
     if lw > n * step:  # w is out of reach at every n in ns
         return [0.0] * len(ns)
     radius = (n * step + lw) // 2
-    space = state_space(radius)
-    reps, orbit = _orbits(space, _symmetries(walk))
-    op = _walk_matrix(space, walk, q, reps, orbit)
-    target = orbit[space.state(w)]
     bounds = [min(k * step, lw + (n - k) * step, radius) for k in range(1, n + 1)]
-    at = [float(x[target]) for x in _propagate(space.lengths[reps], op, bounds)]
+    space, orbit, steps = _quotient_walk(words, group, q, radius, bounds)
+    target = orbit[space.state(w)]
+    at = [float(x[target]) for x in steps]
     return [at[k] for k in ns]
 
 
 def exact_distribution_rational(walk: dict, n: int, q) -> dict:
     """Reference recursion with Fraction masses (dict element -> mass)."""
     _check_steps(n)
-    _validate_spec(walk)
+    _read_spec(walk)  # raises on an invalid spec
     q = hecke.check_thickness(Fraction(q))
     dist = {IDENTITY: Fraction(1)}
     word_cache = {w: weyl.reduced_word(w) for w in walk}

@@ -71,7 +71,7 @@ def principal_generators(q, t1, t2):
         e = weyl.w0_apply(weyl.w0_inv(u), weyl.PHI_VEE)
         target = weyl.w0_mult(weyl.W0_LONGEST, u)
         g0[:, target, u] += t1 ** (-e[0]) * t2 ** (-e[1])
-        if not weyl._is_negative_root(e):  # phi not an inversion of u
+        if weyl.POS_ROOTS[2] not in weyl.inversion_set(u):  # phi not an inversion of u
             g0[:, u, u] += quad
     g1 = np.broadcast_to(m1, (npts, 6, 6))
     g2 = np.broadcast_to(m2, (npts, 6, 6))

@@ -12,7 +12,7 @@ from .weyl import AffineElement
 __all__ = [
     "word_to_str", "parse_word", "element_from_obj", "element_to_json",
     "element_from_json", "hecke_to_obj", "hecke_to_json", "hecke_from_json",
-    "format_float", "write_csv",
+    "parse_fraction", "format_float", "write_csv",
 ]
 
 
@@ -73,7 +73,8 @@ def hecke_to_obj(h: hecke.HeckeElement) -> dict:
     return {"basis": h.basis, "q": str(h.field.q), "terms": terms}
 
 
-def _fraction(value, where: str) -> Fraction:
+def parse_fraction(value, where: str) -> Fraction:
+    """value as a Fraction; a zero denominator is a ValueError naming where."""
     try:
         return Fraction(str(value))
     except ZeroDivisionError:
@@ -100,8 +101,8 @@ def hecke_from_obj(obj) -> hecke.HeckeElement:
         raise ValueError(f"field 'basis': expected 'T' or 'X', got {basis!r}")
     if not isinstance(obj["terms"], list):
         raise ValueError(f"field 'terms': expected a list, got {obj['terms']!r}")
-    field = hecke.ScalarField(_fraction(obj["q"], "field 'q'"))
-    terms = {}
+    field = hecke.ScalarField(parse_fraction(obj["q"], "field 'q'"))
+    pairs = []
     for k, entry in enumerate(obj["terms"]):
         try:
             if not isinstance(entry, dict):
@@ -109,13 +110,12 @@ def hecke_from_obj(obj) -> hecke.HeckeElement:
             el = element_from_obj(entry["index"])
             if "a" not in entry and "b" not in entry:
                 raise ValueError("coefficient needs an 'a' or 'b' field (a + b*sqrt(q))")
-            c = field.make(_fraction(entry.get("a", 0), "field 'a'"),
-                           _fraction(entry.get("b", 0), "field 'b'"))
+            c = field.make(parse_fraction(entry.get("a", 0), "field 'a'"),
+                           parse_fraction(entry.get("b", 0), "field 'b'"))
         except (KeyError, ValueError) as exc:
             raise ValueError(f"terms[{k}]: {exc}") from None
-        key = el if basis == "T" else (el.mu, el.u)
-        hecke._acc(terms, key, c)
-    return hecke.HeckeElement(basis, terms, field)
+        pairs.append((el if basis == "T" else (el.mu, el.u), c))
+    return (hecke.t_element if basis == "T" else hecke.x_element)(field, pairs)
 
 
 def hecke_to_json(h: hecke.HeckeElement) -> str:

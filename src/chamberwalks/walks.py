@@ -102,13 +102,12 @@ def expand_t(w: AffineElement, field) -> hecke.HeckeElement:
     contributes Q(p) x_{end(p)} with x_{t_mu u} = x^mu (T_{u^-1})^(-1)
     (the inverse sits on the index as well; fixed by the round-trip and
     cross-basis oracles)."""
-    terms = {}
+    pairs = []
     for p in enumerate_walks(weyl.reduced_word(w)):
         c = q_statistic(p, field)
         inv = hecke.finite_inverse(field, weyl.w0_inv(p.direction))
-        for z, cz in inv.items():
-            hecke._acc(terms, (p.weight, z), c * cz)
-    return hecke.HeckeElement("X", terms, field)
+        pairs += [((p.weight, z), c * cz) for z, cz in inv.items()]
+    return hecke.x_element(field, pairs)
 
 
 def matrix_element_monomials(w: AffineElement, u: int, v: int, field):

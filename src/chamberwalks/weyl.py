@@ -7,9 +7,9 @@ and the semidirect-product law are all O(1).  Lattice vectors are integer
 pairs (m, n) of coordinates in the simple-coroot basis; roots are integer
 pairs (a, b) of coordinates in the simple-root basis.
 
-All geometry (alcove barycenters, wall crossings) is done in exact rational
-arithmetic: crossing signs feed exact algebra downstream and must never be
-decided by floating point.
+Lengths, ascents and wall crossings are read from integer root tables: the
+descent signs _DESCENTS and the affine simple roots _ASCENT.  Crossing signs
+feed exact algebra downstream and are never decided by floating point.
 
 >>> length(GEN[0])
 1
@@ -22,7 +22,6 @@ decided by floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -35,7 +34,7 @@ __all__ = [
     "length", "is_ascent", "length_array", "right_mul_gen_array",
     "reduced_word", "from_word", "is_reduced",
     "bruhat_leq", "dominance_leq",
-    "barycenter", "crossing_data", "ball",
+    "crossing_data", "ball",
 ]
 
 # ---------------------------------------------------------------------------
@@ -120,11 +119,16 @@ def _is_negative_root(root) -> bool:
     return root[0] <= 0 and root[1] <= 0
 
 
+# _DESCENTS[u][r] = 1 when u^{-1} sends POS_ROOTS[r] to a negative root, else 0.
+_DESCENTS = tuple(
+    tuple(int(_is_negative_root(w0_apply(W0_INV[u], root))) for root in POS_ROOTS)
+    for u in range(6)
+)
+
+
 def inversion_set(u: int) -> frozenset:
     """Positive roots sent to negative roots by u^{-1}; size equals w0_length."""
-    return frozenset(
-        r for r in POS_ROOTS if _is_negative_root(w0_apply(W0_INV[u], r))
-    )
+    return frozenset(r for r, d in zip(POS_ROOTS, _DESCENTS[u]) if d)
 
 
 # ---------------------------------------------------------------------------
@@ -186,12 +190,9 @@ def length(w: AffineElement) -> int:
     """Hyperplane-count length: sum over positive roots a of
     |<mu, a> - [u^{-1}a < 0]|.  Cross-checked against the Cayley-graph
     metric in the test suite before being trusted anywhere."""
-    ui = W0_INV[w.u]
     total = 0
-    for root in POS_ROOTS:
-        k = pairing(w.mu, root)
-        if _is_negative_root(w0_apply(ui, root)):
-            k -= 1
+    for root, d in zip(POS_ROOTS, _DESCENTS[w.u]):
+        k = pairing(w.mu, root) - d
         total += k if k >= 0 else -k
     return total
 
@@ -223,11 +224,7 @@ def is_ascent(w: AffineElement, i: int) -> bool:
 # broadcastable shapes), for building whole state spaces at once.
 _MULT_ARRAY = np.array(W0_MULT)
 _SHIFT0_ARRAY = np.array([w0_apply(u, PHI_VEE) for u in range(6)])
-# _DESCENT_ARRAY[u, r] = 1 when u^{-1} sends POS_ROOTS[r] to a negative root.
-_DESCENT_ARRAY = np.array([
-    [int(_is_negative_root(w0_apply(W0_INV[u], root))) for root in POS_ROOTS]
-    for u in range(6)
-])
+_DESCENT_ARRAY = np.array(_DESCENTS)
 
 
 def right_mul_gen_array(m, n, u, i: int):
@@ -291,23 +288,6 @@ def dominance_leq(mu, lam) -> bool:
     return lam[0] - mu[0] >= 0 and lam[1] - mu[1] >= 0
 
 
-# ---------------------------------------------------------------------------
-# Exact alcove geometry.
-# ---------------------------------------------------------------------------
-
-_BARY0 = (Fraction(1, 3), Fraction(1, 3))
-
-# Wall of the fundamental alcove crossed by the generator i, as (root, k)
-# describing the hyperplane <x, root> + k = 0.
-_WALLS0 = {0: ((1, 1), -1), 1: ((1, 0), 0), 2: ((0, 1), 0)}
-
-
-def barycenter(a: AffineElement):
-    """Exact barycenter of the alcove a(c0)."""
-    img = w0_apply(a.u, _BARY0)
-    return (img[0] + a.mu[0], img[1] + a.mu[1])
-
-
 def crossing_data(a: AffineElement, i: int):
     """The hyperplane ((root, k) with root positive) separating the alcoves
     of a and a*s_i, and the crossing sign: +1 when the step a -> a*s_i goes
@@ -315,16 +295,16 @@ def crossing_data(a: AffineElement, i: int):
 
     The positive side of a wall is the one containing a far subcone of the
     dominant sector, concretely {x : <x, root> + k >= 0} for a positive root.
+    The affine root a(alpha_i) = (u b, k - <mu, u b>) that is_ascent reads
+    is positive on the alcove of a = t_mu u and vanishes on the wall.  The
+    step leaves the side where it is positive, which is the wall's positive
+    side exactly when u b is a positive root.
     """
-    root0, k0 = _WALLS0[i]
-    root = w0_apply(a.u, root0)
-    k = k0 - pairing(a.mu, root)
-    if _is_negative_root(root):
-        root = (-root[0], -root[1])
-        k = -k
-    val = pairing(barycenter(a), root) + k
-    assert val != 0
-    return (root, k), (1 if val < 0 else -1)
+    root, k, positive = _ASCENT[a.u][i]
+    k -= pairing(a.mu, root)
+    if positive:
+        return (root, k), -1
+    return ((-root[0], -root[1]), -k), 1
 
 
 def ball(radius: int):

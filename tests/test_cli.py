@@ -86,6 +86,21 @@ def test_walk_negative_steps(capsys):
                  ["walk", "llt", "--n=-3,5"]):
         assert cli.main(argv) == cli.EXIT_USAGE
     assert capsys.readouterr().out == ""
+    # a step count that is not an integer is named by its flag
+    assert cli.main(["walk", "llt", "--n", "3,x"]) == cli.EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: --n expects comma-separated integers, got '3,x'\n"
+
+
+@pytest.mark.parametrize("command", ["exact", "mc"])
+def test_walk_distribution_has_no_word_flag(capsys, command):
+    """walk exact and walk mc print the whole distribution, so a --word would
+    be ignored; argparse refuses it instead."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["walk", command, "--q", "2", "--n", "3", "--word", "0"])
+    assert exc.value.code == cli.EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == "" and "unrecognized arguments: --word 0" in out.err
 
 
 def test_walk_bad_q(capsys):

@@ -61,6 +61,45 @@ def test_no_function_imports_locally():
     assert local == [("limit", "mc_simulate", "concurrent.futures")]
 
 
+def _private_reaches(source: str) -> list:
+    """Every `<package module>._name` a source names: a private name imported
+    from a module of the package, or read as an attribute of one."""
+    modules = set(chamberwalks.__all__)
+    tree = ast.parse(source)
+    alias, found = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            origin = ("." * node.level + (node.module or "")).removeprefix("chamberwalks")
+            if origin in ("", "."):
+                alias.update((a.asname or a.name, a.name) for a in node.names
+                             if a.name in modules)
+            elif origin.lstrip(".") in modules:
+                found += [f"{origin.lstrip('.')}.{a.name}" for a in node.names
+                          if a.name.startswith("_")]
+        elif isinstance(node, ast.Import):
+            alias.update((a.asname, a.name.rpartition(".")[2]) for a in node.names
+                         if a.asname and a.name.rpartition(".")[2] in modules)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in alias and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            found.append(f"{alias[node.value.id]}.{node.attr}")
+    return found
+
+
+def test_no_module_reaches_into_private_helpers():
+    """The package and its scripts use each module through its public names
+    only, so a private helper can change without breaking another module.
+    Tests and the benchmark may reach in: they check and time the helpers."""
+    assert _private_reaches("from . import hecke as H, weyl\n"
+                            "from chamberwalks.reps import _x\n"
+                            "H._acc(weyl._y, H.unit, weyl.__name__)\n") == [
+        "reps._x", "hecke._acc", "weyl._y"]
+    paths = [*SRC.glob("*.py"), *(ROOT / "scripts").rglob("*.py")]
+    assert {path.name: reach for path in sorted(paths)
+            if (reach := _private_reaches(path.read_text()))} == {}
+
+
 def _docstring_names_and_definitions():
     """The private names (an underscore, then at least two characters)
     named in the package's docstrings, each with the modules that name it,

@@ -71,6 +71,20 @@ def test_identity_mass_positive_from_two_steps_on():
     assert masses[2] == Fraction(1, 6)
 
 
+@pytest.mark.parametrize("walk, message", [
+    ({W.GEN[0]: Fraction(3, 2), W.GEN[1]: Fraction(-1, 2)}, "nonnegative"),
+    ({W.GEN[0]: Fraction(1, 2)}, "sum to one"),
+    ({}, "sum to one"),
+])
+def test_invalid_spec_is_refused(walk, message):
+    """Every exact route reads the spec through one check."""
+    for run in (lambda: L.exact_distribution(walk, 2, 2),
+                lambda: L.masses_at(walk, W.IDENTITY, [2], 2),
+                lambda: L.exact_distribution_rational(walk, 2, 2)):
+        with pytest.raises(ValueError, match=message):
+            run()
+
+
 def test_general_radial_walk_matches_algebra(field2):
     """A non-simple radial walk: n-step masses agree with coefficients of
     the algebra power in the averaging basis."""
@@ -108,7 +122,8 @@ def _plain_recursion(walk, n, q):
     horizon = n * max(W.length(w) for w in walk)
     space = L.state_space(max(horizon, 1))
     states = np.arange(len(space.elems))
-    diag, idx, val = L._walk_matrix(space, walk, float(q), states, states)
+    words, _, _ = L._read_spec(walk)
+    diag, idx, val = L._walk_matrix(space, words, float(q), states, states)
     x = np.zeros(len(space.elems))
     x[space.state(W.IDENTITY)] = 1.0
     out = [x]
@@ -148,7 +163,8 @@ def test_exact_distribution_cone_matches_plain_recursion(walk, n, q):
     decisions ledger); a wrong orbit map would be off by O(1)."""
     plain = _plain_recursion(walk, n, q)
     snaps = L.exact_distribution(walk, n, q, snapshots=range(n + 1))
-    exact = len(L._symmetries(walk)) == 1
+    _, _, group = L._read_spec(walk)
+    exact = len(group) == 1
     for k in range(n + 1):
         got, want = snaps[k].masses, plain[k]
         if exact:
@@ -166,7 +182,7 @@ def test_orbits_match_relabelled_words(walk, order):
     """The orbit of each state is the set of elements whose reduced words
     are its reduced word with the letters permuted by the spec's symmetry
     group; each orbit is numbered by its first state."""
-    group = L._symmetries(walk)
+    _, _, group = L._read_spec(walk)
     assert len(group) == order
     space = L.state_space(12)
     reps, orbit = L._orbits(space, group)

@@ -145,14 +145,35 @@ def test_crossing_antisymmetry(ball4):
         assert sign_a == -sign_b
 
 
+def barycenter(a):
+    """Exact barycenter of the alcove a(c0): t_mu u applied to (1/3, 1/3),
+    the rational oracle for the walls and signs of crossing_data."""
+    img = W.w0_apply(a.u, (Fraction(1, 3), Fraction(1, 3)))
+    return (img[0] + a.mu[0], img[1] + a.mu[1])
+
+
 def test_barycenter_exact():
-    b = W.barycenter(W.IDENTITY)
+    b = barycenter(W.IDENTITY)
     assert b == (Fraction(1, 3), Fraction(1, 3))
     # barycenters of distinct alcoves are distinct on ball(3)
     seen = set()
     for w in W.ball(3):
-        seen.add(W.barycenter(w))
+        seen.add(barycenter(w))
     assert len(seen) == len(W.ball(3))
+
+
+def test_crossing_data_matches_barycenter_side():
+    """crossing_data reads walls and signs off integer affine roots.  On
+    ball(10) the wall is a positive root's hyperplane that reflects the
+    exact barycenter of a onto that of a s_i, and the sign is +1 exactly
+    when the barycenter of a lies on its negative side."""
+    for a in W.ball(10):
+        for i in range(3):
+            (root, k), sign = W.crossing_data(a, i)
+            assert root in W.POS_ROOTS
+            side = W.pairing(barycenter(a), root) + k
+            assert W.pairing(barycenter(W.right_mul_gen(a, i)), root) + k == -side != 0
+            assert sign == (1 if side < 0 else -1), (a, i)
 
 
 def test_ball_counts_match_geometric_enumeration():
