@@ -95,11 +95,14 @@ def _parse_q(s: str) -> Fraction:
 
 
 def _parse_steps(s: str) -> list:
-    """The step counts of a comma-separated --n."""
+    """The step counts of a comma-separated --n: at least one, each >= 1."""
     try:
-        return [int(x) for x in s.split(",") if x]
+        ns = [int(x) for x in s.split(",") if x]
     except ValueError:
         raise ValueError(f"--n expects comma-separated integers, got {s!r}") from None
+    if not ns or min(ns) < 1:
+        raise ValueError(f"--n expects step counts >= 1, got {s!r}")
+    return ns
 
 
 def _parse_complex(s: str, flag: str, count: int) -> list:

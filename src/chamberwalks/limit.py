@@ -14,11 +14,12 @@ current block gathers; it draws in block order, one block at a time, so
 the stream is the same as on one thread.  The spectral route goes through
 the trace decomposition instead.
 
-The chain lives on a ball of the affine Weyl group.  The ball is built from
-arrays: the closed-form length is evaluated over a lattice box of (m, n, u)
-for w = t_(m,n) u, the states of length <= radius are kept, and a dense
-(m, n, u) -> state lookup array gives the targets of the three generators.
-The BFS ``weyl.ball`` serves only as the tests' oracle for this build.
+The chain lives on a ball of the affine Weyl group, built from arrays: the
+closed-form length over a lattice box of (m, n, u) for w = t_(m,n) u, whose
+flat (m, n, u) order a stable sort on length alone turns into the state
+order (length, m, n, u); a dense (m, n, u) -> state lookup for the targets
+of the three generators; and the ascents, read from the targets (a target
+outside the ball has length radius + 1), checked against the BFS weyl.ball.
 
 One step of the walk is a few gathers: ``_walk_matrix`` pulls each state
 back through the words of the walk, and a step sums the weighted masses of
@@ -107,8 +108,8 @@ class StateSpace:
         return AffineElement((m, n), u)
 
 
-# the largest lattice box state_space builds: at 107-111 bytes per entry its
-# build peaks near 1.9 GB; the largest radius admitted is 2501
+# the largest lattice box state_space builds: at 60 bytes per entry (traced at
+# radius 800 and 1200) its build peaks near 1.0 GB; the largest radius is 2501
 _MAX_BOX_ENTRIES = 2 ** 24
 
 
@@ -123,23 +124,24 @@ def state_space(radius: int) -> StateSpace:
                          f"above the limit of {_MAX_BOX_ENTRIES}")
     side = np.arange(-b, b + 1)
     grid = np.meshgrid(side, side, np.arange(6), indexing="ij", sparse=True)
-    box_lengths = weyl.length_array(*grid)
-    keep = np.flatnonzero(box_lengths <= radius)
-    im, jn, u = np.unravel_index(keep, box_lengths.shape)
-    m, n, lengths = im - b, jn - b, box_lengths.ravel()[keep]
-    order = np.lexsort((u, n, m, lengths))
-    m, n, u, lengths = m[order], n[order], u[order], lengths[order]
-    pos = np.full(box_lengths.size, -1, dtype=np.int64)
-    pos[keep[order]] = np.arange(len(keep))
-    pos = pos.reshape(box_lengths.shape)
-    target = np.empty((len(keep), 3), dtype=np.int64)
-    ascent = np.empty((len(keep), 3), dtype=bool)
-    for i in range(3):
-        tm, tn, tu = weyl.right_mul_gen_array(m, n, u, i)
-        target[:, i] = pos[tm + b, tn + b, tu]
-        ascent[:, i] = weyl.length_array(tm, tn, tu) > lengths
-    return StateSpace(radius, b, np.column_stack((m, n, u)), pos, lengths,
-                      target, ascent)
+    flat = weyl.length_array(*grid).ravel()
+    keep = np.flatnonzero(flat <= radius)  # in (m, n, u) order
+    # int16 keys (lengths <= radius <= 2501) take numpy's radix sort
+    keep = keep[np.argsort(flat[keep].astype(np.int16), kind="stable")]
+    lengths = flat[keep]
+    del flat
+    pos = np.full((2 * b + 1, 2 * b + 1, 6), -1, dtype=np.int64)
+    pos.ravel()[keep] = np.arange(len(keep))
+    elems = np.stack(np.unravel_index(keep, pos.shape), axis=1)
+    elems[:, :2] -= b
+    # w s_i moves the box index of w by a step that depends on (u, i) alone
+    u6 = np.arange(6)
+    steps = [(dm * (2 * b + 1) + dn) * 6 + tu - u6 for dm, dn, tu in
+             (weyl.right_mul_gen_array(0 * u6, 0 * u6, u6, i) for i in range(3))]
+    target = pos.ravel()[keep[:, None] + np.column_stack(steps)[elems[:, 2]]]
+    # a neighbour outside the ball has length radius + 1: an ascent
+    ascent = (target < 0) | (lengths[target] > lengths[:, None])
+    return StateSpace(radius, b, elems, pos, lengths, target, ascent)
 
 
 @dataclass
@@ -215,28 +217,26 @@ def _walk_matrix(space: StateSpace, words, q: float, reps, orbit):
     an ascent (l(t s_i) < l(t)) and 1/q otherwise, and keeps 1 - 1/q of its
     own mass if t s_i is shorter.  A word of length l gives 2^l paths: the
     one that stays at every letter adds to diag, each other one is a slot k,
-    which reads the orbit of the state it ends at.  A path through a state
-    outside the ball has weight 0 and a placeholder index.  The slot order
-    of a row does not depend on the radius."""
-    states = np.arange(len(space.elems))
-    inside = space.target >= 0
-    pull = np.where(inside, space.target, states[:, None])
-    move = np.where(space.ascent, 1.0 / q, 1.0) * inside
-    keep = np.where(space.ascent, 0.0, 1.0 - 1.0 / q)
+    which reads the orbit (intp) of the state it ends at.  The paths read
+    target and ascent only at the states they visit; one that leaves the
+    ball has weight 0 and a placeholder index.  Slot order is radius-free."""
     diag = np.zeros(len(reps))
     idx, val = [], []
     for word, a in words:
         paths = [(reps, 1.0)]
         for i in reversed(word):
-            paths = [nxt for s, v in paths
-                     for nxt in ((s, v * keep[s, i]), (pull[s, i], v * move[s, i]))]
+            nxt = []
+            for s, v in paths:
+                t, up = space.target[s, i], space.ascent[s, i]
+                nxt += [(s, v * np.where(up, 0.0, 1.0 - 1.0 / q)),
+                        (np.where(t >= 0, t, s), v * (np.where(up, 1.0 / q, 1.0) * (t >= 0)))]
+            paths = nxt
         (_, stay), *rest = paths
         diag += a * stay
         for s, v in rest:
-            idx.append(s)
+            idx.append(orbit[s])
             val.append(a * v)
-    idx = orbit[np.array(idx, dtype=np.intp)]
-    return diag, idx.reshape(-1, len(reps)), np.array(val).reshape(-1, len(reps))
+    return diag, np.array(idx, dtype=np.intp), np.array(val)
 
 
 def _automorphisms(space: StateSpace, perms) -> np.ndarray:

@@ -74,9 +74,12 @@ def hecke_to_obj(h: hecke.HeckeElement) -> dict:
 
 
 def parse_fraction(value, where: str) -> Fraction:
-    """value as a Fraction; a zero denominator is a ValueError naming where."""
+    """value as a Fraction; an invalid literal or a zero denominator is a
+    ValueError naming where."""
     try:
         return Fraction(str(value))
+    except ValueError:
+        raise ValueError(f"{where}: {value!r} is not a rational number") from None
     except ZeroDivisionError:
         raise ValueError(f"{where}: {value!r} has a zero denominator") from None
 

@@ -92,6 +92,19 @@ def test_walk_negative_steps(capsys):
     assert out.out == "" and out.err == "error: --n expects comma-separated integers, got '3,x'\n"
 
 
+def test_walk_llt_checks_every_step_count_first(capsys, monkeypatch):
+    """A step count below 1 in --n, or none at all, is refused by name
+    before the walk runs, wherever it sits in the list."""
+    def refuse(*args):
+        raise AssertionError("the walk ran")
+    monkeypatch.setattr(cli.limit, "masses_at", refuse)
+    for steps in ("0,100", "100,0", "5,-1", ""):
+        assert cli.main(["walk", "llt", "--q", "2", f"--n={steps}"]) == cli.EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: --n expects step counts >= 1, got '{steps}'\n"
+
+
 @pytest.mark.parametrize("command", ["exact", "mc"])
 def test_walk_distribution_has_no_word_flag(capsys, command):
     """walk exact and walk mc print the whole distribution, so a --word would
@@ -109,6 +122,10 @@ def test_walk_bad_q(capsys):
     assert cli.main(["walk", "exact", "--q", "1/0", "--n", "2"]) == cli.EXIT_USAGE
     assert cli.main(["spectrum", "--q", "1/0"]) == cli.EXIT_USAGE
     assert "zero denominator" in capsys.readouterr().err
+    # so is a literal that is no number, named by its flag
+    assert cli.main(["spectrum", "--q", "abc"]) == cli.EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: --q: 'abc' is not a rational number\n"
 
 
 @pytest.mark.parametrize("argv, q", [
@@ -263,6 +280,7 @@ def test_trace_malformed_element(capsys, tmp_path):
     # malformed q, terms and coefficients are input errors, not crashes
     one = {"index": {"mu": [0, 0], "u": ""}, "a": "1"}
     for bad, where in (({"q": "1/0", "terms": [one]}, "field 'q'"),
+                       ({"q": "x", "terms": [one]}, "field 'q': 'x' is not a rational number"),
                        ({"q": "2", "terms": 5}, "field 'terms'"),
                        ({"q": "2", "terms": [5]}, "terms[0]"),
                        ({"q": "2", "terms": [one, dict(one, a="1/0")]}, "terms[1]")):

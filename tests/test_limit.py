@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import random
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -197,6 +198,42 @@ def test_orbits_match_relabelled_words(walk, order):
     assert reps.tolist() == sorted(reps.tolist())
 
 
+@pytest.mark.parametrize("walk", [L.simple_walk_spec(), PAIR_SPEC, ROTATION_SPEC,
+                                  THREE_WORD_SPEC],
+                         ids=["simple", "pair", "rotation", "three-word"])
+def test_walk_matrix_at_representatives_reads_the_full_operator(walk):
+    """The operator built at the orbit representatives is the full-ball
+    operator (every state its own orbit) read at them, with each slot
+    mapped to its orbit, on a ball whose edge rows point outside it."""
+    words, _, group = L._read_spec(walk)
+    space = L.state_space(7)
+    reps, orbit = L._orbits(space, group)
+    assert (space.target[reps] < 0).any()
+    states = np.arange(len(space.elems))
+    diag, idx, val = L._walk_matrix(space, words, 2.5, reps, orbit)
+    full_diag, full_idx, full_val = L._walk_matrix(space, words, 2.5, states, states)
+    assert idx.dtype == np.intp
+    assert np.array_equal(diag, full_diag[reps])
+    assert np.array_equal(idx, orbit[full_idx[:, reps]])
+    assert np.array_equal(val, full_val[:, reps])
+
+
+def test_walk_matrix_reads_the_tables_only_where_its_paths_go():
+    """The uniform walk's operator on the ball of radius 200 (about a sixth
+    of its states are representatives) peaks below one (states, 3) float64
+    table: no table over the whole ball is built."""
+    space = L.state_space(200)
+    words, _, group = L._read_spec(L.simple_walk_spec())
+    reps, orbit = L._orbits(space, group)
+    tracemalloc.start()
+    try:
+        L._walk_matrix(space, words, 2.0, reps, orbit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < len(space.elems) * 3 * 8
+
+
 @pytest.mark.parametrize("q", [2, Fraction(5, 2)])
 def test_masses_at_is_constant_on_orbits(q):
     """For the uniform walk, masses_at gives the same bits at w and at every
@@ -288,6 +325,23 @@ def test_state_space_refuses_an_oversized_box():
     raises before allocating anything."""
     with pytest.raises(ValueError, match="radius 10000 needs a lattice box of 267013446"):
         L.state_space(10_000)
+
+
+@pytest.mark.parametrize("radius", [40, 200])
+def test_state_space_is_a_prefix_of_the_next_ball(radius):
+    """The ball of radius r is the length-<= r prefix of the ball of radius
+    r + 1: same elements, lengths and ascents, and the same targets once a
+    target past the prefix reads as -1.  This checks the length-only state
+    order and the ascents read from the target table beyond the BFS
+    oracle's radius."""
+    small, big = L.state_space(radius), L.state_space(radius + 1)
+    cut = len(small.elems)
+    assert big.lengths[cut - 1] == radius < big.lengths[cut]
+    assert np.array_equal(small.elems, big.elems[:cut])
+    assert np.array_equal(small.lengths, big.lengths[:cut])
+    assert np.array_equal(small.ascent, big.ascent[:cut])
+    target = big.target[:cut]
+    assert np.array_equal(small.target, np.where(target < cut, target, -1))
 
 
 def test_lookups_outside_the_ball():
