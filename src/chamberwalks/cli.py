@@ -106,13 +106,15 @@ def _parse_steps(s: str) -> list:
 
 
 def _parse_complex(s: str, flag: str, count: int) -> list:
-    """Exactly `count` complex numbers from a flag's re,im pairs."""
+    """Exactly `count` finite complex numbers from a flag's re,im pairs."""
     try:
         parts = [float(x) for x in s.split(",")]
     except ValueError:
         parts = []
     if len(parts) != 2 * count:
         raise ValueError(f"{flag} expects " + ",".join(["re,im"] * count))
+    if not np.isfinite(parts).all():
+        raise ValueError(f"{flag} takes finite numbers, got {s}")
     return [complex(*parts[k:k + 2]) for k in range(0, len(parts), 2)]
 
 
@@ -264,10 +266,11 @@ def cmd_reps(args) -> int:
         rep3 = reps.induced_three_dim(q, u)
         out["induced_max_relation_residual"] = reps.max_relation_residual(rep3)
     _emit(args, json.dumps(out, default=float))
-    bad = out["max_relation_residual"] > 1e-12 or (
-        out.get("induced_max_relation_residual", 0.0) > 1e-12
+    # NaN compares false, so it counts as a violation
+    ok = out["max_relation_residual"] <= 1e-12 and (
+        out.get("induced_max_relation_residual", 0.0) <= 1e-12
     )
-    return EXIT_TOLERANCE if bad else EXIT_OK
+    return EXIT_OK if ok else EXIT_TOLERANCE
 
 
 def cmd_spectrum(args) -> int:

@@ -258,8 +258,11 @@ def _automorphisms(space: StateSpace, perms) -> np.ndarray:
     return sigma
 
 
-def _orbits(space: StateSpace, group) -> tuple:
-    """(reps, orbit) of the ball under a group of generator permutations.
+@functools.lru_cache(maxsize=2)
+def _orbits(radius: int, group) -> tuple:
+    """(reps, orbit) of the ball of the given radius under a group of
+    generator permutations, cached for the two latest (radius, group) pairs
+    like the ball itself; both arrays are read-only.
 
     reps[o] is the first state of orbit o in state order, so reps is
     increasing and, as automorphisms preserve length, the orbits are ordered
@@ -267,6 +270,7 @@ def _orbits(space: StateSpace, group) -> tuple:
     S3 is generated by its first 3-cycle and its first transposition, where
     it has them, so two state maps suffice: each state takes the least
     label reachable through them."""
+    space = state_space(radius)
     gens = []
     for fixed in (0, 1):  # a 3-cycle fixes no letter, a transposition one
         gens += [p for p in group if sum(p[i] == i for i in range(3)) == fixed][:1]
@@ -281,7 +285,10 @@ def _orbits(space: StateSpace, group) -> tuple:
         label = nxt
     first = label == np.arange(len(label))
     orbit = (np.cumsum(first, dtype=np.int32) - 1)[label]
-    return np.flatnonzero(first), orbit
+    reps = np.flatnonzero(first)
+    for table in (reps, orbit):
+        table.setflags(write=False)
+    return reps, orbit
 
 
 def _propagate(lengths, op, bounds):
@@ -308,7 +315,7 @@ def _quotient_walk(words, group, q: float, radius: int, bounds):
     spec's group H, and the ``_propagate`` generator of the per-orbit
     masses under the given bounds."""
     space = state_space(radius)
-    reps, orbit = _orbits(space, group)
+    reps, orbit = _orbits(radius, group)
     op = _walk_matrix(space, words, q, reps, orbit)
     return space, orbit, _propagate(space.lengths[reps], op, bounds)
 

@@ -13,20 +13,16 @@ directly, so the weight is exactly 0 on those nodes (f(1) = 0).  The
 integrands are smooth and periodic, so the product trapezoid rule
 converges faster than any power of 1/N.
 
-The characters of a Hecke element are Laurent polynomials in the torus
-parameters, so each quadrature sum is a finite contraction sum_nu a_nu m_nu:
-a_nu are the character's Fourier coefficients (one FFT over a small grid of
-roots of unity, sized by a degree bound and checked against it), and m_nu
-are the moments of the Plancherel weight on the N-node grid (one inverse FFT
-per (q, N), kept in a bounded cache).  The masses and the central-character
-integral read the same moments.
-
-The return probabilities Tr(P^n) average powers of the eigenvalues of the
-walk operator.  Their N-grid sums are contractions sum_nu a_nu m_nu as
-well, over |nu_i| <= n, so a grid of K = 2n + 1 < N nodes per circle whose
-nodes carry the interpolant of the moments gives the same value up to
-rounding; conjugation pairs its nodes, and each pair is evaluated once
-(spectral_return_probabilities).
+Every average is taken on the band grid (_band_grid).  Each integrand,
+a character of a Hecke element, a power of the walk operator or a
+central polynomial, is a Laurent polynomial of some degree d in the torus
+parameters, so its N-grid sum is a finite contraction sum_nu a_nu m_nu
+with the moments m_nu of the weight on the N grid (|nu_i| <= d).  The
+offset grid of K = min(N, 2d + 1) nodes per circle whose nodes carry the
+trigonometric interpolant of those moments gives the same sum up to
+rounding, and the real coefficients of the integrands pair conjugate
+nodes, so each pair is evaluated once.  A term beyond the degree bound
+would alias undetected; the bounds used here are proven.
 """
 
 from __future__ import annotations
@@ -124,8 +120,9 @@ def _over_principal(q: float, t1, t2, f):
 @functools.lru_cache(maxsize=16)
 def _moment_tables(q: float, n: int):
     """The inverse FFTs of the Plancherel weights of _grid_weights, 1/|c|^2
-    (N x N, indexed [k1, k2] as t1, t2) and 1/|c1|^2 (N): the raw tables
-    behind _moment.  Cached per (q, N), read-only."""
+    (N x N, indexed [k1, k2] as t1, t2) and 1/|c1|^2 (N): up to a phase,
+    the moments of the weights on the N grid.  Cached per (q, N),
+    read-only."""
     w6, w3 = _grid_weights(q, n)
     tables = (np.fft.ifft2(w6.reshape(n, n)), np.fft.ifft(w3))
     for table in tables:
@@ -133,32 +130,51 @@ def _moment_tables(q: float, n: int):
     return tables
 
 
-def _moment(table, *nu):
-    """Plancherel moments m_nu = avg over the offset grid of w t^nu, for
-    integer arrays nu (one per axis, broadcast together), from a table of
-    _moment_tables.  The offset node of index k is e^(i pi/N) times the k-th
-    N-th root of unity, so m_nu = e^(i pi sum(nu)/N) table[nu mod N] holds
-    for every nu, also for |nu_i| >= N/2 (there m_(nu+N) = -m_nu)."""
-    n = table.shape[0]
-    return np.exp(1j * np.pi * sum(nu) / n) * table[tuple(np.mod(k, n) for k in nu)]
-
-
 def _interpolated_weights(q: float, n_grid: int, k: int):
     """The Plancherel weights on the offset grid of odd k < n_grid nodes per
     circle that reproduce the n_grid moments: the trigonometric interpolants
     w_k(t) = sum m_nu t^(-nu) over |nu_i| <= (k-1)/2, at the nodes.  The
-    node e^(i pi (2j+1)/k) turns t^(-nu) into e^(-2 pi i j nu/k) times the
-    phase e^(-i pi nu/k), so each interpolant is one FFT of its phased band
-    laid out at nu mod k.  The weights are real and conjugation-invariant,
-    since 1/|c|^2 is and the grid is closed under conjugation, so the moments
-    are real and even.  Returns w6 (k^2, flat in the order of _torus_pairs)
-    and w3 (k)."""
+    offset node of index j of the N grid is e^(i pi/N) times the j-th N-th
+    root of unity, so m_nu = e^(i pi sum(nu)/N) table[nu] for a table of
+    _moment_tables.  The node e^(i pi (2j+1)/k) turns t^(-nu) into
+    e^(-2 pi i j nu/k) times the phase e^(-i pi nu/k), so each interpolant
+    is one FFT of its phased band laid out at nu mod k.  The weights are
+    real and conjugation-invariant, since 1/|c|^2 is and the grid is closed
+    under conjugation, so the moments are real and even.  Returns w6 (k^2,
+    flat in the order of _torus_pairs) and w3 (k)."""
     table6, table3 = _moment_tables(q, n_grid)
     nu = (np.arange(k) + k // 2) % k - k // 2  # 0, ..., (k-1)/2, -(k-1)/2, ..., -1
     phase = np.exp(-1j * np.pi * nu / k)
-    band6 = _moment(table6, nu[:, None], nu[None, :]) * np.outer(phase, phase)
-    band3 = _moment(table3, nu) * phase
-    return np.fft.fft2(band6).real.reshape(-1), np.fft.fft(band3).real
+    m6 = np.exp(1j * np.pi * (nu[:, None] + nu) / n_grid) * table6[nu[:, None], nu]
+    m3 = np.exp(1j * np.pi * nu / n_grid) * table3[nu]
+    return (np.fft.fft2(m6 * np.outer(phase, phase)).real.reshape(-1),
+            np.fft.fft(m3 * phase).real)
+
+
+def _band_grid(q: float, n_grid: int, k: int):
+    """The grid every average of this module is taken on, for integrands of
+    degree <= (k-1)/2 in each torus parameter: (K, t1, t2, w6, u, w3), with
+    K = min(N, k) nodes per circle, N = n_grid.  For K < N (k odd) the nodes
+    carry _interpolated_weights, so the K-grid sum of such an integrand is
+    its N-grid sum up to rounding; for K = N they carry 1/|c|^2 and
+    1/|c1|^2.  u holds the K circle nodes and w3 their weights.  (t1, t2)
+    are the first ceil(K^2/2) torus points of _torus_pairs and w6 their
+    weights folded over conjugation, which maps the node of index j to that
+    of K - 1 - j and so pairs the flat points p and K^2 - 1 - p: each point
+    carries twice its weight, except the self-conjugate centre t = (-1, -1)
+    of an odd K.  So sum f w6 is the full K-grid sum of f 1/|c|^2 for every
+    f with f(conj t) = f(t), and sum Re(f) w6 is for f(conj t) = conj f(t)."""
+    k = min(n_grid, k)
+    half = (k * k + 1) // 2
+    u = _offset_nodes(k)
+    t1, t2 = (t[:half] for t in _torus_pairs(u))
+    # either one checks the N grid
+    w6, w3 = (_grid_weights(q, n_grid) if k == n_grid
+              else _interpolated_weights(q, n_grid, k))
+    w6 = 2.0 * w6[:half]
+    if k % 2:
+        w6[-1] /= 2  # the centre point is its own conjugate
+    return k, t1, t2, w6, u, w3
 
 
 def _char_degree(h: hecke.HeckeElement) -> int:
@@ -166,55 +182,9 @@ def _char_degree(h: hecke.HeckeElement) -> int:
     the largest |coordinate| over the finite Weyl group orbit of the
     translation part mu of a support element t_mu u.  In the Bernstein
     basis T_(t_mu u) has its lattice support in the convex hull of that
-    orbit, whose coordinates peak at the vertices.  _laurent_coefficients
-    checks the bound on every call."""
+    orbit, whose coordinates peak at the vertices."""
     return max((abs(c) for w in h.terms for u in range(6)
                 for c in weyl.w0_apply(u, w.mu)), default=0)
-
-
-def _laurent_coefficients(values, d: int):
-    """Coefficients a_nu, nu in [-d, d] on each axis, of a Laurent polynomial
-    from its values on the grid of M-th roots of unity (M > 4d; 1 or 2
-    axes).  Raises ValueError if a coefficient beyond degree d exceeds
-    1e-12 max(1, sum |a|): d was not a degree bound, and the values alias."""
-    m = values.shape[0]
-    coef = np.fft.fftn(values) / values.size
-    band = np.ix_(*[np.arange(-d, d + 1) % m] * values.ndim)
-    outside = coef.copy()
-    outside[band] = 0
-    if np.abs(outside).max() > 1e-12 * max(1.0, np.abs(coef).sum()):
-        raise ValueError(f"the character has terms beyond its degree bound {d}")
-    return coef[band]
-
-
-def _character_coefficients(h: hecke.HeckeElement):
-    """q, the Fourier coefficients a6 (nu in [-d, d]^2) and a3 (nu in
-    [-d, d]) of the principal and induced characters of h, and the sign
-    character of h: everything plancherel_trace reads of h, independent of
-    the grid."""
-    if h.basis != "T":
-        raise ValueError("plancherel_trace expects the T-basis")
-    q = float(h.field.q)
-    d = _char_degree(h)
-    m = 1 << (4 * d + 1).bit_length()
-    roots = np.exp(2j * np.pi * np.arange(m) / m)
-
-    chars6 = _over_principal(q, *_torus_pairs(roots),
-                             lambda gens: reps.characters(h, gens))
-    a6 = _laurent_coefficients(chars6.reshape(m, m), d)
-    a3 = _laurent_coefficients(reps.characters(h, reps.induced_generators(q, roots)), d)
-    return q, a6, a3, reps.character(reps.sign_character(q), h)
-
-
-def _contract(coefficients, n_grid: int) -> complex:
-    """The three-component sum of plancherel_trace from the output of
-    _character_coefficients and the moments of the n_grid offset grid."""
-    q, a6, a3, chi_sign = coefficients
-    w6, w3 = _moment_tables(q, n_grid)
-    d = len(a3) // 2
-    nu = np.arange(-d, d + 1)
-    return complex(sum(_terms(q, np.sum(a6 * _moment(w6, nu[:, None], nu[None, :])),
-                              np.sum(a3 * _moment(w3, nu)), chi_sign)))
 
 
 def plancherel_trace(h: hecke.HeckeElement, n_grid: int = 256) -> complex:
@@ -224,34 +194,40 @@ def plancherel_trace(h: hecke.HeckeElement, n_grid: int = 256) -> complex:
       + (q-1)^2/(q^2(q^2-1)) * avg over T of chi_u(h)/|c1(u)|^2
       + (q-1)^3/(q^3-1) * chi_sign(h)
 
-    with both averages over the offset trapezoid grid of n_grid nodes per
-    circle.  The characters are Laurent polynomials of degree at most d
-    (_char_degree) in each variable, so each average is the contraction
-    sum_nu a_nu m_nu, exact up to rounding: a_nu from one FFT of the
-    character on M x M (or M) plain roots of unity, M the smallest power of
-    two >= 2(2d+1), and m_nu the cached moments of the weight on the grid.
-    Raises ValueError when the coefficients beyond degree d do not vanish.
-    """
-    return _contract(_character_coefficients(h), n_grid)
+    with both averages the trapezoid sums over the offset grid of n_grid
+    nodes per circle.  The characters are Laurent polynomials of degree at
+    most d (_char_degree) in each variable, so the sums are taken on the
+    band grid of 2d + 1 nodes per circle (at most n_grid), exact up to
+    rounding.  h has real coefficients and pi_conj(t) is the entrywise
+    conjugate of pi_t, so chi_t(h) at conj(t) is the conjugate of its value
+    at t: the torus average reads the real part of chi_t(h) on half the
+    band grid."""
+    if h.basis != "T":
+        raise ValueError("plancherel_trace expects the T-basis")
+    q = float(h.field.q)
+    k, t1, t2, w6, u, w3 = _band_grid(q, n_grid, 2 * _char_degree(h) + 1)
+    chars6 = _over_principal(q, t1, t2, lambda gens: reps.characters(h, gens))
+    chars3 = reps.characters(h, reps.induced_generators(q, u))
+    return complex(sum(_terms(q, np.sum(chars6.real * w6) / k ** 2, np.mean(chars3 * w3),
+                              reps.character(reps.sign_character(q), h))))
 
 
 def plancherel_estimate(h: hecke.HeckeElement, n_grid: int = 256):
     """(plancherel_trace(h, n_grid), its error estimate |T_N - T_(N/2)|):
-    the same value and the distance to the value on the grid of half as many
-    nodes, both from one set of character coefficients."""
-    coefficients = _character_coefficients(h)
-    full = _contract(coefficients, n_grid)
-    return full, abs(full - _contract(coefficients, n_grid // 2))
+    the value and its distance to the value on the grid of half as many
+    nodes."""
+    full = plancherel_trace(h, n_grid)
+    return full, abs(full - plancherel_trace(h, n_grid // 2))
 
 
 def mass_components(q: float, n_grid: int = 256):
     """Plancherel masses of the three spectral components (sum to 1): the
-    terms of the unit, whose characters are the dimensions 6, 3 and 1,
-    from the moments m_0 of the two weights on the n_grid offset grid."""
+    terms of the unit, whose characters are the dimensions 6, 3 and 1, from
+    the one-node band grid, which carries the moments m_0 of the two
+    weights on the n_grid offset grid."""
     q = hecke.check_thickness(float(q))
-    w6, w3 = _moment_tables(q, n_grid)
-    return tuple(map(float, _terms(q, 6 * _moment(w6, 0, 0).real,
-                                   3 * _moment(w3, 0).real, 1.0)))
+    _, _, _, w6, _, w3 = _band_grid(q, n_grid, 1)
+    return tuple(map(float, _terms(q, 6 * w6[0], 3 * w3[0], 1.0)))
 
 
 def _power_sums(lam, ns):
@@ -274,27 +250,15 @@ def spectral_return_probabilities(q: float, ns, n_grid: int = 256):
     with ns, duplicates included; the powers come from one running product
     over the sorted distinct n.
 
-    The average is taken on the offset grid of K = min(N, 2 max(ns) + 1)
-    nodes per circle, N = n_grid.  tr pi_t(P^n) is a Laurent polynomial of
-    degree <= n in each of t1, t2 (only pi(T_0) depends on t, through the
-    monomials t^(-e) of roots e), and so is tr pi_u(P^n) in u.  For K < N
-    each node carries the trigonometric interpolant w_K of the N-grid
-    moments m_nu (|nu_i| <= (K-1)/2) in place of 1/|c|^2.  By discrete
-    orthogonality the K-grid sum is then sum_nu a_nu m_nu over the
-    coefficients a_nu of the trace: the N-grid trapezoid sum, up to
-    rounding, from K^2 nodes instead of N^2.  For K = N the interpolant is
-    the weight itself, and the nodes carry 1/|c|^2 and 1/|c1|^2.
-
-    The 6-dimensional average runs over half the K grid.  P has real
+    tr pi_t(P^n) is a Laurent polynomial of degree <= n in each of t1, t2
+    (only pi(T_0) depends on t, through the monomials t^(-e) of roots e),
+    and so is tr pi_u(P^n) in u, so the averages are taken on the band grid
+    of K = min(N, 2 max(ns) + 1) nodes per circle, N = n_grid.  P has real
     coefficients, so pi_conj(t)(P) is the entrywise conjugate of pi_t(P)
-    and has the same (real) eigenvalues, and the weight takes the same value
-    at t and conj(t).  Conjugation maps the offset node of index k to that
-    of K - 1 - k, so it pairs the flat points p and K^2 - 1 - p: the first
-    ceil(K^2/2) points carry weight 2, except the self-conjugate centre
-    t = (-1, -1) of an odd K, which carries 1.  This holds for every
-    real-coefficient walk.  The swap t1 <-> t2 is not folded as well: it
-    fixes the spectrum only for walks invariant under the diagram
-    automorphism.
+    and has the same (real) eigenvalues: the conjugation fold of the band
+    grid holds for every real-coefficient walk.  The swap t1 <-> t2 is not
+    folded as well: it fixes the spectrum only for walks invariant under
+    the diagram automorphism.
 
     Raises ValueError unless every n is an integer >= 0.  Raises where a
     value falls below the smallest normal double (n ~ 18,000 at q = 2)
@@ -306,16 +270,7 @@ def spectral_return_probabilities(q: float, ns, n_grid: int = 256):
             raise ValueError(f"step counts must be integers >= 0, got {n!r}")
     q = hecke.check_thickness(float(q))
     distinct = sorted(set(ns))
-    k = min(n_grid, 2 * max(distinct, default=0) + 1)
-    half = (k * k + 1) // 2
-    u = _offset_nodes(k)
-    t1, t2 = (t[:half] for t in _torus_pairs(u))
-    # either one checks the N grid
-    w6, w3 = (_grid_weights(q, n_grid) if k == n_grid
-              else _interpolated_weights(q, n_grid, k))
-    w6 = 2.0 * w6[:half]
-    if k % 2:
-        w6[-1] /= 2  # the centre point is its own conjugate
+    k, t1, t2, w6, u, w3 = _band_grid(q, n_grid, 2 * max(distinct, default=0) + 1)
     lam6 = _over_principal(
         q, t1, t2, lambda gens: np.linalg.eigvalsh(reps.walk_operator(q, gens)))
     lam3 = np.linalg.eigvalsh(reps.walk_operator(q, reps.induced_generators(q, u)))
@@ -423,18 +378,20 @@ def table_trace(h: hecke.HeckeElement):
 
 def central_trace_integral(p: hecke.HeckeElement, n_grid: int = 256) -> complex:
     """Trace of p(x) 1_0 for symmetric p, by torus quadrature:
-    (1/(6 q^3)) avg of p(t)/(c(t) c(1/t)), which is sum_e c_e m_e / (6 q^3)
-    over the terms c_e x^e of p with the moments m_e of 1/|c|^2 on the
-    n_grid offset grid.  Asymmetric input is rejected."""
+    (1/(6 q^3)) avg of p(t)/(c(t) c(1/t)) over the n_grid offset grid, with
+    p(t) = sum_e c_e t^e over the terms c_e x^e of p.  p is a Laurent
+    polynomial of degree d = max |e_i| with real coefficients, so the
+    average is taken on the band grid of 2d + 1 nodes per circle, reading
+    the real part of p on half of it.  Asymmetric input is rejected."""
     if p.basis != "X" or any(u != 0 for (_, u) in p.terms):
         raise ValueError("expected a symmetric element of the lattice subalgebra")
-    field = p.field
     for (e, _), c in p.terms.items():
         for u in range(6):
             if p.terms.get((weyl.w0_apply(u, e), 0)) != c:
                 raise ValueError("input is not symmetric under the finite group")
-    q = float(field.q)
-    w6, _ = _moment_tables(q, n_grid)
-    e1, e2 = np.array([e for e, _ in p.terms], dtype=int).reshape(-1, 2).T
-    coef = np.array([complex(c) for c in p.terms.values()], dtype=complex)
-    return complex(_terms(q, np.sum(coef * _moment(w6, e1, e2)), 0, 0)[0])
+    q = float(p.field.q)
+    degree = max((abs(c) for e, _ in p.terms for c in e), default=0)
+    k, t1, t2, w6, _, _ = _band_grid(q, n_grid, 2 * degree + 1)
+    values = sum((complex(c) * t1 ** e[0] * t2 ** e[1] for (e, _), c in p.terms.items()),
+                 np.zeros(len(t1), dtype=complex))
+    return complex(_terms(q, np.sum(values.real * w6) / k ** 2, 0, 0)[0])

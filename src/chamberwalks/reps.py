@@ -95,13 +95,21 @@ def induced_generators(q, u):
     return g0, np.broadcast_to(m1, (npts, 3, 3)), np.broadcast_to(m2, (npts, 3, 3))
 
 
+def _single(q, gens) -> Representation:
+    """The module of a batch of one generator triple; raises ValueError on a
+    non-finite entry (a parameter that is not finite, or so small that a
+    power of it overflows)."""
+    if not all(np.isfinite(g).all() for g in gens):
+        raise ValueError("the generator matrices have a non-finite entry")
+    return Representation(float(q), tuple(np.array(g[0]) for g in gens))
+
+
 def principal_series(q, t) -> Representation:
     """The 6-dimensional module with central character t = (t1, t2)."""
     t1, t2 = complex(t[0]), complex(t[1])
     if t1 == 0 or t2 == 0:
         raise ValueError("central character components must be nonzero")
-    gens = principal_generators(q, np.array([t1]), np.array([t2]))
-    return Representation(float(q), tuple(np.array(g[0]) for g in gens))
+    return _single(q, principal_generators(q, np.array([t1]), np.array([t2])))
 
 
 def induced_three_dim(q, u) -> Representation:
@@ -109,8 +117,7 @@ def induced_three_dim(q, u) -> Representation:
     u = complex(u)
     if u == 0:
         raise ValueError("parameter must be nonzero")
-    gens = induced_generators(q, np.array([u]))
-    return Representation(float(q), tuple(np.array(g[0]) for g in gens))
+    return _single(q, induced_generators(q, np.array([u])))
 
 
 def sign_character(q) -> Representation:
@@ -192,13 +199,12 @@ def is_principal_irreducible(q, t) -> bool:
 
 
 def max_relation_residual(rep: Representation) -> float:
-    """Largest entrywise violation of the quadratic and braid relations."""
+    """Largest entrywise violation of the quadratic and braid relations;
+    NaN if any entry is NaN."""
     m0, m1, m2 = rep.gens
     quad = rep.q ** 0.5 - rep.q ** -0.5
     eye = np.eye(rep.dim)
-    worst = 0.0
-    for m in rep.gens:
-        worst = max(worst, np.abs(m @ m - eye - quad * m).max())
-    for a, b in ((m0, m1), (m1, m2), (m0, m2)):
-        worst = max(worst, np.abs(a @ b @ a - b @ a @ b).max())
-    return float(worst)
+    residuals = [np.abs(m @ m - eye - quad * m).max() for m in rep.gens]
+    residuals += [np.abs(a @ b @ a - b @ a @ b).max()
+                  for a, b in ((m0, m1), (m1, m2), (m0, m2))]
+    return float(np.max(residuals))

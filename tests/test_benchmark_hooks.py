@@ -1,12 +1,15 @@
 """The benchmark's traced runs wrap package attributes by name
-(`perfbench/tracing.py`); a refactor that drops or moves one of them should
-fail here rather than in the benchmark."""
+(`perfbench/tracing.py`), and its workloads read package attributes
+directly; a refactor that drops or moves one of them should fail here
+rather than in the benchmark."""
 
+import ast
 import importlib
 import importlib.util
 import pathlib
 
-TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _load_tracing():
@@ -32,4 +35,24 @@ def test_traced_names_resolve():
         )
         if not found:
             missing.append(f"{mod}.{attr}")
+    assert not missing
+
+
+def _package_reads(path):
+    """The (module, name) pairs of every <module>.<name> read in a file,
+    for the package modules it imports with ``from chamberwalks import``."""
+    tree = ast.parse(path.read_text())
+    modules = {a.asname or a.name: a.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "chamberwalks"
+               for a in node.names}
+    return {(modules[node.value.id], node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules}
+
+
+def test_benchmark_reads_resolve():
+    reads = set().union(*map(_package_reads, sorted(PERFBENCH.glob("*.py"))))
+    assert len(reads) >= 20  # the scan sees the workloads' reads
+    missing = [f"{mod}.{name}" for mod, name in sorted(reads)
+               if not hasattr(importlib.import_module(f"chamberwalks.{mod}"), name)]
     assert not missing

@@ -247,7 +247,8 @@ def test_trace_all_exit_code(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(plancherel, "plancherel_estimate", shifted)
     code, out = run(capsys, argv)
     assert code == cli.EXIT_TOLERANCE
-    assert json.loads(out)["max_discrepancy"] > 1e-3
+    # the shift is the discrepancy, whichever way the unshifted value rounds
+    assert abs(json.loads(out)["max_discrepancy"] - 1e-3) <= 1e-12
 
 
 def test_trace_flags_that_would_misreport(capsys, tmp_path):
@@ -320,6 +321,20 @@ def test_reps_check_coordinate_count(capsys):
         assert cli.main(base + flags) == cli.EXIT_USAGE
         out = capsys.readouterr()
         assert out.out == "" and out.err == f"error: {err}\n"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_reps_check_rejects_non_finite_parameters(capsys):
+    """A NaN or infinite coordinate, or one whose inverse overflows, is a
+    usage error, not a module with a tiny relation residual."""
+    base = ["reps", "check", "--q", "2"]
+    for flags, err in ((["--t", "nan,0,1,0"], "--t takes finite numbers"),
+                       (["--t", "1e-320,0,1,0"], "non-finite entry"),
+                       (["--t", "0.6,0.8,0.28,-0.96", "--u", "inf,0"],
+                        "--u takes finite numbers")):
+        assert cli.main(base + flags) == cli.EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out == "" and err in out.err
 
 
 def test_reps_check_reducible_point(capsys):

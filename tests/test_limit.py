@@ -186,7 +186,7 @@ def test_orbits_match_relabelled_words(walk, order):
     _, _, group = L._read_spec(walk)
     assert len(group) == order
     space = L.state_space(12)
-    reps, orbit = L._orbits(space, group)
+    reps, orbit = L._orbits(12, group)
     members = {}
     for s, o in enumerate(orbit.tolist()):
         members.setdefault(o, set()).add(s)
@@ -207,7 +207,7 @@ def test_walk_matrix_at_representatives_reads_the_full_operator(walk):
     mapped to its orbit, on a ball whose edge rows point outside it."""
     words, _, group = L._read_spec(walk)
     space = L.state_space(7)
-    reps, orbit = L._orbits(space, group)
+    reps, orbit = L._orbits(7, group)
     assert (space.target[reps] < 0).any()
     states = np.arange(len(space.elems))
     diag, idx, val = L._walk_matrix(space, words, 2.5, reps, orbit)
@@ -224,7 +224,7 @@ def test_walk_matrix_reads_the_tables_only_where_its_paths_go():
     table: no table over the whole ball is built."""
     space = L.state_space(200)
     words, _, group = L._read_spec(L.simple_walk_spec())
-    reps, orbit = L._orbits(space, group)
+    reps, orbit = L._orbits(200, group)
     tracemalloc.start()
     try:
         L._walk_matrix(space, words, 2.0, reps, orbit)
@@ -272,10 +272,12 @@ def test_masses_at_matches_exact_distribution(walk, q, word):
 ])
 def test_masses_at_builds_the_light_cone_ball(monkeypatch, walk, word, ns):
     """The ball has radius floor((n L + l(w)) / 2), not the n L of the full
-    recursion."""
+    recursion.  The query runs once first, so the ball and its orbit maps
+    are cached and the recorded call is the query's own."""
+    w = W.from_word(word)
+    L.masses_at(walk, w, ns, 2)
     real, radii = L.state_space, []
     monkeypatch.setattr(L, "state_space", lambda r: radii.append(r) or real(r))
-    w = W.from_word(word)
     L.masses_at(walk, w, ns, 2)
     step = max(W.length(v) for v in walk)
     assert radii == [(max(ns) * step + W.length(w)) // 2]
@@ -318,6 +320,19 @@ def test_state_space_cache_is_bounded():
         L.state_space(radius)
     assert L.state_space.cache_info().currsize == bound
     assert L.state_space(bound + 3) is L.state_space(bound + 3)
+
+
+def test_orbit_cache_is_bounded_and_read_only():
+    _, _, group = L._read_spec(L.simple_walk_spec())
+    bound = L._orbits.cache_info().maxsize
+    for radius in range(1, bound + 4):
+        L._orbits(radius, group)
+    assert L._orbits.cache_info().currsize == bound
+    reps, orbit = L._orbits(bound + 3, group)
+    assert L._orbits(bound + 3, group)[1] is orbit
+    for table in (reps, orbit):
+        with pytest.raises(ValueError):
+            table[0] = 0
 
 
 def test_state_space_refuses_an_oversized_box():

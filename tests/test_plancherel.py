@@ -401,14 +401,30 @@ def test_plancherel_trace_matches_grid_sum(q, n):
         assert abs(P.plancherel_trace(h, n) - _grid_sum_trace(h, n)) <= 1e-13 * scale
 
 
-def test_plancherel_trace_degree_guard(field2, monkeypatch):
+def test_plancherel_trace_degree_guard(field2):
+    # degree 10 asks for K = 21 > N = 8 nodes, so the N grid itself is used
     h = H.t_element(field2, [(_TEN_ZEROS, field2.one)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least 16 nodes"):
         P.plancherel_trace(h, 8)
-    real = P._char_degree
-    monkeypatch.setattr(P, "_char_degree", lambda h: real(h) - 1)
-    with pytest.raises(ValueError, match="degree bound 9"):
-        P.plancherel_trace(h, 64)
+
+
+@pytest.mark.parametrize("n_grid", [64, 256])
+def test_plancherel_trace_evaluates_the_band_grid_only(field2, monkeypatch, n_grid):
+    """The characters are taken on half the (2d + 1) x (2d + 1) grid, d the
+    degree bound, not on the N x N grid."""
+    points = []
+    real = R.principal_generators
+
+    def counting(q, t1, t2):
+        points.append(len(t1))
+        return real(q, t1, t2)
+
+    monkeypatch.setattr(R, "principal_generators", counting)
+    h = _aa_star(field2, _NEG_WORDS)
+    d = P._char_degree(h)
+    assert 2 * d + 1 < n_grid
+    P.plancherel_trace(h, n_grid)
+    assert 0 < sum(points) <= ((2 * d + 1) ** 2 + 1) // 2
 
 
 def test_char_degree_bounds_the_measured_degree():
@@ -436,8 +452,8 @@ def test_char_degree_bounds_the_measured_degree():
     assert P._char_degree(H.t_element(F, [(_TEN_ZEROS, F.one)])) == 10
 
 
-def test_plancherel_estimate_reuses_one_set_of_coefficients(field2):
-    # the value and the two-grid difference, bit for bit as two separate calls
+def test_plancherel_estimate_is_two_plancherel_traces(field2):
+    # the value at N and its distance to the value at N/2, bit for bit
     h = _aa_star(field2, _NEG_WORDS)
     value, estimate = P.plancherel_estimate(h, 64)
     assert value == P.plancherel_trace(h, 64)
@@ -526,6 +542,34 @@ def test_central_trace_integral(field2):
     for lam in ((1, 1), (2, 1)):
         p = H.macdonald_p(F, lam)
         assert abs(P.central_trace_integral(p, 128)) < 1e-10
+
+
+def _orbit_sum(F, terms):
+    """The symmetric element sum c x^e over the finite Weyl group orbits of
+    the given (e, c) pairs."""
+    return H.x_element(F, [((e, 0), F.make(c)) for mu, c in terms
+                           for e in {W.w0_apply(u, mu) for u in range(6)}])
+
+
+@pytest.mark.parametrize("n", [16, 96])
+def test_central_trace_integral_matches_grid_sum(field2, n):
+    """Against the trapezoid sum of p(t) / |c(t)|^2 / (6 q^3) taken node by
+    node over the N x N offset grid, with the weight written out from the
+    positive roots.  The orbit of (9, 2) has degree 11, so N = 16 takes
+    the N grid itself and N = 96 the band grid of 23 nodes."""
+    q = 2.0
+    terms = ((0, 0), 3), ((1, 0), 1), ((2, -1), 2), ((9, 2), 1)
+    p = _orbit_sum(field2, terms)
+    _, t1, t2 = _offset_grid(n)
+    weight = np.ones(len(t1))
+    for a, b in W.POS_ROOTS:
+        ta = t1 ** -a * t2 ** -b
+        weight *= np.abs(1 - ta) ** 2 / np.abs(1 - ta / q) ** 2
+    values = sum(complex(c) * t1 ** e[0] * t2 ** e[1] for (e, _), c in p.terms.items())
+    want = np.mean(values * weight) / (6 * q ** 3)
+    assert abs(want) > 0.1
+    scale = sum(abs(complex(c)) for c in p.terms.values())
+    assert abs(P.central_trace_integral(p, n) - want) <= 1e-14 * scale
 
 
 def test_central_trace_integral_rejects_asymmetric(field2):

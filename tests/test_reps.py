@@ -72,6 +72,25 @@ def test_relations(field2):
         assert R.max_relation_residual(rep) < 1e-12
 
 
+def test_relation_residual_propagates_nan():
+    rep = R.principal_series(2, (0.3 + 0.4j, 1.2 - 0.1j))
+    gens = [g.copy() for g in rep.gens]
+    gens[1][0, 0] = np.nan
+    assert np.isnan(R.max_relation_residual(R.Representation(rep.q, tuple(gens))))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_single_modules_reject_non_finite_entries():
+    """A parameter that is not finite, or whose inverse overflows, gives a
+    non-finite generator entry."""
+    for t in ((np.nan, 1.0), (1.0, np.inf), (1e-320, 1.0)):
+        with pytest.raises(ValueError, match="non-finite"):
+            R.principal_series(2, t)
+    for u in (np.nan, np.inf, 1e-320):
+        with pytest.raises(ValueError, match="non-finite"):
+            R.induced_three_dim(2, u)
+
+
 def test_entry_example():
     t = (0.3 + 0.4j, 0.9 + 0.1j)
     rep = R.principal_series(2, t)
