@@ -6,13 +6,10 @@ The exact n-step distribution follows the averaging-operator recursion: a
 step from w splits uniformly over the three wall types; an ascent moves to
 ws_i, a descent moves there with probability 1/q and stays otherwise.  The
 Monte Carlo chain samples the same kernel, so the two are independent only
-in implementation: a deterministic gather recursion against trajectories
-drawn in blocks of k steps, one uint16 draw per trial and block and one
-gather from a fused k-step table, with the acceptance exactly 1/q for
-rational q.  A second thread makes the draw of the next block while the
-current block gathers; it draws in block order, one block at a time, so
-the stream is the same as on one thread.  The spectral route goes through
-the trace decomposition instead.
+in implementation: a deterministic gather recursion against a sample of the
+per-state counts of the trajectories, split at each step by one multinomial
+draw per live state; it reads only the ball's target and ascent tables.
+The spectral route goes through the trace decomposition instead.
 
 The chain lives on a ball of the affine Weyl group, built from arrays: the
 closed-form length over a lattice box of (m, n, u) for w = t_(m,n) u, whose
@@ -416,110 +413,48 @@ def exact_distribution_rational(walk: dict, n: int, q) -> dict:
     return dist
 
 
-def _mc_tables(space: StateSpace, q: Fraction, n: int, trials: int) -> list:
-    """The step tables [T_1, ..., T_k] of ``mc_simulate``, int32 arrays of
-    shape (states, W^j) with W = 3a for q = a/b.
-
-    Digit d = 3j + i of T_1 picks wall type i and accepts the move when
-    j < b: ``T_1[s, d]`` is ``target[s, i]`` then, else the ascent target
-    or s itself.  ``T_(j+1)[s, r W + d] = T_1[T_j[s, r], d]``, so the first
-    step is the most significant digit; an entry -1 (an ascent out of the
-    ball) stays -1.  k is the largest k <= n with W^k <= 2^16 and
-    states x W^k <= trials, and 1 if there is none.
-    """
-    states, w = len(space.target), 3 * q.numerator
-    if w * states >= 2 ** 31:
-        raise ValueError(f"{states} states overflow the int32 step table")
-    k = 1
-    while k < n and w ** (k + 1) <= 2 ** 16 and states * w ** (k + 1) <= trials:
-        k += 1
-    stay = np.where(space.ascent, space.target, np.arange(states)[:, None])
-    one = np.concatenate(
-        (np.tile(space.target, q.denominator),
-         np.tile(stay, q.numerator - q.denominator)), axis=1,
-    ).astype(np.int32)
-    tables = [one]
-    for _ in range(k - 1):
-        prev = tables[-1]
-        tables.append(np.where(prev[:, :, None] < 0, -1, one[prev])
-                      .reshape(states, -1))
-    return tables
-
-
-# trials per gather chunk: the chunk's states, indices and draws stay in cache
-_GATHER_CHUNK = 1 << 16
-
-
 def mc_simulate(n: int, trials: int, seed: int, q) -> WalkDistribution:
-    """Empirical distribution of the uniform nearest-neighbour radial chain.
+    """Empirical distribution of the uniform nearest-neighbour radial chain
+    after n steps of ``trials`` independent trajectories from e.
 
-    All trials advance together on one Philox stream keyed by the seed, in
-    blocks of k steps.  A block draws one uint16 per trial, uniform on
-    [0, W^k) with W = 3a for q = a/b, and moves every trial k steps by one
-    gather, ``state = T_k[W^k state + r]`` (see ``_mc_tables``).  Read in
-    base W, most significant digit first, the draw gives one digit
-    d = 3j + i per step: wall type i, and a descent accepted when j < b, so
-    the acceptance probability is exactly 1/q.  k is the largest k <= n
-    with W^k <= 2^16 and states x W^k <= trials, so the table is never
-    larger than the trials' state array; the n mod k steps left over take
-    one more draw on T_(n mod k).  A trial starts a block of m steps at
-    length <= n - m, and those rows of T_m hold no -1.
+    The trajectories are exchangeable, so their counts per state carry their
+    whole law, and the counts are what is sampled: given the counts after k
+    steps, the counts after k + 1 steps are the sum over states s of
+    Multinomial(count_s, row_s).  Row s has four outcomes, stay and the
+    targets of walls 0, 1 and 2.  A wall move has probability 1/3 on an
+    ascent and 1/(3q) on a descent, and stay (1 - 1/q)/3 per descent, an
+    exact 0 at a state whose walls are all ascents.  Numpy gives the last
+    outcome what the others leave, and a wall move always has probability
+    >= 1/(3q) > 0.  The acceptance 1/q is rounded to a double.
 
-    One worker thread makes the draws, in block order and one at a time:
-    the draw of block j + 1 runs while this thread gathers block j, so the
-    stream does not depend on thread scheduling.  The gather runs in chunks
-    of ``_GATHER_CHUNK`` trials through one int32 scratch array, with
-    ``mode='clip'``, which clamps instead of checking.  Every index is in
-    range by construction: 0 <= state < states (a trial's state is a state
-    of the ball, never the -1 of an ascent out of it, by the row argument
-    above) and 0 <= r < W^m, so W^m state + r < states x W^m, the size of
-    T_m, which is below 2^31 as W x states < 2^31 and
-    states x W^k <= trials < 2^31.  ``'raise'`` would not have caught a
-    stray -1 either: numpy wraps negative indices.
-
-    The result is reproducible for fixed (n, trials, seed, q), but the draws
-    a given trial sees, and k, depend on ``trials``, so runs with different
-    trial counts do not share trajectories.  q is read as a Fraction: a
-    float such as 2.1 has a numerator near 2^52, and q with W > 2^16
-    raises, as do W x states >= 2^31 and trials >= 2^31.
+    Each step draws ``rng.multinomial`` once over the live states (count
+    > 0), in state order, on one Philox stream keyed by the seed, so the
+    result is reproducible for fixed (n, trials, seed, q) and costs
+    O(n x states) whatever ``trials`` is.  A live state at step k has length
+    <= k <= n - 1, so every target it reaches is inside the ball of radius
+    max(n, 1).  The counts are int64 and sum to ``trials`` exactly; trials
+    stay below 2^53 because numpy draws each binomial in doubles, which hold
+    every integer up to there.  q may be any thickness q > 1.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     _check_steps(n)
-    if not 1 <= trials < 2 ** 31:
-        raise ValueError(f"need 1 <= trials < 2^31, got {trials}")
-    given, q = q, Fraction(hecke.check_thickness(q))
-    w = 3 * q.numerator
-    if w > 2 ** 16:
-        raise ValueError(
-            f"q = {given} is {q}: a draw needs 3 x {q.numerator} values, over "
-            f"2^16; pass q as a Fraction with a numerator up to 21845, such "
-            f"as Fraction('2.1')")
+    if not 1 <= trials < 2 ** 53:
+        raise ValueError(f"need 1 <= trials < 2^53, got {trials}")
+    accept = float(1 / Fraction(hecke.check_thickness(q)))
     space = state_space(max(n, 1))
-    tables = _mc_tables(space, q, n, trials)
-    k = len(tables)
+    descents = np.count_nonzero(~space.ascent, axis=1)
+    rows = np.column_stack((descents * ((1 - accept) / 3),
+                            np.where(space.ascent, 1 / 3, accept / 3)))
     rng = np.random.Generator(np.random.Philox(key=seed))
-    state = np.full(trials, space.state(IDENTITY), dtype=np.int32)
-    idx = np.empty(min(trials, _GATHER_CHUNK), dtype=np.int32)
-    blocks = [min(k, n - done) for done in range(0, n, k)]
-
-    def draw(m):
-        return rng.integers(0, w ** m, size=trials, dtype=np.uint16)
-
-    with ThreadPoolExecutor(max_workers=1) as drawer:
-        ahead = drawer.submit(draw, blocks[0]) if blocks else None
-        for j, m in enumerate(blocks):
-            r = ahead.result()
-            if j + 1 < len(blocks):
-                ahead = drawer.submit(draw, blocks[j + 1])
-            table, scale = tables[m - 1].ravel(), w ** m
-            for lo in range(0, trials, _GATHER_CHUNK):
-                part = state[lo:lo + _GATHER_CHUNK]
-                chunk = idx[:len(part)]
-                np.multiply(part, scale, out=chunk)
-                np.add(chunk, r[lo:lo + _GATHER_CHUNK], out=chunk)
-                np.take(table, chunk, out=part, mode="clip")
-    counts = np.bincount(state, minlength=len(space.target))
+    counts = np.zeros(len(space.elems), dtype=np.int64)
+    counts[space.state(IDENTITY)] = trials
+    for _ in range(n):
+        live = np.flatnonzero(counts)
+        draws = rng.multinomial(counts[live], rows[live])
+        counts = np.zeros_like(counts)
+        counts[live] = draws[:, 0]
+        # s -> s s_i is a bijection, so no index repeats within one column
+        for i in range(3):
+            counts[space.target[live, i]] += draws[:, i + 1]
     return WalkDistribution(n, space, counts / trials)
 
 

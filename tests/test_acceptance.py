@@ -416,7 +416,7 @@ def test_c13_monte_carlo_agreement():
     strict=True,
     reason="source defect: the expected total variation of a 1e6-trial "
     "empirical 10-step distribution is 0.0041 (analytic, confirmed over "
-    "six seeds at 0.00378-0.00449 on the block-draw stream), above the "
+    "six seeds at 0.00362-0.00444 on the count-splitting stream), above the "
     "printed 0.003 bound; see the decisions ledger",
 )
 def test_c13b_monte_carlo_tv_verbatim():

@@ -50,8 +50,9 @@ def test_walk_mc_deterministic(capsys, tmp_path):
 
 
 def test_walk_mc_reads_decimal_q_exactly(capsys):
-    """--q 2.1 is Fraction('2.1') = 21/10 (draws on [0, 63)), not the float
-    2.1, whose numerator is near 2^52 and which mc_simulate rejects."""
+    """--q 2.1 is read as Fraction('2.1') = 21/10, not as the float 2.1
+    (4728779608739021/2^51); mc_simulate accepts a move on a descent with
+    probability 10/21 rounded to a double."""
     code, out = run(capsys, ["walk", "mc", "--q", "2.1", "--n", "3",
                              "--trials", "1000", "--seed", "1"])
     assert code == 0
@@ -378,8 +379,8 @@ def test_exact_walk_loads_no_sparse_library(package_env):
 
 
 def test_import_loads_no_executor(package_env):
-    """The Monte Carlo imports its draw thread's executor on first use, so
-    importing the package and the CLI stays as cheap as before."""
+    """Nothing in the package starts a thread pool, so importing the
+    package and the CLI loads no executor."""
     script = (
         "import sys\n"
         "from chamberwalks import cli, limit\n"

@@ -46,8 +46,7 @@ def test_exports_are_named_outside_their_module():
 
 def test_no_function_imports_locally():
     """A function-local import saves nothing once the package __init__ has
-    loaded every module and numpy.  The one exception is the executor of the
-    Monte Carlo's draw thread, which importing the package does not load."""
+    loaded every module and numpy."""
     local = []
     for path in sorted(SRC.glob("*.py")):
         for fn in ast.walk(ast.parse(path.read_text())):
@@ -58,7 +57,7 @@ def test_no_function_imports_locally():
                     elif isinstance(node, ast.ImportFrom):
                         module = "." * node.level + (node.module or "")
                         local.append((path.stem, fn.name, module))
-    assert local == [("limit", "mc_simulate", "concurrent.futures")]
+    assert local == []
 
 
 def _private_reaches(source: str) -> list:

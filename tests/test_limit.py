@@ -1,7 +1,5 @@
-import dataclasses
 import itertools
 import random
-import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -397,143 +395,128 @@ def test_mc_deterministic_and_zero_steps():
     assert z.mass(W.IDENTITY) == 1.0
 
 
-def _block_size(w, states, n, trials):
-    k = 1
-    while k < n and w ** (k + 1) <= 2 ** 16 and states * w ** (k + 1) <= trials:
-        k += 1
-    return k
-
-
 def _digit_mc(n, trials, seed, q):
-    """Reference kernel for mc_simulate, with no table: per block of m steps
-    one uint16 draw on [0, W^m), W = 3a for q = a/b, replayed digit by
-    digit, most significant first.  Digit d picks wall type d mod 3 and
-    moves on an ascent or when d div 3 < b."""
+    """Counts per state of an independent sampler that moves every trial:
+    each step draws one digit d on [0, 3a) per trial, q = a/b.  Digit d
+    picks wall type d mod 3 and moves on an ascent or when d div 3 < b, so
+    the acceptance is exactly 1/q."""
     q = Fraction(q)
     w, b = 3 * q.numerator, q.denominator
     space = L.state_space(max(n, 1))
-    k = _block_size(w, len(space.elems), n, trials)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    state = np.full(trials, space.state(W.IDENTITY), dtype=np.int64)
-    for done in range(0, n, k):
-        m = min(k, n - done)
-        r = rng.integers(0, w ** m, size=trials, dtype=np.uint16).astype(np.int64)
-        for p in reversed(range(m)):
-            d = r // w ** p % w
-            pick = d % 3
-            move = space.ascent[state, pick] | (d // 3 < b)
-            state = np.where(move, space.target[state, pick], state)
-    return np.bincount(state, minlength=len(space.elems)) / trials
+    state = np.full(trials, space.state(W.IDENTITY))
+    for _ in range(n):
+        d = rng.integers(0, w, size=trials)
+        pick = d % 3
+        move = space.ascent[state, pick] | (d // 3 < b)
+        state = np.where(move, space.target[state, pick], state)
+    return np.bincount(state, minlength=len(space.elems))
+
+
+def _split_mc(n, trials, seed, q):
+    """Reference for the stream of mc_simulate: one rng.multinomial(count,
+    row) per live state, in state order, with the row of (stay, wall 0,
+    wall 1, wall 2) written out wall by wall."""
+    accept = float(1 / Fraction(q))
+    space = L.state_space(max(n, 1))
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    counts = np.zeros(len(space.elems), dtype=np.int64)
+    counts[space.state(W.IDENTITY)] = trials
+    for _ in range(n):
+        new = np.zeros_like(counts)
+        for s in np.flatnonzero(counts):
+            row = [0.0]
+            for up in space.ascent[s]:
+                row[0] += 0.0 if up else (1 - accept) / 3
+                row.append(1 / 3 if up else accept / 3)
+            draw = rng.multinomial(counts[s], row)
+            new[s] += draw[0]
+            for i in range(3):
+                new[space.target[s, i]] += draw[i + 1]
+        counts = new
+    return counts / trials
 
 
 @pytest.mark.parametrize("n, trials, seed, q", [
     (0, 5, 1, 2), (1, 1, 3, 2), (17, 30001, 5, Fraction(5, 2)),
     (40, 20000, 8, 3), (12, 5000, 2, Fraction(3, 2)), (25, 4000, 9, 9),
-    # n = 11 with 100000 trials (199 states): k = 3 at q = 2, k = 2 at
-    # q = 5/2 and 3/2, each with n mod k != 0
     (11, 100000, 4, 2), (11, 100000, 6, Fraction(5, 2)),
     (11, 100000, 7, Fraction(3, 2)),
-    # one trial short of, exactly and one past a gather chunk, n mod k != 0
-    (11, L._GATHER_CHUNK - 1, 10, 2), (11, L._GATHER_CHUNK, 11, Fraction(5, 2)),
-    (11, L._GATHER_CHUNK + 1, 12, Fraction(3, 2)),
+    (11, 65535, 10, 2), (11, 65536, 11, Fraction(5, 2)),
+    (11, 65537, 12, Fraction(3, 2)),
+    # every reachable state is live
+    (12, 10 ** 12, 13, 2), (9, 2 ** 53 - 1, 14, 2.1),
 ])
 def test_mc_stream_is_pinned(n, trials, seed, q):
-    """The fused-table kernel reproduces the digit-by-digit kernel bit for
-    bit."""
+    """One multinomial draw over the live states reproduces one draw per
+    live state bit for bit."""
     emp = L.mc_simulate(n, trials, seed, q)
-    assert np.array_equal(emp.masses, _digit_mc(n, trials, seed, q))
+    assert np.array_equal(emp.masses, _split_mc(n, trials, seed, q))
 
 
-def test_mc_leaves_no_thread_behind():
-    before = threading.active_count()
-    L.mc_simulate(11, 100000, 4, 2)
-    assert threading.active_count() == before
+@pytest.mark.parametrize("q", [2, Fraction(5, 2), Fraction(3, 2), 9])
+def test_mc_agrees_with_a_per_trajectory_sampler(q):
+    """The count-splitting sample and the digit sampler, on their own seeds,
+    agree at every state within 5 sigma of their difference."""
+    n, trials = 10, 200_000
+    split = L.mc_simulate(n, trials, 21, q).masses * trials
+    digit = _digit_mc(n, trials, 22, q)
+    pooled = (split + digit) / (2 * trials)
+    sigma = np.sqrt(pooled * (1 - pooled) * 2 / trials)
+    assert (np.abs(split - digit) / trials <= 5 * sigma).all()
 
 
-def test_mc_draw_error_reaches_the_caller(monkeypatch):
-    """An exception in the draw thread, here on the second block's draw,
-    is raised by mc_simulate, and the thread is gone afterwards."""
-    real = np.random.Generator
-
-    class FailingSecondDraw:
-        def __init__(self, bits):
-            self.rng, self.draws = real(bits), 0
-
-        def integers(self, *args, **kwargs):
-            self.draws += 1
-            if self.draws == 2:
-                raise RuntimeError("draw failed")
-            return self.rng.integers(*args, **kwargs)
-
-    monkeypatch.setattr(np.random, "Generator", FailingSecondDraw)
-    before = threading.active_count()
-    with pytest.raises(RuntimeError, match="draw failed"):
-        L.mc_simulate(11, 100000, 4, 2)
-    assert threading.active_count() == before
+@pytest.mark.parametrize("q", [2, Fraction(3, 2)])
+def test_mc_support_lies_inside_the_exact_support(q):
+    """At 10^12 trials every reachable state is live, and no state the
+    exact walk leaves at an exact 0 gets mass."""
+    for n in range(13):
+        exact = L.exact_distribution(L.simple_walk_spec(), n, q).masses
+        emp = L.mc_simulate(n, 10 ** 12, 30 + n, q).masses
+        assert emp.shape == exact.shape
+        assert not emp[exact == 0].any(), n
 
 
-def test_mc_rejects_trials_past_int32():
-    """The table index W^m state + r is int32; 2^31 trials would let it
-    wrap, so they raise before any array is built."""
-    with pytest.raises(ValueError, match="2\\^31"):
-        L.mc_simulate(3, 2 ** 31, 0, 2)
-    with pytest.raises(ValueError, match="trials"):
-        L.mc_simulate(3, 0, 0, 2)
+def test_mc_memory_does_not_grow_with_the_trials():
+    """The peak is set by the ball, not by the trials: after one call that
+    builds the ball and numpy's lazy state, 10^3 and 10^12 trials peak
+    within a factor 1.5 of each other and below 400 bytes per state."""
+    states = len(L.state_space(10).elems)
+    L.mc_simulate(10, 10, 0, 2)
+    peaks = []
+    for trials in (10 ** 3, 10 ** 12):
+        tracemalloc.start()
+        try:
+            L.mc_simulate(10, trials, 0, 2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0] and max(peaks) < 400 * states, peaks
 
 
-@pytest.mark.parametrize("n, trials, q", [
-    (11, 100000, 2), (11, 100000, Fraction(5, 2)), (11, 100000, Fraction(3, 2)),
-    (10, 10 ** 6, 2), (40, 2 * 10 ** 6, 2), (6, 10 ** 6, 9),
-])
-def test_mc_tables_reachable_entries_inside_the_ball(n, trials, q):
-    """T_j holds -1 only in rows of length > n - j, which no trial reaches
-    before a block of j steps; the rows just above do hold -1."""
-    space = L.state_space(n)
-    tables = L._mc_tables(space, Fraction(q), n, trials)
-    assert len(tables) == _block_size(3 * Fraction(q).numerator,
-                                      len(space.elems), n, trials)
-    for j, table in enumerate(tables, 1):
-        assert table.dtype == np.int32
-        assert not (table[space.lengths <= n - j] < 0).any(), j
-        assert (table[space.lengths == n - j + 1] < 0).any(), j
+def test_mc_trials_domain():
+    """1 <= trials < 2^53, since numpy draws each binomial in doubles.  The
+    int64 counts sum to the trials exactly, here at 10^15."""
+    for bad in (0, 2 ** 53):
+        with pytest.raises(ValueError, match="trials"):
+            L.mc_simulate(3, bad, 0, 2)
+    trials = 10 ** 15
+    emp = L.mc_simulate(12, trials, 0, 2)
+    counts = np.rint(emp.masses * trials).astype(np.int64)
+    assert np.array_equal(counts / trials, emp.masses)
+    assert counts.sum() == trials
 
 
-@pytest.mark.parametrize("n, trials, q", [
-    (0, 5, 2), (1, 1, 2), (11, 100000, 2), (11, 100000, Fraction(5, 2)),
-    (40, 2 * 10 ** 6, 2), (8, 10 ** 9, 2), (3, 10 ** 9, 2), (5, 10 ** 9, 9),
-])
-def test_mc_table_is_no_larger_than_the_trials(n, trials, q):
-    space = L.state_space(max(n, 1))
-    w = 3 * Fraction(q).numerator
-    tables = L._mc_tables(space, Fraction(q), n, trials)
-    assert tables[-1].size <= max(trials, w * len(space.elems))
-    assert len(tables) <= max(n, 1) and w ** len(tables) <= 2 ** 16
-
-
-def test_mc_step_table_must_fit_int32(monkeypatch):
-    """W x states >= 2^31 raises before anything of that size is built; the
-    stub's zero-strided rows (4e8 of them) take no memory."""
-    real = L.state_space(1)
-    rows = 400_000_000
-    stub = dataclasses.replace(
-        real,
-        target=np.broadcast_to(real.target[:1], (rows, 3)),
-        ascent=np.broadcast_to(real.ascent[:1], (rows, 3)),
-    )
-    monkeypatch.setattr(L, "state_space", lambda radius: stub)
-    with pytest.raises(ValueError, match="int32"):
-        L.mc_simulate(1, 10, 0, 2)
-
-
-def test_mc_rejects_q_with_large_numerator():
-    """W = 3a > 2^16 raises and names q; the float 2.1 is
-    4728779608739021/2^51, while Fraction('2.1') = 21/10 runs."""
-    with pytest.raises(ValueError, match="q = 2.1 is 4728779608739021/"):
-        L.mc_simulate(2, 10, 0, 2.1)
-    with pytest.raises(ValueError, match="Fraction"):
-        L.mc_simulate(2, 10, 0, Fraction(21846, 5))
-    L.mc_simulate(2, 10, 0, Fraction(21845, 5))
-    assert L.mc_simulate(2, 10, 0, Fraction("2.1")).total() == 1.0
+def test_mc_takes_any_thickness():
+    """q > 1 is the only limit on q: the float 2.1, which is
+    4728779608739021/2^51, and 21846/5 agree with the exact distribution at
+    every state within 5 sigma."""
+    n, trials = 6, 10 ** 6
+    for q in (2.1, Fraction(21846, 5)):
+        exact = L.exact_distribution(L.simple_walk_spec(), n, q).masses
+        emp = L.mc_simulate(n, trials, 3, q).masses
+        sigma = np.sqrt(exact * (1 - exact) / trials)
+        assert (np.abs(emp - exact) <= 5 * sigma).all(), q
 
 
 def test_mc_one_step_matches_kernel():
