@@ -1,5 +1,6 @@
 import itertools
 import random
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -452,6 +453,83 @@ def test_mc_stream_is_pinned(n, trials, seed, q):
     live state bit for bit."""
     emp = L.mc_simulate(n, trials, seed, q)
     assert np.array_equal(emp.masses, _split_mc(n, trials, seed, q))
+
+
+def _spy_generator(monkeypatch, fail_at=None):
+    """Replace np.random.Generator by a wrapper that records the shapes of
+    the (counts, rows) of every multinomial draw and raises on draw number
+    ``fail_at``."""
+    real = np.random.Generator
+    shapes = []
+
+    class Spy:
+        def __init__(self, bits):
+            self.rng = real(bits)
+
+        def multinomial(self, counts, rows):
+            shapes.append((np.shape(counts), np.shape(rows)))
+            if len(shapes) == fail_at:
+                raise RuntimeError("draw failed")
+            return self.rng.multinomial(counts, rows)
+
+    monkeypatch.setattr(np.random, "Generator", Spy)
+    return shapes
+
+
+def test_mc_leaves_no_thread_behind():
+    before = threading.active_count()
+    L.mc_simulate(11, 100000, 4, 2)
+    assert threading.active_count() == before
+
+
+def test_mc_draw_error_reaches_the_caller(monkeypatch):
+    """An exception in a draw, here the second step's, is raised by
+    mc_simulate, and no thread is left behind."""
+    _spy_generator(monkeypatch, fail_at=2)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="draw failed"):
+        L.mc_simulate(11, 100000, 4, 2)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("n, trials, q", [
+    (11, 100000, 2), (11, 100000, Fraction(5, 2)), (11, 100000, Fraction(3, 2)),
+    (10, 10 ** 6, 2), (40, 2 * 10 ** 6, 2), (6, 10 ** 6, 9),
+])
+def test_mc_tables_reachable_entries_inside_the_ball(n, trials, q, monkeypatch):
+    """The states live before step k + 1 have length <= k <= n - 1, so every
+    target they scatter to lies inside the ball; the rows of length n, which
+    no live state reaches, do hold -1."""
+    space = L.state_space(n)
+    real = np.flatnonzero
+    lives = []
+    monkeypatch.setattr(np, "flatnonzero",
+                        lambda a: lives.append(real(a)) or lives[-1])
+    emp = L.mc_simulate(n, trials, 0, q)
+    monkeypatch.undo()
+    assert len(lives) == n
+    for k, live in enumerate(lives):
+        assert space.lengths[live].max() <= k, k
+        assert not (space.target[live] < 0).any(), k
+    assert (space.target[space.lengths == n] < 0).any()
+    assert np.rint(emp.masses * trials).sum() == trials
+
+
+@pytest.mark.parametrize("n, trials, q", [
+    (0, 5, 2), (1, 1, 2), (11, 100000, 2), (11, 100000, Fraction(5, 2)),
+    (40, 2 * 10 ** 6, 2), (8, 10 ** 9, 2), (3, 10 ** 9, 2), (5, 10 ** 9, 9),
+])
+def test_mc_table_is_no_larger_than_the_trials(n, trials, q, monkeypatch):
+    """Each step draws one table of four outcomes per live state, so it has
+    no more rows than there are trials or states in the ball; n = 0 draws
+    nothing."""
+    states = len(L.state_space(max(n, 1)).elems)
+    shapes = _spy_generator(monkeypatch)
+    L.mc_simulate(n, trials, 0, q)
+    assert len(shapes) == n
+    for counts, rows in shapes:
+        assert rows == counts + (4,)
+        assert counts[0] <= min(trials, states)
 
 
 @pytest.mark.parametrize("q", [2, Fraction(5, 2), Fraction(3, 2), 9])
