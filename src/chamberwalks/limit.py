@@ -236,25 +236,6 @@ def _walk_matrix(space: StateSpace, words, q: float, reps, orbit):
     return diag, np.array(idx, dtype=np.intp), np.array(val)
 
 
-def _automorphisms(space: StateSpace, perms) -> np.ndarray:
-    """sigma[s, j], the state of the image of state s under the automorphism
-    s_i -> s_perms[j][i], as an int32 array of shape (states, len(perms)).
-
-    Automorphisms preserve length, so each maps the ball onto itself.  They
-    are built one length layer at a time from the target table: a state s
-    of length l > 0 is p s_i with p = s s_i its first descent, of length
-    l - 1, and its image is sigma(p) s_perm[i]."""
-    descent = np.argmin(space.ascent, axis=1)
-    flat = space.target.ravel()
-    below = flat[3 * np.arange(len(descent)) + descent]
-    letter = np.asarray(perms, dtype=np.int32).reshape(-1, 3)[:, descent].T
-    sigma = np.zeros(letter.shape, dtype=np.int32)
-    layers = np.searchsorted(space.lengths, np.arange(1, space.radius + 2))
-    for lo, hi in zip(layers[:-1], layers[1:]):
-        sigma[lo:hi] = flat[3 * sigma[below[lo:hi]] + letter[lo:hi]]
-    return sigma
-
-
 @functools.lru_cache(maxsize=2)
 def _orbits(radius: int, group) -> tuple:
     """(reps, orbit) of the ball of the given radius under a group of
@@ -263,24 +244,23 @@ def _orbits(radius: int, group) -> tuple:
 
     reps[o] is the first state of orbit o in state order, so reps is
     increasing and, as automorphisms preserve length, the orbits are ordered
-    by length too; orbit[s] is the orbit of state s, int32.  A subgroup of
-    S3 is generated by its first 3-cycle and its first transposition, where
-    it has them, so two state maps suffice: each state takes the least
-    label reachable through them."""
+    by length too; orbit[s] is the orbit of state s, int32.  Each state is
+    labelled with the least state among its images under the group (the
+    identity first).  The flat pos index of the image of t_(m,n) u is
+    m alpha + n beta + gamma[u] (``weyl.automorphism``), so one gather per
+    block of states reads their images."""
     space = state_space(radius)
-    gens = []
-    for fixed in (0, 1):  # a 3-cycle fixes no letter, a transposition one
-        gens += [p for p in group if sum(p[i] == i for i in range(3)) == fixed][:1]
-    maps = _automorphisms(space, gens).T
-    label = np.arange(len(space.elems), dtype=np.int32)
-    while True:
-        nxt = label
-        for sigma in maps:
-            nxt = np.minimum(nxt, nxt[sigma])
-        if np.array_equal(nxt, label):
-            break
-        label = nxt
-    first = label == np.arange(len(label))
+    m, n, u = space.elems.T
+    stride = np.array([6 * (2 * space.box + 1), 6, 1])  # pos strides of (m + box, n + box, u)
+    label = np.arange(len(u), dtype=np.int32)
+    for perm in group[1:]:
+        alpha, beta, *gamma = weyl.automorphism(perm) @ stride
+        gamma = np.add(gamma, space.box * (stride[0] + stride[1]))
+        for lo in range(0, len(u), 8192):  # blocks whose indices stay in cache
+            block = slice(lo, lo + 8192)
+            at = gamma[u[block]] + m[block] * alpha + n[block] * beta
+            np.minimum(label[block], space.pos.take(at), out=label[block])
+    first = label == np.arange(len(label), dtype=np.int32)
     orbit = (np.cumsum(first, dtype=np.int32) - 1)[label]
     reps = np.flatnonzero(first)
     for table in (reps, orbit):

@@ -21,6 +21,7 @@ feed exact algebra downstream and are never decided by floating point.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ __all__ = [
     "w0_from_word", "inversion_set",
     "multiply", "inverse", "right_mul_gen", "translation", "finite",
     "length", "is_ascent", "length_array", "right_mul_gen_array",
+    "automorphism",
     "reduced_word", "from_word", "is_reduced",
     "bruhat_leq", "dominance_leq",
     "crossing_data", "ball",
@@ -241,6 +243,20 @@ def length_array(m, n, u):
     return sum(
         np.abs(pairing((m, n), root) - desc[..., r]) for r, root in enumerate(POS_ROOTS)
     )
+
+
+@functools.lru_cache(maxsize=6)  # one entry per permutation of (0, 1, 2)
+def automorphism(perm) -> np.ndarray:
+    """The automorphism s_i -> s_perm[i] of W in closed form, as read-only
+    rows (m, n, u): the images of t_(1,0) and t_(0,1), then of the six u in
+    W0, read from their relabelled reduced words.  It maps translations to
+    translations linearly, so t_(m,n) u goes to m row[0] + n row[1] +
+    row[2 + u]."""
+    elems = [translation((1, 0)), translation((0, 1))] + [finite(u) for u in range(6)]
+    images = [from_word([perm[i] for i in reduced_word(w)]) for w in elems]
+    rows = np.array([(*w.mu, w.u) for w in images])
+    rows.setflags(write=False)
+    return rows
 
 
 def reduced_word(w: AffineElement) -> tuple:

@@ -218,6 +218,18 @@ def test_trace_series_negative_depth(capsys, tmp_path):
     assert out.out == "" and out.err == "error: series depth must be >= 0, got -1\n"
 
 
+@pytest.mark.parametrize("flags", [["--grid", "65536"],
+                                   ["--method", "series", "--depth", "129"]])
+def test_trace_limits_are_usage_errors(capsys, tmp_path, flags):
+    """A grid or series depth above its limit exits 2 with one error line."""
+    path = tmp_path / "aa.json"
+    _write_aa_star(path, "2", ((1, 0), (2,)))
+    assert cli.main(["trace", "--element", str(path)] + flags) == cli.EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert "exceeds the limit" in out.err
+
+
 def test_trace_series_check_exit_code(capsys, tmp_path, monkeypatch):
     path = tmp_path / "aa.json"
     _write_aa_star(path, "2", ((0, 1, 2), (1, 2), (0,)))  # X-support reaches (-1, -1)

@@ -233,6 +233,20 @@ def test_walk_matrix_reads_the_tables_only_where_its_paths_go():
     assert peak < len(space.elems) * 3 * 8
 
 
+def test_orbits_peak_below_32_bytes_per_state():
+    """The uniform walk's orbits on a cached ball of radius 200 peak below
+    32 bytes per state: no index over the whole ball is built per image."""
+    space = L.state_space(200)
+    _, _, group = L._read_spec(L.simple_walk_spec())
+    tracemalloc.start()
+    try:
+        L._orbits.__wrapped__(200, group)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < len(space.elems) * 32
+
+
 @pytest.mark.parametrize("q", [2, Fraction(5, 2)])
 def test_masses_at_is_constant_on_orbits(q):
     """For the uniform walk, masses_at gives the same bits at w and at every

@@ -279,6 +279,13 @@ def test_f_series_domain_guard(field2):
         P.f_series(H.unit(field2), (0.05, 0.05), -1)
 
 
+def test_f_series_depth_limit(field2):
+    """The trace table behind a series of depth d spans a hexagon of radius
+    about 2 d, so a depth above the limit raises before it is built."""
+    with pytest.raises(ValueError, match=f"depth {P._MAX_DEPTH + 1} exceeds the limit"):
+        P.f_series(H.unit(field2), (0.05, 0.05), P._MAX_DEPTH + 1)
+
+
 def _f_series_by_terms(h, t, depth):
     """Reference sum: one trace-table lookup per (a, b) and X-term, with a
     and b starting at the lowest support coordinates (or 0) so the Laurent
@@ -399,6 +406,17 @@ def test_plancherel_trace_matches_grid_sum(q, n):
     for h in elements:
         scale = max(1.0, sum(abs(complex(c)) for c in h.terms.values()))
         assert abs(P.plancherel_trace(h, n) - _grid_sum_trace(h, n)) <= 1e-13 * scale
+
+
+def test_grid_limit(field2):
+    """N = 2^16 would ask for (N, N) int64 index arrays (32 GiB): every route
+    raises before it allocates them, and the largest admitted grid is 2048."""
+    assert P._MAX_GRID == 2048
+    for run in (lambda n: P.spectral_return_probabilities(2, [4], n),
+                lambda n: P.mass_components(2, n),
+                lambda n: P.plancherel_trace(H.t_generator(field2, 0), n)):
+        with pytest.raises(ValueError, match=f"grid of {2 ** 16} nodes per circle exceeds"):
+            run(2 ** 16)
 
 
 def test_plancherel_trace_degree_guard(field2):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -193,6 +194,35 @@ def test_ball_counts_match_geometric_enumeration():
                 y = W.right_mul_gen(w, i)
                 assert space.target[s, i] == index.get(y, -1)
                 assert space.ascent[s, i] == (y not in dist or dist[y] > dist[w])
+
+
+def _automorphism(perm, elems):
+    """The closed-form images of a list of elements."""
+    rows = W.automorphism(perm)
+    return [W.AffineElement((m, n), u) for m, n, u in
+            ((w.mu[0] * rows[0] + w.mu[1] * rows[1] + rows[2 + w.u]).tolist() for w in elems)]
+
+
+@pytest.mark.parametrize("perm", list(itertools.permutations(range(3))))
+def test_automorphism_is_the_relabelled_reduced_word(perm):
+    """On the ball of radius 12 the closed form t_(m,n) u -> m row[0] +
+    n row[1] + row[2 + u] is the element of the reduced word with its
+    letters permuted, preserves length and sends s_i to s_perm[i]."""
+    elems = list(W.ball(12))
+    images = _automorphism(perm, elems)
+    for w, image in zip(elems, images):
+        assert image == W.from_word([perm[i] for i in W.reduced_word(w)]), w
+        assert W.length(image) == W.length(w)
+    assert _automorphism(perm, W.GEN) == [W.GEN[perm[i]] for i in range(3)]
+
+
+@pytest.mark.parametrize("p", list(itertools.permutations(range(3))))
+def test_automorphisms_compose(p):
+    """sigma_p o sigma_r = sigma_(p o r) for every pair of permutations."""
+    elems = list(W.ball(12))
+    for r in itertools.permutations(range(3)):
+        composed = tuple(p[r[i]] for i in range(3))
+        assert _automorphism(p, _automorphism(r, elems)) == _automorphism(composed, elems)
 
 
 def test_thin_building_axioms(ball4):
