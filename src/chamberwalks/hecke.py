@@ -458,6 +458,11 @@ def _tu_times_xmonomial(field, u: int, nu) -> dict:
     return cached
 
 
+# each element of W0 before its last generator: W0_WORDS is ordered by
+# length and holds the prefix of each of its words
+_WORD_HEAD = tuple(weyl.w0_from_word(word[:-1]) for word in W0_WORDS)
+
+
 def _finite_products(field) -> tuple:
     """T_z T_v in the finite subalgebra for all z, v in W0, as
     table[z][v] = ((z', coeff), ...); built once per field, each T_z T_v as
@@ -466,8 +471,8 @@ def _finite_products(field) -> tuple:
         table = []
         for z in range(6):
             row = [{((0, 0), z): field.one}]
-            for word in W0_WORDS[1:]:   # ordered by length: each prefix comes first
-                row.append(_rmul_fin_gen_x(row[weyl.w0_from_word(word[:-1])], word[-1], field))
+            for u, word in enumerate(W0_WORDS[1:], 1):   # each prefix comes first
+                row.append(_rmul_fin_gen_x(row[_WORD_HEAD[u]], word[-1], field))
             table.append(tuple(tuple((z2, c) for (_, z2), c in terms.items()) for terms in row))
         field._fin_mul_table = tuple(table)
     return field._fin_mul_table
@@ -580,14 +585,26 @@ def x_monomial_t_expansion(field, mu) -> HeckeElement:
 
 
 def x_to_t(h: HeckeElement) -> HeckeElement:
-    """Rewrite a Bernstein-basis element in the T-basis."""
+    """Rewrite a Bernstein-basis element in the T-basis.  The terms of one
+    x^mu share their prefixes: x^mu T_u is x^mu T_u' T_j for the prefix u'
+    of the reduced word of u = u' s_j, formed once per (mu, u')."""
     if h.basis != "X":
         raise ValueError("x_to_t expects the X-basis")
     field = h.field
+    pieces = {}
+
+    def piece(mu, u):
+        got = pieces.get((mu, u))
+        if got is None:
+            word = W0_WORDS[u]
+            got = (rmul_gen(piece(mu, _WORD_HEAD[u]), word[-1]) if word
+                   else x_monomial_t_expansion(field, mu))
+            pieces[mu, u] = got
+        return got
+
     out = {}
     for (mu, u), c in h.terms.items():
-        piece = rmul_word(x_monomial_t_expansion(field, mu), W0_WORDS[u])
-        for k, v in piece.terms.items():
+        for k, v in piece(mu, u).terms.items():
             _acc(out, k, v * c)
     return HeckeElement("T", out, field)
 

@@ -80,15 +80,16 @@ class StateSpace:
     the identity is state 0.  ``elems[s]`` is the row (m, n, u) of state s
     and ``pos[m + box, n + box, u]`` is the state of t_(m,n) u, or -1 outside
     the ball.  The lattice box |m|, |n| <= box holds the ball and every
-    one-step neighbour of it, since length >= 3 max(|m|, |n|) - 3.
+    one-step neighbour of it, since length >= 3 max(|m|, |n|) - 3.  Rows
+    and lengths are int16, states int32 (see ``state_space``).
     """
 
     radius: int
     box: int
-    elems: np.ndarray    # elems[s] = (m, n, u)
-    pos: np.ndarray      # pos[m + box, n + box, u] = state, -1 if outside
-    lengths: np.ndarray
-    target: np.ndarray   # target[s, i] = state of elems[s] * s_i, -1 if outside
+    elems: np.ndarray    # elems[s] = (m, n, u), int16
+    pos: np.ndarray      # pos[m + box, n + box, u] = state, -1 if outside, int32
+    lengths: np.ndarray  # int16
+    target: np.ndarray   # target[s, i] = state of elems[s] * s_i, -1 if outside, int32
     ascent: np.ndarray   # ascent[s, i] = length goes up
 
     def state(self, w: AffineElement) -> int:
@@ -105,39 +106,69 @@ class StateSpace:
         return AffineElement((m, n), u)
 
 
-# the largest lattice box state_space builds: at 60 bytes per entry (traced at
-# radius 800 and 1200) its build peaks near 1.0 GB; the largest radius is 2501
+# the largest lattice box state_space builds: at 19 bytes per entry (traced at
+# radius 400 to 2501) its build peaks near 0.32 GB; the largest radius is 2501
 _MAX_BOX_ENTRIES = 2 ** 24
+# box entries or states per block of the build, so that no temporary spans the ball
+_BLOCK = 1 << 14
 
 
 @functools.lru_cache(maxsize=2)
 def state_space(radius: int) -> StateSpace:
     """The ball of the given radius, cached for the two latest radii.  Raises
-    ValueError before any allocation if its box exceeds _MAX_BOX_ENTRIES."""
+    ValueError before any allocation if its box exceeds _MAX_BOX_ENTRIES.
+
+    Lengths and rows are int16 (|m|, |n| <= b <= 835 and lengths <= 6b + 2
+    in the largest box), state and box indices int32 (< 2^24), and the build
+    works in blocks, so no int64 array spans the ball."""
     b = radius // 3 + 2
-    entries = (2 * b + 1) ** 2 * 6
+    side = 2 * b + 1
+    entries = side ** 2 * 6
     if entries > _MAX_BOX_ENTRIES:
         raise ValueError(f"radius {radius} needs a lattice box of {entries} entries, "
                          f"above the limit of {_MAX_BOX_ENTRIES}")
-    side = np.arange(-b, b + 1)
-    grid = np.meshgrid(side, side, np.arange(6), indexing="ij", sparse=True)
+    axis = np.arange(-b, b + 1, dtype=np.int16)
+    grid = np.meshgrid(axis, axis, np.arange(6, dtype=np.int16), indexing="ij", sparse=True)
     flat = weyl.length_array(*grid).ravel()
-    keep = np.flatnonzero(flat <= radius)  # in (m, n, u) order
-    # int16 keys (lengths <= radius <= 2501) take numpy's radix sort
-    keep = keep[np.argsort(flat[keep].astype(np.int16), kind="stable")]
-    lengths = flat[keep]
-    del flat
-    pos = np.full((2 * b + 1, 2 * b + 1, 6), -1, dtype=np.int64)
-    pos.ravel()[keep] = np.arange(len(keep))
-    elems = np.stack(np.unravel_index(keep, pos.shape), axis=1)
+    # W has 1 element of length 0 and 3l of each length l >= 1, so the states
+    # of length l are a run after 1 + 3l(l - 1)/2 shorter ones.  Each block of
+    # the box, in (m, n, u) order, is sorted on length and appended to the
+    # runs: fill[l] is the next free state of run l, and an entry goes there
+    # plus its rank among the block's entries of its length
+    run = np.arange(radius + 1)
+    fill = 3 * run * (run - 1) // 2 + (run > 0)
+    keep = np.empty(1 + 3 * radius * (radius + 1) // 2, dtype=np.int32)
+    lengths = np.empty(len(keep), dtype=np.int16)
+    pos = np.full((side, side, 6), -1, dtype=np.int32)
+    for lo in range(0, entries, _BLOCK):
+        block = flat[lo:lo + _BLOCK]
+        at = np.flatnonzero(block <= radius)
+        at = at[np.argsort(block[at], kind="stable")]
+        key = block[at]
+        count = np.bincount(key, minlength=radius + 1)
+        state = (fill + count - np.cumsum(count))[key] + np.arange(len(key))
+        keep[state], lengths[state] = at + lo, key
+        pos.ravel()[at + lo] = state
+        fill += count
+    del flat, block
+    # keep = ((m + b) side + n + b) 6 + u, split one column at a time
+    elems = np.empty((len(keep), 3), dtype=np.int16)
+    mn, elems[:, 2] = np.divmod(keep, 6)
+    elems[:, 0], elems[:, 1] = np.divmod(mn, side)
+    del mn
     elems[:, :2] -= b
     # w s_i moves the box index of w by a step that depends on (u, i) alone
     u6 = np.arange(6)
-    steps = [(dm * (2 * b + 1) + dn) * 6 + tu - u6 for dm, dn, tu in
+    steps = [(dm * side + dn) * 6 + tu - u6 for dm, dn, tu in
              (weyl.right_mul_gen_array(0 * u6, 0 * u6, u6, i) for i in range(3))]
-    target = pos.ravel()[keep[:, None] + np.column_stack(steps)[elems[:, 2]]]
-    # a neighbour outside the ball has length radius + 1: an ascent
-    ascent = (target < 0) | (lengths[target] > lengths[:, None])
+    target = np.empty((len(keep), 3), dtype=np.int32)
+    ascent = np.empty((len(keep), 3), dtype=bool)
+    for lo in range(0, len(keep), _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        for i, step in enumerate(steps):
+            t = target[rows, i] = pos.ravel()[keep[rows] + step[elems[rows, 2]]]
+            # a neighbour outside the ball has length radius + 1: an ascent
+            ascent[rows, i] = (t < 0) | (lengths[t] > lengths[rows])
     return StateSpace(radius, b, elems, pos, lengths, target, ascent)
 
 
@@ -244,25 +275,28 @@ def _orbits(radius: int, group) -> tuple:
 
     reps[o] is the first state of orbit o in state order, so reps is
     increasing and, as automorphisms preserve length, the orbits are ordered
-    by length too; orbit[s] is the orbit of state s, int32.  Each state is
-    labelled with the least state among its images under the group (the
-    identity first).  The flat pos index of the image of t_(m,n) u is
-    m alpha + n beta + gamma[u] (``weyl.automorphism``), so one gather per
-    block of states reads their images."""
+    by length too; orbit[s] is the orbit of state s.  Both are int32, like
+    the ball's state indices.  Each state is labelled with the least state
+    among its images under the group (the identity first).  The flat pos
+    index of the image of t_(m,n) u is m alpha + n beta + gamma[u]
+    (``weyl.automorphism``), so one gather per block of states reads their
+    images."""
     space = state_space(radius)
-    m, n, u = space.elems.T
     stride = np.array([6 * (2 * space.box + 1), 6, 1])  # pos strides of (m + box, n + box, u)
-    label = np.arange(len(u), dtype=np.int32)
+    maps = []
     for perm in group[1:]:
         alpha, beta, *gamma = weyl.automorphism(perm) @ stride
-        gamma = np.add(gamma, space.box * (stride[0] + stride[1]))
-        for lo in range(0, len(u), 8192):  # blocks whose indices stay in cache
-            block = slice(lo, lo + 8192)
-            at = gamma[u[block]] + m[block] * alpha + n[block] * beta
+        maps.append((alpha, beta, np.add(gamma, space.box * (stride[0] + stride[1]))))
+    label = np.arange(len(space.elems), dtype=np.int32)
+    for lo in range(0, len(label), 8192):  # blocks whose indices stay in cache
+        block = slice(lo, lo + 8192)
+        m, n, u = space.elems[block].astype(np.intp).T  # the int16 rows, widened once
+        for alpha, beta, gamma in maps:
+            at = gamma[u] + m * alpha + n * beta
             np.minimum(label[block], space.pos.take(at), out=label[block])
     first = label == np.arange(len(label), dtype=np.int32)
     orbit = (np.cumsum(first, dtype=np.int32) - 1)[label]
-    reps = np.flatnonzero(first)
+    reps = np.flatnonzero(first).astype(np.int32)
     for table in (reps, orbit):
         table.setflags(write=False)
     return reps, orbit
@@ -432,9 +466,10 @@ def mc_simulate(n: int, trials: int, seed: int, q) -> WalkDistribution:
         draws = rng.multinomial(counts[live], rows[live])
         counts = np.zeros_like(counts)
         counts[live] = draws[:, 0]
-        # s -> s s_i is a bijection, so no index repeats within one column
+        # s -> s s_i is a bijection, so no index repeats within one column;
+        # one intp copy serves both the read and the write of +=
         for i in range(3):
-            counts[space.target[live, i]] += draws[:, i + 1]
+            counts[space.target[live, i].astype(np.intp)] += draws[:, i + 1]
     return WalkDistribution(n, space, counts / trials)
 
 

@@ -226,7 +226,8 @@ def is_ascent(w: AffineElement, i: int) -> bool:
 # broadcastable shapes), for building whole state spaces at once.
 _MULT_ARRAY = np.array(W0_MULT)
 _SHIFT0_ARRAY = np.array([w0_apply(u, PHI_VEE) for u in range(6)])
-_DESCENT_ARRAY = np.array(_DESCENTS)
+# bool, so that length_array keeps the dtype of its m, n (int64 for Python ints)
+_DESCENT_ARRAY = np.array(_DESCENTS, dtype=bool)
 
 
 def right_mul_gen_array(m, n, u, i: int):
@@ -238,7 +239,11 @@ def right_mul_gen_array(m, n, u, i: int):
 
 
 def length_array(m, n, u):
-    """length(t_(m,n) u), elementwise; same hyperplane count as length."""
+    """length(t_(m,n) u), elementwise; same hyperplane count as length.
+
+    The result has the integer dtype of m and n (int64 for Python ints), and
+    is exact while that dtype holds 6 max(|m|, |n|) + 2: the int16 box of
+    ``limit.state_space`` stays far below 2^15."""
     desc = _DESCENT_ARRAY[u]
     return sum(
         np.abs(pairing((m, n), root) - desc[..., r]) for r, root in enumerate(POS_ROOTS)

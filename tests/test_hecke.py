@@ -328,6 +328,34 @@ def test_grouped_bernstein_mul_matches_per_pair_oracle(q, ball4):
         assert H.bernstein_mul(b, a) == _per_pair_bernstein_mul(b, a)
 
 
+def _per_term_x_to_t(h):
+    """x_to_t one X-term at a time: x^mu in the T-basis, right-multiplied
+    along the reduced word of u, scaled and summed in term order."""
+    out = {}
+    for (mu, u), c in h.terms.items():
+        piece = H.x_monomial_t_expansion(h.field, mu)
+        for j in W.W0_WORDS[u]:
+            piece = H.rmul_gen(piece, j)
+        for k, v in piece.terms.items():
+            H._acc(out, k, v * c)
+    return H.HeckeElement("T", out, h.field)
+
+
+@pytest.mark.parametrize("q", [2, 3, Fraction(5, 2)])
+def test_x_to_t_matches_per_term_oracle(q, ball4):
+    """Sharing the prefixes of one x^mu's T-expansions changes no value and
+    no term order: W0_WORDS holds the prefix of each of its words."""
+    assert all(word[:-1] in W.W0_WORDS for word in W.W0_WORDS[1:])
+    F = H.ScalarField(q)
+    rng = random.Random(31)
+    elems = [H.t_to_x(H.t_element(F, [(w, F.one)])) for w in ball4]
+    elems += [_random_x_element(rng, F, size) for size in (1, 4, 12, 30)]
+    for h in elems:
+        got, want = H.x_to_t(h), _per_term_x_to_t(h)
+        assert got == want
+        assert list(got.terms) == list(want.terms)
+
+
 def test_is_ascent_matches_lengths(ball8):
     for w in ball8:
         for i in (0, 1, 2):

@@ -349,10 +349,29 @@ def test_orbit_cache_is_bounded_and_read_only():
 
 
 def test_state_space_refuses_an_oversized_box():
-    """Radius 10000 would need a box of 2.7e8 entries (about 28 GB): it
-    raises before allocating anything."""
+    """Radius 10000 would need a box of 2.7e8 entries (about 5 GB at 19
+    bytes per entry): it raises before allocating anything."""
     with pytest.raises(ValueError, match="radius 10000 needs a lattice box of 267013446"):
         L.state_space(10_000)
+
+
+def test_state_space_tables_are_compact():
+    """The ball of radius 400 is built in blocks from int16 lengths and
+    int32 box indices: its build peaks below 32 bytes per lattice-box entry
+    and the finished ball holds below 20 (int64 tables took 59.5 and 40.2).
+    Rows and lengths are int16, state indices int32."""
+    b = 400 // 3 + 2
+    entries = (2 * b + 1) ** 2 * 6
+    tracemalloc.start()
+    try:
+        space = L.state_space.__wrapped__(400)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * entries, peak / entries
+    assert held < 20 * entries, held / entries
+    assert space.elems.dtype == space.lengths.dtype == np.int16
+    assert space.pos.dtype == space.target.dtype == np.int32
 
 
 @pytest.mark.parametrize("radius", [40, 200])

@@ -1,7 +1,9 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -194,6 +196,30 @@ def test_ball_counts_match_geometric_enumeration():
                 y = W.right_mul_gen(w, i)
                 assert space.target[s, i] == index.get(y, -1)
                 assert space.ascent[s, i] == (y not in dist or dist[y] > dist[w])
+
+
+def test_length_array_is_exact_on_wide_inputs():
+    """length_array keeps the integer dtype of m and n.  It matches length on
+    Python ints and on int64 arrays with |m|, |n| up to 10^5, and at the
+    corners of the largest lattice box state_space admits its int16 value
+    equals the int64 one (the whole box is not evaluated here)."""
+    rng = random.Random(43)
+    big = 10 ** 5
+    points = [(m, n, u) for m in (-big, 0, big) for n in (-big, 0, big) for u in range(6)]
+    points += [(rng.randint(-big, big), rng.randint(-big, big), rng.randrange(6))
+               for _ in range(300)]
+    want = [W.length(W.AffineElement((m, n), u)) for m, n, u in points]
+    assert [W.length_array(m, n, u) for m, n, u in points] == want
+    got = W.length_array(*(np.array(col, dtype=np.int64) for col in zip(*points)))
+    assert got.dtype == np.int64 and got.tolist() == want
+    b = (math.isqrt(L._MAX_BOX_ENTRIES // 6) - 1) // 2
+    assert b == 835 and (2 * b + 3) ** 2 * 6 > L._MAX_BOX_ENTRIES
+    edge = np.array([-b, -b + 1, -1, 0, 1, b - 1, b])
+    grid = np.meshgrid(edge, edge, np.arange(6), indexing="ij")
+    narrow = W.length_array(*(g.astype(np.int16) for g in grid))
+    wide = W.length_array(*(g.astype(np.int64) for g in grid))
+    assert narrow.dtype == np.int16 and np.array_equal(narrow, wide)
+    assert wide.max() == 6 * b + 2
 
 
 def _automorphism(perm, elems):
