@@ -34,7 +34,7 @@ def main():
     mu = limit.induced_eigen_curve(0.0, q)
     print("induced-module eigenvalues:", [f"{v:.12f}" for v in mu])
 
-    coef, resid = limit.determinant_probe(q, grid=24)
+    coef, resid = limit.determinant_probe(q)
     print("determinant identity (3*sqrt(q))^6 * det(pi(P) - lam1):")
     print(f"  fitted [const, first-shell, second-shell] = "
           f"[{coef[0]:.10f}, {coef[1]:.10f}, {coef[2]:.10f}]")

@@ -22,14 +22,12 @@ One step of the walk is a few gathers: ``_walk_matrix`` pulls each state
 back through the words of the walk, and a step sums the weighted masses of
 the states each one pulls from.  States are ordered by length, so the
 states of length <= b are a prefix of those arrays, and a step that
-recomputes only them works on slices.  ``exact_distribution`` recomputes at
-step k the states of length <= k L (L the longest element of the walk's
-support); the others still hold an exact 0.  ``masses_at`` serves a query
-at one relative position w: it works on the ball of radius
-(n L + l(w)) / 2, which holds every path from e to w, and recomputes at
-step k only the light cone, the states of length <= min(k L,
-l(w) + (n - k) L).  Every term a step drops or reads stale is an exact 0
-or multiplies one, so both return the bits of the full recursion on the
+recomputes only them works on slices.  One function, ``_light_cone``, serves
+``exact_distribution`` and ``masses_at``: step k recomputes only the light
+cone of a target, the states reachable in k steps from which the target is
+still reachable in the steps left; the whole distribution is the cone of a
+target at distance n L.  Every term a step drops or reads stale is an exact
+0 or multiplies one, so both return the bits of the full recursion on the
 quotient described next.
 
 The walk is stepped on orbits, not on states.  A permutation of the three
@@ -208,23 +206,21 @@ def simple_walk_spec():
 
 def _read_spec(walk: dict) -> tuple:
     """(words, L, H) of a walk spec, after checking that its coefficients
-    are nonnegative and sum to one.  words lists the (reduced word, float
-    coefficient) of each element in spec order, L is the length of the
-    longest element, and H is the group of permutations of the generators
-    (s0, s1, s2) whose automorphisms s_i -> s_perm[i] map the spec to
-    itself, as a tuple of permutations with the identity first."""
+    are nonnegative and sum to one.  words lists the (reduced word,
+    Fraction coefficient) of each element in spec order, L is the length of
+    the longest element, and H is the group of permutations of the
+    generators (s0, s1, s2) whose automorphisms s_i -> s_perm[i] map the
+    spec to itself, as a tuple of permutations with the identity first."""
     spec = {w: Fraction(a) for w, a in walk.items()}
     if any(a < 0 for a in spec.values()):
         raise ValueError("radial walk coefficients must be nonnegative")
     if sum(spec.values()) != 1:
         raise ValueError("radial walk coefficients must sum to one")
-    words = {w: weyl.reduced_word(w) for w in spec}
+    words = [(weyl.reduced_word(w), a) for w, a in spec.items()]
     group = tuple(
         perm for perm in itertools.permutations(range(3))
-        if {weyl.from_word([perm[i] for i in words[w]]): a
-            for w, a in spec.items()} == spec)
-    return ([(words[w], float(a)) for w, a in spec.items()],
-            max(map(len, words.values())), group)
+        if {weyl.from_word([perm[i] for i in word]): a for word, a in words} == spec)
+    return words, max(len(word) for word, _ in words), group
 
 
 def _check_steps(n: int):
@@ -260,10 +256,10 @@ def _walk_matrix(space: StateSpace, words, q: float, reps, orbit):
                         (np.where(t >= 0, t, s), v * (np.where(up, 1.0 / q, 1.0) * (t >= 0)))]
             paths = nxt
         (_, stay), *rest = paths
-        diag += a * stay
+        diag += float(a) * stay
         for s, v in rest:
             idx.append(orbit[s])
-            val.append(a * v)
+            val.append(float(a) * v)
     return diag, np.array(idx, dtype=np.intp), np.array(val)
 
 
@@ -320,11 +316,36 @@ def _propagate(lengths, op, bounds):
         yield x
 
 
-def _quotient_walk(words, group, q: float, radius: int, bounds):
-    """(space, orbit, masses) of a walk read by ``_read_spec`` on the ball
-    of the given radius: the ball, the orbit of each state under the
-    spec's group H, and the ``_propagate`` generator of the per-orbit
-    masses under the given bounds."""
+def _light_cone(walk: dict, n: int, q, w=None):
+    """(space, orbit, masses) of the light cone of w after n steps of a walk
+    spec: the ball, the orbit of each of its states under the spec's group
+    H, and the ``_propagate`` generator of the per-orbit masses after 0, 1,
+    ..., n steps.  None if l(w) > n L, L the length of the longest element
+    of the spec.
+
+    The ball has radius R = floor((n L + l(w)) / 2): a generator path from e
+    to w of n L letters that leaves it would need more than n L letters to
+    come back.  Step k recomputes only the orbits of length <= min(k L,
+    l(w) + (n - k) L, R), the ones reachable in k steps from which w is
+    still reachable in the n - k left.  Each recomputed orbit sums the same
+    terms in the same order as on the full ball: an orbit's first state
+    does not depend on the radius, a row's slots come in the same order on
+    both balls and carry the same weights between cone states, since no
+    path between them leaves radius R; a state outside the ball or not yet
+    reached holds an exact 0, which adds nothing to a sum; and the stale
+    values above the cone lie more than L above every state still in it,
+    so no step reads them.  No w is a target at distance n L, the whole
+    distribution: radius n L (at least 1) and bound k L."""
+    words, step, group = _read_spec(walk)
+    q = hecke.check_thickness(float(q))
+    reach = n * step
+    lw = reach if w is None else weyl.length(w)
+    if lw > reach:
+        return None
+    radius = (reach + lw) // 2
+    if w is None:
+        radius = max(radius, 1)
+    bounds = [min(k * step, lw + (n - k) * step, radius) for k in range(1, n + 1)]
     space = state_space(radius)
     reps, orbit = _orbits(radius, group)
     op = _walk_matrix(space, words, q, reps, orbit)
@@ -337,63 +358,35 @@ def exact_distribution(walk: dict, n: int, q, snapshots=None):
     With snapshots=[n1, n2, ...] returns {ni: WalkDistribution} capturing the
     distribution at each requested step count (all in 0..n).
 
-    Step k recomputes only the orbits of length <= k L, L the longest
-    element of the walk's support: the rest are unreachable and hold an
-    exact 0, which is what the full step would write there.  The masses are
-    stepped one value per orbit of the spec's symmetry group (see the
-    module docstring) and expanded to every state of the ball: bit for bit
-    the plain recursion when that group is trivial, within rounding of it
-    otherwise.
+    The masses are the light cone of a target at distance n L
+    (``_light_cone``), stepped one value per orbit of the spec's symmetry
+    group (see the module docstring) and expanded to every state of the
+    ball: bit for bit the plain recursion when that group is trivial, within
+    rounding of it otherwise.
     """
     _check_steps(n)
-    wanted = set(snapshots or ())
+    wanted = {n} if snapshots is None else set(snapshots)
     if any(not 0 <= k <= n for k in wanted):
         raise ValueError(f"snapshots must lie in 0..{n}")
-    words, step, group = _read_spec(walk)
-    q = hecke.check_thickness(float(q))
-    space, orbit, steps = _quotient_walk(words, group, q, max(n * step, 1),
-                                         [k * step for k in range(1, n + 1)])
-    out = {}
-    for k, masses in enumerate(steps):
-        if k in wanted:
-            out[k] = WalkDistribution(k, space, masses[orbit])
-    if snapshots is None:
-        return WalkDistribution(n, space, masses[orbit])
-    return out
+    space, orbit, steps = _light_cone(walk, n, q)
+    out = {k: WalkDistribution(k, space, masses[orbit])
+           for k, masses in enumerate(steps) if k in wanted}
+    return out[n] if snapshots is None else out
 
 
 def masses_at(walk: dict, w: AffineElement, ns, q) -> list:
     """The masses at w after each step count in ns, equal bit for bit to
-    ``exact_distribution(walk, n, q).mass(w)``.
-
-    Only the light cone of w is propagated.  With n = max(ns) and L the
-    longest element of the walk's support, the ball has radius
-    R = floor((n L + l(w)) / 2): a generator path from e to w of n L letters
-    that leaves it would need more than n L letters to come back.  Step k
-    recomputes only the orbits of length <= min(k L, l(w) + (n - k) L, R),
-    the ones reachable in k steps from which w is still reachable in the
-    n - k left.  Each recomputed orbit sums the same terms in the same order
-    as on the full ball: an orbit's first state does not depend on the
-    radius, a row's slots come in the same order on both balls and carry
-    the same weights between cone states, since no path between them leaves
-    radius R; a state outside the ball or not yet reached holds an exact 0,
-    which adds nothing to a sum; and the stale values above the cone lie
-    more than L above every state still in it, so no step reads them.  The
-    mass at w is the value of its orbit.
-    """
+    ``exact_distribution(walk, n, q).mass(w)``: the value of the orbit of w
+    in its light cone after max(ns) steps (``_light_cone``)."""
     ns = list(ns)
     if not ns:
         raise ValueError("need at least one step count")
     for k in ns:
         _check_steps(k)
-    words, step, group = _read_spec(walk)
-    q = hecke.check_thickness(float(q))
-    n, lw = max(ns), weyl.length(w)
-    if lw > n * step:  # w is out of reach at every n in ns
+    cone = _light_cone(walk, max(ns), q, w)
+    if cone is None:  # w is out of reach at every n in ns
         return [0.0] * len(ns)
-    radius = (n * step + lw) // 2
-    bounds = [min(k * step, lw + (n - k) * step, radius) for k in range(1, n + 1)]
-    space, orbit, steps = _quotient_walk(words, group, q, radius, bounds)
+    space, orbit, steps = cone
     target = orbit[space.state(w)]
     at = [float(x[target]) for x in steps]
     return [at[k] for k in ns]
@@ -402,16 +395,15 @@ def masses_at(walk: dict, w: AffineElement, ns, q) -> list:
 def exact_distribution_rational(walk: dict, n: int, q) -> dict:
     """Reference recursion with Fraction masses (dict element -> mass)."""
     _check_steps(n)
-    _read_spec(walk)  # raises on an invalid spec
+    words, _, _ = _read_spec(walk)
     q = hecke.check_thickness(Fraction(q))
     dist = {IDENTITY: Fraction(1)}
-    word_cache = {w: weyl.reduced_word(w) for w in walk}
     for _ in range(n):
         new = {}
         for start, mass in dist.items():
-            for w, a in walk.items():
-                pieces = {start: mass * Fraction(a)}
-                for i in word_cache[w]:
+            for word, a in words:
+                pieces = {start: mass * a}
+                for i in word:
                     nxt = {}
                     for v, m in pieces.items():
                         vs = weyl.right_mul_gen(v, i)
@@ -526,11 +518,12 @@ def spectral_data(q) -> SpectralData:
 def c_w_value(w: AffineElement, q) -> float:
     """Quadratic form of the unit top eigenvector against the averaging
     operator of w^-1 in the 6-dimensional module at the trivial character."""
-    field = hecke.ScalarField(q)
     q = float(q)
     rep = reps.principal_series(q, (1.0, 1.0))
-    h = hecke.t_element(field, [(weyl.inverse(w), field.one)])
-    m = reps.evaluate(rep, h) / q ** (0.5 * weyl.length(w))
+    m = np.eye(6, dtype=complex)
+    for i in weyl.reduced_word(weyl.inverse(w)):
+        m = m @ rep.gens[i]
+    m /= q ** (0.5 * weyl.length(w))
     v = spectral_data(q).top_vector
     return float(np.real(v @ m @ v))
 
@@ -607,9 +600,10 @@ def perturbation_eigenvalues(theta, q):
     return np.array(sorted(out, reverse=True))
 
 
-def determinant_probe(q, grid: int = 24):
-    """Least-squares fit of the shifted determinant of the walk operator
-    against the trigonometric basis [1, sum of first-shell cosines, sum of
+def determinant_probe(q):
+    """Least-squares fit of the shifted determinant of the walk operator,
+    on the 24 x 24 points of a regular grid over [-pi, pi)^2, against
+    the trigonometric basis [1, sum of first-shell cosines, sum of
     second-shell cosines]; returns (coefficients, max residual).
 
     The determinant is scaled by (3 sqrt(q))^6 (the determinant of the
@@ -620,6 +614,7 @@ def determinant_probe(q, grid: int = 24):
     q = float(q)
     lam1 = spectral_data(q).spectral_radius
     scale = (3 * q ** 0.5) ** 6
+    grid = 24
     thetas = np.linspace(-np.pi, np.pi, grid, endpoint=False)
     th1, th2 = np.repeat(thetas, grid), np.tile(thetas, grid)
     m = reps.walk_operator(q, reps.principal_generators(

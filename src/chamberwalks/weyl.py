@@ -281,8 +281,8 @@ def reduced_word(w: AffineElement) -> tuple:
     return tuple(letters)
 
 
-def from_word(word, start: AffineElement = IDENTITY) -> AffineElement:
-    w = start
+def from_word(word) -> AffineElement:
+    w = IDENTITY
     for i in word:
         w = right_mul_gen(w, i)
     return w

@@ -264,6 +264,21 @@ def test_trace_all_exit_code(capsys, tmp_path, monkeypatch):
     assert abs(json.loads(out)["max_discrepancy"] - 1e-3) <= 1e-12
 
 
+def test_trace_all_reads_an_x_basis_element(capsys, tmp_path):
+    """An element given in the X-basis is traced through its T-basis form:
+    every method prints the values it prints for that form."""
+    t_path, x_path = tmp_path / "t.json", tmp_path / "x.json"
+    _write_aa_star(t_path, "2", ((1, 0), (2,)))
+    h = serialize.hecke_from_json(t_path.read_text())
+    x_path.write_text(serialize.hecke_to_json(hecke.t_to_x(h)))
+    assert json.loads(x_path.read_text())["basis"] == "X"
+    argv = ["trace", "--method", "all", "--grid", "64", "--depth", "8", "--element"]
+    code_t, out_t = run(capsys, argv + [str(t_path)])
+    code_x, out_x = run(capsys, argv + [str(x_path)])
+    assert code_x == code_t == cli.EXIT_OK
+    assert json.loads(out_x) == json.loads(out_t)
+
+
 def test_trace_flags_that_would_misreport(capsys, tmp_path):
     path = tmp_path / "one.json"
     path.write_text(serialize.hecke_to_json(hecke.unit(hecke.ScalarField(2))))

@@ -851,7 +851,7 @@ def test_determinant_identity_normalized():
     polynomial vanishes exactly on the period lattice (150 - 144 - 6 = 0),
     which is the strict-inequality input the bound tests rely on."""
     for q in (2.0, 3.0):
-        coef, resid = L.determinant_probe(q, grid=10)
+        coef, resid = L.determinant_probe(q)
         assert resid < 1e-10
         assert np.abs(coef - np.array([150.0, -48.0, -2.0])).max() < 1e-9
     assert 150 - 48 * 3 - 2 * 3 == 0

@@ -328,6 +328,10 @@ def test_f_series_laurent_strips(field2):
         assert tail >= abs(v - deep), depth
     ref = _f_series_by_terms(h, t, 10)
     assert abs(P.f_series(h, t, 10)[0] - ref) <= 1e-13 * abs(ref)
+    # a Laurent strip has a pole where its parameter is 0
+    for at_zero in ((0.0, 0.01), (0.01, 0.0), (np.array([0.01, 0.0]), 0.01)):
+        with pytest.raises(ValueError, match="pole at t_i = 0"):
+            P.f_series(h, at_zero, 4)
 
 
 # 4 and 9/4 first: no later test reads their tables, so the trace-table

@@ -91,6 +91,15 @@ def test_single_modules_reject_non_finite_entries():
             R.induced_three_dim(2, u)
 
 
+def test_single_modules_reject_zero_parameters():
+    """The central character and the induced parameter are units."""
+    for t in ((0, 1.0), (1.0, 0j)):
+        with pytest.raises(ValueError, match="must be nonzero"):
+            R.principal_series(2, t)
+    with pytest.raises(ValueError, match="must be nonzero"):
+        R.induced_three_dim(2, 0)
+
+
 def test_entry_example():
     t = (0.3 + 0.4j, 0.9 + 0.1j)
     rep = R.principal_series(2, t)

@@ -26,6 +26,9 @@ def test_element_round_trip(ball4):
         S.element_from_obj({"mu": [1]})
     with pytest.raises(ValueError):
         S.element_from_obj({"mu": [1, 2], "u": "0"})  # finite part over {1,2}
+    for mu in ([1], [1, 2, 3], 5, "12"):
+        with pytest.raises(ValueError, match=r"'mu': expected \[m, n\]"):
+            S.element_from_obj({"mu": mu, "u": ""})
 
 
 def test_hecke_round_trip_exact(field2, ball4):
