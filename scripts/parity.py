@@ -10,11 +10,14 @@ result whose bits differ:
   masses with their dtype and shape;
 - ``masses_at`` of the same specs at every w of length <= 4;
 - ``c_w_value`` at every w of length <= 4, q in {2, 3, 5/2, 11/10};
-- the stdout of ``walk exact/mc/llt/compare`` and of
-  ``scripts/llt_trend.py --n 1600 --big ""``.
+- ``mul`` and ``bernstein_mul`` of seeded products and ``macdonald_p`` of
+  small dominant weights at q in {2, 3, 5/2}, as (key, a, b) terms;
+- the stdout of ``walk exact/mc/llt/compare``, ``trace --method all`` on a
+  T-basis element at q = 2 and an X-basis element at q = 5/2, ``walks``,
+  ``reps check``, ``spectrum`` and ``scripts/llt_trend.py --n 1600 --big ""``.
 
 A refactor that claims to keep every bit runs it against its parent
-commit; it takes about 10 s.  Exits 1 on any difference.
+commit; it takes about 20 s.  Exits 1 on any difference.
 
 Usage: python scripts/parity.py OTHER
 """
@@ -22,8 +25,10 @@ Usage: python scripts/parity.py OTHER
 import os
 import pathlib
 import pickle
+import random
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 HERE = pathlib.Path(__file__).resolve().parent.parent
@@ -37,7 +42,23 @@ CLI = (
     ["walk", "llt", "--q", "3", "--n", "1,2,50", "--word", ""],
     ["walk", "compare", "--q", "2", "--n", "40", "--word", "1,2",
      "--trials", "20000", "--seed", "3"],
+    ["walk", "exact", "--n", "60"],
+    ["walks", "--type", "1,2,1,0"],
+    ["reps", "check", "--q", "2", "--t", "0.6,0.8,0.28,-0.96"],
+    ["spectrum", "--q", "3"],
 )
+# algebra elements for ``trace --method all``, by file name
+ELEMENTS = {
+    "t.json": '{"basis": "T", "q": "2", "terms": ['
+              '{"index": {"mu": [0, 0], "u": ""}, "a": "3", "b": "0"}, '
+              '{"index": {"mu": [1, 1], "u": "1,2,1"}, "a": "1/2", "b": "-1"}, '
+              '{"index": {"mu": [-1, 2], "u": "2"}, "a": "-2", "b": "1/3"}, '
+              '{"index": {"mu": [1, -1], "u": "1,2"}, "a": "0", "b": "1"}]}',
+    "x.json": '{"basis": "X", "q": "5/2", "terms": ['
+              '{"index": {"mu": [0, 0], "u": "1,2,1"}, "a": "1", "b": "0"}, '
+              '{"index": {"mu": [2, -1], "u": "2,1"}, "a": "-3/4", "b": "2"}, '
+              '{"index": {"mu": [-1, 0], "u": "1"}, "a": "5", "b": "-1/2"}]}',
+}
 
 
 def _specs():
@@ -65,9 +86,15 @@ def _bits(x):
     return x
 
 
+def _terms(h):
+    """An algebra element as its sorted (key, a, b) terms."""
+    return sorted((k.mu + (k.u,) if h.basis == "T" else k, str(c.a), str(c.b))
+                  for k, c in h.terms.items())
+
+
 def dump():
     """Every library result of this interpreter's checkout, keyed by name."""
-    from chamberwalks import limit, weyl
+    from chamberwalks import hecke, limit, weyl
 
     out = {}
     ball = sorted(weyl.ball(4), key=lambda w: (weyl.length(w), w.mu, w.u))
@@ -85,6 +112,18 @@ def dump():
     for q in (*QS, Fraction(11, 10)):
         for w in ball:
             out[f"c_w_value q={q} w={w}"] = _bits(limit.c_w_value(w, q))
+    for q in QS:
+        field = hecke.ScalarField(q)
+        rng = random.Random(7)
+        for k in range(4):
+            a, b = (hecke.t_element(field, [
+                (rng.choice(ball), field.make(rng.randint(-3, 3), rng.randint(-2, 2)))
+                for _ in range(4)]) for _ in range(2))
+            out[f"mul q={q} #{k}"] = _terms(hecke.mul(a, b))
+            out[f"bernstein_mul q={q} #{k}"] = _terms(
+                hecke.bernstein_mul(hecke.t_to_x(a), hecke.t_to_x(b)))
+        for mu in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (3, 0)):
+            out[f"macdonald_p q={q} mu={mu}"] = _terms(hecke.macdonald_p(field, mu))
     return out
 
 
@@ -99,6 +138,12 @@ def outputs(root: pathlib.Path) -> dict:
     out = pickle.loads(run([str(pathlib.Path(__file__).resolve()), "--dump"]))
     for argv in CLI:
         out[" ".join(argv)] = run(["-m", "chamberwalks.cli", *argv])
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in ELEMENTS.items():
+            path = pathlib.Path(tmp) / name
+            path.write_text(text)
+            out[f"trace --method all {name}"] = run(
+                ["-m", "chamberwalks.cli", "trace", "--method", "all", "--element", str(path)])
     out["llt_trend.py --n 1600"] = run(
         [str(root / "scripts" / "llt_trend.py"), "--n", "1600", "--big", ""])
     return out

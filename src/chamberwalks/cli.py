@@ -132,12 +132,29 @@ def cmd_distribution(args) -> int:
         dist = limit.exact_distribution(limit.simple_walk_spec(), args.n, q)
     else:
         dist = limit.mc_simulate(args.n, args.trials, args.seed, q)
-    rows = [(serialize.word_to_str(weyl.reduced_word(w)), w.mu[0], w.mu[1],
-             serialize.word_to_str(weyl.W0_WORDS[w.u]), float(mass), dist.p_value(w, float(q)))
-            for w, mass in dist.items()]  # state order: (length, mu, u)
+    space, q = dist.space, float(q)
+    words, thetas = _ball_words(space), [serialize.word_to_str(w) for w in weyl.W0_WORDS]
+    live = np.flatnonzero(dist.masses)  # state order: (length, mu, u)
+    rows = [(words[s], m, n, thetas[u], mass, mass / q ** length)
+            for s, (m, n, u), mass, length in zip(
+                live.tolist(), space.elems[live].tolist(), dist.masses[live].tolist(),
+                space.lengths[live].tolist())]
     header = ["word", "mu_m", "mu_n", "theta", "mass", "p_n"]
     _emit(args, serialize.write_csv(None, header, rows))
     return EXIT_OK
+
+
+def _ball_words(space) -> list:
+    """The reduced word of every state of a ball, as weyl.reduced_word spells
+    it, comma-separated.  That word is the word of w s_i followed by i, for
+    the smallest descent i of w; w s_i = target[s, i] is one shorter, so it
+    comes earlier in state order, and one pass builds every word."""
+    first = np.argmin(space.ascent, axis=1)  # the smallest descent
+    parents = space.target[np.arange(len(first)), first]
+    words = [""]
+    for parent, i in zip(parents[1:].tolist(), first[1:].tolist()):
+        words.append(f"{words[parent]},{i}" if parent else str(i))
+    return words
 
 
 def cmd_llt(args) -> int:

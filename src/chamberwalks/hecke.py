@@ -48,10 +48,11 @@ from .weyl import (
 __all__ = [
     "QSqrt", "ScalarField",
     "HeckeElement", "t_element", "x_element", "t_generator", "unit",
-    "rmul_gen", "mul", "trace", "star", "simple_walk", "t_to_x", "x_to_t",
+    "rmul_gen", "mul", "trace", "star", "simple_walk", "finite_inverse",
+    "bernstein_mul", "t_to_x", "x_monomial_t_expansion", "x_to_t",
     "w0_poincare", "symmetrizer_one", "intertwiner_tau", "tau_element",
-    "macdonald_p", "poly_d", "tau_expansion_at", "f_value", "orbit_characters",
-    "TraceTable", "check_thickness",
+    "macdonald_p", "poly_d", "d_at", "n_at", "tau_expansion_at", "f_value",
+    "orbit_characters", "TraceTable", "check_thickness",
 ]
 
 
@@ -176,15 +177,6 @@ def _norm(a: int, b: int, d: int, field) -> QSqrt:
     return QSqrt(a // g, b // g, d // g, field)
 
 
-def _rational_sqrt(q: Fraction):
-    """sqrt(q) as a Fraction if q is a square of a rational, else None."""
-    pn, pd = q.numerator, q.denominator
-    rn, rd = isqrt(pn), isqrt(pd)
-    if rn * rn == pn and rd * rd == pd:
-        return Fraction(rn, rd)
-    return None
-
-
 def check_thickness(q):
     """q itself, if it is a thickness (q > 1); raises ValueError otherwise."""
     if q <= 1:
@@ -206,7 +198,10 @@ class ScalarField:
         self._fin_mul_table = None
         self._fin_t0_cache = {}
         self.qn, self.qd = self.q.numerator, self.q.denominator
-        self.rational_root = _rational_sqrt(self.q)
+        # sqrt(q) as a Fraction if q is the square of a rational, else None
+        rn, rd = isqrt(self.qn), isqrt(self.qd)
+        square = rn * rn == self.qn and rd * rd == self.qd
+        self.rational_root = Fraction(rn, rd) if square else None
         self.zero = self.make(0)
         self.one = self.make(1)
         self.sqrt_q = self.make(0, 1)
@@ -261,18 +256,6 @@ class HeckeElement:
         for k, c in other.terms.items():
             _acc(out, k, c)
         return HeckeElement(self.basis, out, self.field)
-
-    def __sub__(self, other):
-        return self + other.scaled(-self.field.one)
-
-    def __mul__(self, other):
-        if not isinstance(other, HeckeElement):
-            return NotImplemented
-        if self.basis != other.basis:
-            raise ValueError("mixed-basis product; convert explicitly first")
-        if self.basis == "T":
-            return mul(self, other)
-        return bernstein_mul(self, other)
 
     def scaled(self, c):
         if not c:
@@ -347,12 +330,6 @@ def rmul_gen(h: HeckeElement, i: int, inverse: bool = False) -> HeckeElement:
     return HeckeElement("T", out, field)
 
 
-def rmul_word(h: HeckeElement, word) -> HeckeElement:
-    for i in word:
-        h = rmul_gen(h, i)
-    return h
-
-
 def mul(h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
     """Product in the T-basis: the right factor is expanded one generator at
     a time along its reduced words."""
@@ -360,7 +337,10 @@ def mul(h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
         raise ValueError("mul expects both factors in the T-basis")
     out = {}
     for w, c in h2.terms.items():
-        for k, v in rmul_word(h1, reduced_word(w)).terms.items():
+        h = h1
+        for i in reduced_word(w):
+            h = rmul_gen(h, i)
+        for k, v in h.terms.items():
             _acc(out, k, v * c)
     return HeckeElement("T", out, h1.field)
 
@@ -400,17 +380,16 @@ def finite_inverse(field, u: int) -> dict:
 # Bernstein basis arithmetic.
 # ---------------------------------------------------------------------------
 
-_COROOT = ((1, 0), (0, 1))
-
-
+# The simple coroot a_i^vee is SIMPLE_ROOTS[i - 1]: the root system is simply
+# laced, and a_i and a_i^vee share coordinates (see weyl.w0_apply).
 def _geometric_terms(mu, i):
     """(x^mu - x^{s_i mu}) / (1 - x^(-a_i^vee)) as a signed monomial list.
 
     For k = <mu, a_i> the sum is x^(mu - j a_i^vee), j = 0..k-1 when k > 0,
     and -x^(mu + j a_i^vee), j = 1..-k when k < 0; empty when k = 0.
     """
-    k = pairing(mu, SIMPLE_ROOTS[i - 1])
-    av = _COROOT[i - 1]
+    av = SIMPLE_ROOTS[i - 1]
+    k = pairing(mu, av)
     if k > 0:
         return [((mu[0] - j * av[0], mu[1] - j * av[1]), 1) for j in range(k)]
     return [((mu[0] + j * av[0], mu[1] + j * av[1]), -1) for j in range(1, -k + 1)]
@@ -633,7 +612,7 @@ def symmetrizer_one(field) -> HeckeElement:
 
 def intertwiner_tau(field, i: int) -> HeckeElement:
     """tau_i = (1 - x^(-a_i^vee)) T_i - (q^(1/2) - q^(-1/2)), in the X-basis."""
-    av = _COROOT[i - 1]
+    av = SIMPLE_ROOTS[i - 1]
     return x_element(
         field,
         [
@@ -669,15 +648,6 @@ def poly_d(field) -> dict:
     return _coroot_product(field, field.one)
 
 
-def poly_n(field) -> dict:
-    """n(x) = prod over positive coroots of (1 - q^(-1) x^(-a^vee))."""
-    return _coroot_product(field, field.half_pow(-2))
-
-
-def apply_w0_to_poly(u: int, poly: dict) -> dict:
-    return {w0_apply(u, e): c for e, c in poly.items()}
-
-
 def _lead_key(e):
     return (e[0] + e[1], e[0], e[1])
 
@@ -695,14 +665,15 @@ def macdonald_p(field, mu) -> HeckeElement:
     remainder raises).
     """
     rho = weyl.RHO_VEE
+    # x^(mu+rho) n(x), n(x) = prod over positive coroots of (1 - q^(-1) x^(-a^vee))
     n_shift = {(e[0] + mu[0] + rho[0], e[1] + mu[1] + rho[1]): c
-               for e, c in poly_n(field).items()}
+               for e, c in _coroot_product(field, field.half_pow(-2)).items()}
     num = {}
     den = {}
     for u in range(6):
         sgn = -1 if w0_length(u) % 2 else 1
-        for e, c in apply_w0_to_poly(u, n_shift).items():
-            _acc(num, e, c if sgn > 0 else -c)
+        for e, c in n_shift.items():
+            _acc(num, w0_apply(u, e), c if sgn > 0 else -c)
         _acc(den, w0_apply(u, rho), field.make(sgn))
 
     quot = {}
@@ -775,7 +746,7 @@ def n_at(q: float, t) -> complex:
 _GEN_STEPS = {
     i: tuple((w0_mult(i, z), w0_length(w0_mult(i, z)) > w0_length(z),
               w0_apply(w0_inv(z), (-av[0], -av[1]))) for z in range(6))
-    for i, av in zip((1, 2), _COROOT)
+    for i, av in zip((1, 2), SIMPLE_ROOTS)
 }
 # each element of W0 after its first generator, W0_WORDS being ordered by length
 _WORD_TAIL = tuple(weyl.w0_from_word(word[1:]) for word in W0_WORDS)
@@ -926,7 +897,7 @@ class TraceTable:
         else:
             i = descents[0]
             k = -pairing(nu, SIMPLE_ROOTS[i - 1])
-            av = _COROOT[i - 1]
+            av = SIMPLE_ROOTS[i - 1]
             quad = field.quad
             top = tau[_shift(nu, av, k)]        # tau(s_i nu, .)
             # near - far is the sum of tau over nu + j a_i^vee, j = 1..k
@@ -946,7 +917,7 @@ class TraceTable:
                 row[v] = b[u] if w0_length(v) > w0_length(u) else b[u] - quad * b[v]
             row = tuple(row)
         tau[nu] = row
-        for s, av in zip(sums, _COROOT):
+        for s, av in zip(sums, SIMPLE_ROOTS):
             above = s.get(_shift(nu, av, 1))
             s[nu] = row if above is None else tuple(x + y for x, y in zip(row, above))
 

@@ -57,7 +57,8 @@ from .weyl import IDENTITY, AffineElement
 
 __all__ = [
     "StateSpace", "state_space", "WalkDistribution",
-    "simple_walk_spec", "exact_distribution", "masses_at", "mc_simulate",
+    "simple_walk_spec", "exact_distribution", "exact_distribution_rational",
+    "masses_at", "mc_simulate",
     "SpectralData", "spectral_data", "c_w_value", "llt_estimate",
     "eigen_surface", "induced_eigen_curve", "lemma34_check",
     "perturbation_eigenvalues",
@@ -156,9 +157,8 @@ def state_space(radius: int) -> StateSpace:
     del mn
     elems[:, :2] -= b
     # w s_i moves the box index of w by a step that depends on (u, i) alone
-    u6 = np.arange(6)
-    steps = [(dm * side + dn) * 6 + tu - u6 for dm, dn, tu in
-             (weyl.right_mul_gen_array(0 * u6, 0 * u6, u6, i) for i in range(3))]
+    steps = [np.array([(w.mu[0] * side + w.mu[1]) * 6 + w.u - u for u, w in enumerate(
+        weyl.right_mul_gen(weyl.finite(u), i) for u in range(6))]) for i in range(3)]
     target = np.empty((len(keep), 3), dtype=np.int32)
     ascent = np.empty((len(keep), 3), dtype=bool)
     for lo in range(0, len(keep), _BLOCK):
@@ -445,6 +445,8 @@ def mc_simulate(n: int, trials: int, seed: int, q) -> WalkDistribution:
     _check_steps(n)
     if not 1 <= trials < 2 ** 53:
         raise ValueError(f"need 1 <= trials < 2^53, got {trials}")
+    if not 0 <= seed < 2 ** 128:
+        raise ValueError(f"need 0 <= seed < 2^128, got {seed}")
     accept = float(1 / Fraction(hecke.check_thickness(q)))
     space = state_space(max(n, 1))
     descents = np.count_nonzero(~space.ascent, axis=1)

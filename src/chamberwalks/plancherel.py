@@ -70,13 +70,6 @@ def _torus_pairs(nodes):
     return np.repeat(nodes, len(nodes)), np.tile(nodes, len(nodes))
 
 
-def _grid_nodes(n: int):
-    """The offset nodes of the n-node quadrature grid, n >= 16."""
-    if n < 16:
-        raise ValueError("grid must have at least 16 nodes per circle")
-    return _offset_nodes(n)
-
-
 def _root_factor(q: float, z):
     """f(z) = |1 - z|^2 / |1 - z/q|^2 at points z of the unit circle: the
     factor of one positive root in 1/|c|^2."""
@@ -92,7 +85,9 @@ def _grid_weights(q: float, n: int):
     root of unity, so f is evaluated at n offset nodes and n roots of unity,
     and the third factor is read at (k1 + k2 + 1) mod n.  It is exactly 0 at
     the root 1, on the nodes k1 + k2 = n - 1 of the wall t1 t2 = 1."""
-    u = _grid_nodes(n)
+    if n < 16:
+        raise ValueError("grid must have at least 16 nodes per circle")
+    u = _offset_nodes(n)
     k = np.arange(n)
     diagonal = _root_factor(q, np.exp(2j * np.pi * k / n))[(k[:, None] + k + 1) % n]
     offset = _root_factor(q, u)

@@ -36,7 +36,7 @@ def parse_word(s: str, alphabet=(0, 1, 2)):
     return tuple(out)
 
 
-def element_to_obj(w: AffineElement) -> dict:
+def _element_to_obj(w: AffineElement) -> dict:
     return {"mu": [w.mu[0], w.mu[1]], "u": word_to_str(weyl.W0_WORDS[w.u])}
 
 
@@ -52,7 +52,7 @@ def element_from_obj(obj) -> AffineElement:
 
 
 def element_to_json(w: AffineElement) -> str:
-    return json.dumps(element_to_obj(w))
+    return json.dumps(_element_to_obj(w))
 
 
 def element_from_json(s: str) -> AffineElement:
@@ -64,11 +64,11 @@ def hecke_to_obj(h: hecke.HeckeElement) -> dict:
     if h.basis == "T":
         items = sorted(h.terms.items(), key=lambda kv: (weyl.length(kv[0]), kv[0].mu, kv[0].u))
         for w, c in items:
-            terms.append({"index": element_to_obj(w), "a": str(c.a), "b": str(c.b)})
+            terms.append({"index": _element_to_obj(w), "a": str(c.a), "b": str(c.b)})
     else:
         items = sorted(h.terms.items(), key=lambda kv: (kv[0][0], kv[0][1]))
         for (mu, u), c in items:
-            terms.append({"index": element_to_obj(AffineElement(mu, u)),
+            terms.append({"index": _element_to_obj(AffineElement(mu, u)),
                           "a": str(c.a), "b": str(c.b)})
     return {"basis": h.basis, "q": str(h.field.q), "terms": terms}
 
@@ -95,7 +95,15 @@ def _integer(value, where: str) -> int:
     raise ValueError(f"{where}: {value!r} is not an integer")
 
 
-def hecke_from_obj(obj) -> hecke.HeckeElement:
+def hecke_to_json(h: hecke.HeckeElement) -> str:
+    return json.dumps(hecke_to_obj(h))
+
+
+def hecke_from_json(s: str) -> hecke.HeckeElement:
+    try:
+        obj = json.loads(s)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"JSON parse error at position {exc.pos}: {exc.msg}")
     for key in ("basis", "q", "terms"):
         if not isinstance(obj, dict) or key not in obj:
             raise ValueError(f"algebra element needs field {key!r}")
@@ -119,18 +127,6 @@ def hecke_from_obj(obj) -> hecke.HeckeElement:
             raise ValueError(f"terms[{k}]: {exc}") from None
         pairs.append((el if basis == "T" else (el.mu, el.u), c))
     return (hecke.t_element if basis == "T" else hecke.x_element)(field, pairs)
-
-
-def hecke_to_json(h: hecke.HeckeElement) -> str:
-    return json.dumps(hecke_to_obj(h))
-
-
-def hecke_from_json(s: str) -> hecke.HeckeElement:
-    try:
-        obj = json.loads(s)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"JSON parse error at position {exc.pos}: {exc.msg}")
-    return hecke_from_obj(obj)
 
 
 def format_float(x) -> str:

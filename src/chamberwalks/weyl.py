@@ -32,8 +32,7 @@ __all__ = [
     "pairing", "w0_mult", "w0_inv", "w0_length", "w0_apply",
     "w0_from_word", "inversion_set",
     "multiply", "inverse", "right_mul_gen", "translation", "finite",
-    "length", "is_ascent", "length_array", "right_mul_gen_array",
-    "automorphism",
+    "length", "is_ascent", "length_array", "automorphism",
     "reduced_word", "from_word", "is_reduced",
     "bruhat_leq", "dominance_leq",
     "crossing_data", "ball",
@@ -74,7 +73,7 @@ def _build_w0():
     return tuple(mats), mult, inv
 
 
-W0_MATS, W0_MULT, W0_INV = _build_w0()
+_W0_MATS, _W0_MULT, _W0_INV = _build_w0()
 W0_LONGEST = 5          # s1 s2 s1, the reflection through the highest root
 
 SIMPLE_ROOTS = ((1, 0), (0, 1))
@@ -84,11 +83,11 @@ RHO_VEE = (1, 1)        # half-sum of positive coroots
 
 
 def w0_mult(a: int, b: int) -> int:
-    return W0_MULT[a][b]
+    return _W0_MULT[a][b]
 
 
 def w0_inv(a: int) -> int:
-    return W0_INV[a]
+    return _W0_INV[a]
 
 
 def w0_length(a: int) -> int:
@@ -98,7 +97,7 @@ def w0_length(a: int) -> int:
 def w0_from_word(word) -> int:
     u = 0
     for i in word:
-        u = W0_MULT[u][1 if i == 1 else 2]
+        u = _W0_MULT[u][1 if i == 1 else 2]
     return u
 
 
@@ -106,7 +105,7 @@ def w0_apply(u: int, vec):
     """Apply u in W0 to a lattice/rational vector in coroot coordinates.
     The same map acts on roots a*a1 + b*a2 given as (a, b): the root system
     is simply laced and a_i, a_i^vee share coordinates."""
-    m = W0_MATS[u]
+    m = _W0_MATS[u]
     return (m[0][0] * vec[0] + m[0][1] * vec[1], m[1][0] * vec[0] + m[1][1] * vec[1])
 
 
@@ -123,7 +122,7 @@ def _is_negative_root(root) -> bool:
 
 # _DESCENTS[u][r] = 1 when u^{-1} sends POS_ROOTS[r] to a negative root, else 0.
 _DESCENTS = tuple(
-    tuple(int(_is_negative_root(w0_apply(W0_INV[u], root))) for root in POS_ROOTS)
+    tuple(int(_is_negative_root(w0_apply(_W0_INV[u], root))) for root in POS_ROOTS)
     for u in range(6)
 )
 
@@ -162,11 +161,11 @@ GEN = (
 def multiply(a: AffineElement, b: AffineElement) -> AffineElement:
     """Semidirect product: (t_l u)(t_m v) = t_{l + u m} (uv)."""
     um = w0_apply(a.u, b.mu)
-    return AffineElement((a.mu[0] + um[0], a.mu[1] + um[1]), W0_MULT[a.u][b.u])
+    return AffineElement((a.mu[0] + um[0], a.mu[1] + um[1]), _W0_MULT[a.u][b.u])
 
 
 def inverse(a: AffineElement) -> AffineElement:
-    ui = W0_INV[a.u]
+    ui = _W0_INV[a.u]
     mi = w0_apply(ui, a.mu)
     return AffineElement((-mi[0], -mi[1]), ui)
 
@@ -175,9 +174,9 @@ def right_mul_gen(a: AffineElement, i: int) -> AffineElement:
     if i == 0:
         shift = w0_apply(a.u, PHI_VEE)
         return AffineElement(
-            (a.mu[0] + shift[0], a.mu[1] + shift[1]), W0_MULT[a.u][W0_LONGEST]
+            (a.mu[0] + shift[0], a.mu[1] + shift[1]), _W0_MULT[a.u][W0_LONGEST]
         )
-    return AffineElement(a.mu, W0_MULT[a.u][i])
+    return AffineElement(a.mu, _W0_MULT[a.u][i])
 
 
 def translation(mu) -> AffineElement:
@@ -222,20 +221,9 @@ def is_ascent(w: AffineElement, i: int) -> bool:
     return m > 0 or (m == 0 and positive)
 
 
-# Array forms of right_mul_gen and length over integer arrays m, n, u (any
-# broadcastable shapes), for building whole state spaces at once.
-_MULT_ARRAY = np.array(W0_MULT)
-_SHIFT0_ARRAY = np.array([w0_apply(u, PHI_VEE) for u in range(6)])
-# bool, so that length_array keeps the dtype of its m, n (int64 for Python ints)
+# _DESCENTS for length_array over whole state spaces; bool, so that the
+# lengths keep the dtype of m and n (int64 for Python ints)
 _DESCENT_ARRAY = np.array(_DESCENTS, dtype=bool)
-
-
-def right_mul_gen_array(m, n, u, i: int):
-    """(m, n, u) of t_(m,n) u * s_i, elementwise."""
-    if i == 0:
-        shift = _SHIFT0_ARRAY[u]
-        return m + shift[..., 0], n + shift[..., 1], _MULT_ARRAY[u, W0_LONGEST]
-    return m, n, _MULT_ARRAY[u, i]
 
 
 def length_array(m, n, u):

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from chamberwalks import cli, hecke, plancherel, serialize, weyl
+from chamberwalks import cli, hecke, limit, plancherel, serialize, weyl
 
 
 def run(capsys, argv):
@@ -91,6 +91,27 @@ def test_walk_negative_steps(capsys):
     assert cli.main(["walk", "llt", "--n", "3,x"]) == cli.EXIT_USAGE
     out = capsys.readouterr()
     assert out.out == "" and out.err == "error: --n expects comma-separated integers, got '3,x'\n"
+
+
+@pytest.mark.parametrize("command", ["mc", "compare"])
+def test_walk_seed_outside_philox_keys(capsys, command):
+    """A seed keys a Philox stream, so it lies in [0, 2^128); one outside is
+    a usage error that names the seed, and 2^128 - 1 still runs."""
+    for seed in (-1, 2 ** 128):
+        argv = ["walk", command, "--n", "3", "--trials", "10", "--seed", str(seed)]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"error: need 0 <= seed < 2^128, got {seed}\n"
+    argv = ["walk", command, "--n", "3", "--trials", "10", "--seed", str(2 ** 128 - 1)]
+    assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_TOLERANCE)
+    assert capsys.readouterr().err == ""
+
+
+def test_ball_words_are_the_reduced_words():
+    """The word of each row of walk exact and walk mc, read from the ball,
+    is weyl.reduced_word of its state, on every state of the radius-12 ball."""
+    space = limit.state_space(12)
+    assert cli._ball_words(space) == [serialize.word_to_str(weyl.reduced_word(
+        space.element(s))) for s in range(len(space.elems))]
 
 
 def test_walk_llt_checks_every_step_count_first(capsys, monkeypatch):

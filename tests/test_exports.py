@@ -1,7 +1,7 @@
 """Every name a module exports through __all__ exists and is used outside
-its module, every private helper a docstring names is defined, so a deleted
-helper cannot linger as a stale export or a stale reference, and every
-module imports at its top."""
+its module, every public top-level name is exported, every private helper a
+docstring names is defined, so a deleted helper cannot linger as a stale
+export or a stale reference, and every module imports at its top."""
 
 import ast
 import importlib
@@ -42,6 +42,38 @@ def test_exports_are_named_outside_their_module():
                     word.search(text) for path, text in texts.items() if path != own):
                 unnamed.append(f"{module}.{name}")
     assert unnamed == []
+
+
+def _public_definitions(source: str) -> list:
+    """The functions, classes and assigned names a module source defines at
+    its top level without a leading underscore, in source order."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [leaf.id for target in targets for leaf in ast.walk(target)
+                      if isinstance(leaf, ast.Name)]
+    return [name for name in names if not name.startswith("_")]
+
+
+def test_public_definitions_are_exported():
+    """Every public top-level name of a module is in its __all__, so with
+    the test above a name is public exactly when something outside its
+    module uses it.  The command-line module has no __all__."""
+    assert _public_definitions("import os\nA, (B, _c) = 1, (2, 3)\nD: int = 4\n"
+                               "def e(): f = 1\nclass G: h = 1\n_i = 5\n") == [
+        "A", "B", "D", "e", "G"]
+    unexported = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "cli":
+            continue
+        module = "chamberwalks" if path.stem == "__init__" else f"chamberwalks.{path.stem}"
+        exported = set(importlib.import_module(module).__all__)
+        unexported += [f"{module}.{name}" for name in _public_definitions(path.read_text())
+                       if name not in exported]
+    assert unexported == []
 
 
 def test_no_function_imports_locally():

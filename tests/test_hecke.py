@@ -152,8 +152,24 @@ def test_identity_element(field2):
 
 def test_mixed_basis_product_rejected(field2):
     F = field2
-    with pytest.raises(ValueError):
-        H.t_generator(F, 1) * H.x_element(F, [(((0, 0), 0), F.one)])
+    t, x = H.t_generator(F, 1), H.x_element(F, [(((1, 0), 2), F.one)])
+    for a, b in ((t, x), (x, t)):
+        with pytest.raises(ValueError, match="mul expects both factors in the T-basis"):
+            H.mul(a, b)
+        with pytest.raises(ValueError, match="bernstein_mul expects both factors in the X-basis"):
+            H.bernstein_mul(a, b)
+
+
+@pytest.mark.parametrize("operation, basis, message", [
+    (lambda h: h + H.unit(h.field, "X"), "T", "cannot add elements in different bases"),
+    (H.trace, "X", "trace expects the T-basis"),
+    (H.star, "X", "star expects the T-basis"),
+    (H.t_to_x, "X", "t_to_x expects the T-basis"),
+    (H.x_to_t, "T", "x_to_t expects the X-basis"),
+], ids=["add", "trace", "star", "t_to_x", "x_to_t"])
+def test_wrong_basis_rejected(field2, operation, basis, message):
+    with pytest.raises(ValueError, match=message):
+        operation(H.unit(field2, basis))
 
 
 def test_averaging_normalization(field2):

@@ -40,7 +40,7 @@ def _offset_grid(n):
 
 
 def test_grid_avoids_walls():
-    assert np.abs(P._grid_nodes(64) - 1.0).min() > 1e-3
+    assert np.abs(P._offset_nodes(64) - 1.0).min() > 1e-3
     with pytest.raises(ValueError, match="at least 16 nodes"):
         P.mass_components(2.0, 8)
     # n = 100 asks for K = 201 > N nodes, so the N grid itself is used
@@ -86,6 +86,11 @@ def test_total_mass(q):
 
 def test_trace_of_unit(field2):
     assert abs(P.plancherel_trace(H.unit(field2), 128) - 1.0) < 1e-12
+
+
+def test_plancherel_trace_rejects_the_x_basis(field2):
+    with pytest.raises(ValueError, match="plancherel_trace expects the T-basis"):
+        P.plancherel_trace(H.unit(field2, "X"), 64)
 
 
 def test_trace_of_basis_elements(field2):

@@ -26,6 +26,12 @@ def test_six_dim_matches_display(q):
             assert np.abs(g[k] / q ** 0.5 - disp).max() < 1e-12
 
 
+def test_characters_reject_the_x_basis(field2):
+    gens = R.principal_generators(2.0, BATCH_T1, BATCH_T2)
+    with pytest.raises(ValueError, match="expected the T-basis"):
+        R.characters(H.unit(field2, "X"), gens)
+
+
 @pytest.mark.parametrize("q", [2.0, 3.0])
 def test_three_dim_matches_display(q):
     u = np.exp(0.61j)

@@ -62,6 +62,15 @@ def test_malformed_json_reports_position():
         S.hecke_from_json(json.dumps({"basis": "Y", "q": "2", "terms": []}))
 
 
+@pytest.mark.parametrize("obj, field", [
+    ([], "basis"), ("T", "basis"), ({"q": "2", "terms": []}, "basis"),
+    ({"basis": "T", "terms": []}, "q"), ({"basis": "T", "q": "2"}, "terms"),
+], ids=["list", "string", "no-basis", "no-q", "no-terms"])
+def test_algebra_element_needs_an_object_with_every_field(obj, field):
+    with pytest.raises(ValueError, match=f"algebra element needs field '{field}'"):
+        S.hecke_from_json(json.dumps(obj))
+
+
 def test_rational_q_round_trip():
     F = H.ScalarField("5/2")
     h = H.t_generator(F, 1)
