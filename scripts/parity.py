@@ -12,16 +12,21 @@ result whose bits differ:
 - ``c_w_value`` at every w of length <= 4, q in {2, 3, 5/2, 11/10};
 - ``mul`` and ``bernstein_mul`` of seeded products and ``macdonald_p`` of
   small dominant weights at q in {2, 3, 5/2}, as (key, a, b) terms;
+- the ``TraceTable.trace_row`` scalars over the hexagon of radius 22 at
+  q in {2, 3, 5/2, 4, 101/100}, as (a, b) pairs;
+- ``f_series`` value and tail bound of two elements at q = 2 and depths
+  0, 1, 10 and 40;
 - the stdout of ``walk exact/mc/llt/compare``, ``trace --method all`` on a
   T-basis element at q = 2 and an X-basis element at q = 5/2, ``walks``,
   ``reps check``, ``spectrum`` and ``scripts/llt_trend.py --n 1600 --big ""``.
 
 A refactor that claims to keep every bit runs it against its parent
-commit; it takes about 20 s.  Exits 1 on any difference.
+commit; it takes about 10 s.  Exits 1 on any difference.
 
 Usage: python scripts/parity.py OTHER
 """
 
+import cmath
 import os
 import pathlib
 import pickle
@@ -94,7 +99,9 @@ def _terms(h):
 
 def dump():
     """Every library result of this interpreter's checkout, keyed by name."""
-    from chamberwalks import hecke, limit, weyl
+    import numpy as np
+
+    from chamberwalks import hecke, limit, plancherel, weyl
 
     out = {}
     ball = sorted(weyl.ball(4), key=lambda w: (weyl.length(w), w.mu, w.u))
@@ -124,6 +131,26 @@ def dump():
                 hecke.bernstein_mul(hecke.t_to_x(a), hecke.t_to_x(b)))
         for mu in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (3, 0)):
             out[f"macdonald_p q={q} mu={mu}"] = _terms(hecke.macdonald_p(field, mu))
+    radius = 22
+    hexagon = [(m, n) for m in range(-radius, radius + 1) for n in range(-radius, radius + 1)
+               if max(abs(weyl.pairing((m, n), a)) for a in weyl.POS_ROOTS) <= radius]
+    for q in (2, 3, Fraction(5, 2), 4, Fraction(101, 100)):
+        table = hecke.TraceTable(q)
+        table.ensure_box((-radius // 2, 0), (0, 0))
+        for mu in hexagon:
+            out[f"trace_row q={q} mu={mu}"] = [(str(c.a), str(c.b)) for c in table.trace_row(mu)]
+    field = hecke.ScalarField(2)
+    word = weyl.from_word
+    a = hecke.t_element(field, [(word((0, 1, 2)), field.one), (word((1, 2)), field.make(2)),
+                                (word((0,)), field.make(3))])
+    elements = {"a a*": hecke.mul(a, hecke.star(a)),
+                "T_10": hecke.t_element(field, [(word((1, 0)), field.make(2, 1))])}
+    r = 0.05 / (16 * 2 ** 2)
+    t = (r * cmath.exp(0.4j), r * cmath.exp(-1.1j))
+    for name, h in elements.items():
+        for depth in (0, 1, 10, 40):
+            value, tail = plancherel.f_series(h, t, depth)
+            out[f"f_series {name} depth={depth}"] = (_bits(np.asarray(value)), _bits(tail))
     return out
 
 

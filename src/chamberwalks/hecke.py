@@ -4,7 +4,8 @@ Coefficients lie in the real quadratic field Q(sqrt(q)) for a fixed
 rational q > 1, each stored as one canonical integer triple
 (A + B*sqrt(q))/D (D > 0, gcd(A, B, D) = 1) and read as the Fractions
 a = A/D, b = B/D; they become complex doubles only for evaluation at torus
-points.
+points.  The trace table alone keeps un-normalized pairs (A, B) over one
+fixed denominator, and builds canonical scalars only on lookup.
 
 Two bases share one element type:
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import add
 
 import numpy as np
 
@@ -841,9 +843,8 @@ def orbit_characters(t):
 
 
 class TraceTable:
-    """Exact canonical traces tau(mu, u) = Tr(x^mu T_u) over a W0-stable
-    hexagon |<mu, a>| <= K (a the positive roots), by the Bernstein trace
-    recursion.
+    """Exact traces tau(mu, u) = Tr(x^mu T_u) over a W0-stable hexagon
+    |<mu, a>| <= K (a the positive roots), by the Bernstein trace recursion.
 
     On the dominant cone x^mu = T_(t_mu), so tau(mu, .) is the unit row at
     mu = 0 and zero elsewhere.  For nu with <nu, a_i> = -k < 0 and
@@ -857,12 +858,26 @@ class TraceTable:
     tau(nu, .).  Every point used lies higher than nu (height m + n) and in
     the hexagon, so one sweep by decreasing height, with suffix sums along
     both simple coroots for the segment sums, fills the table.
+
+    Exact integers at one scale.  With q = a/b in lowest terms and
+    r = sqrt(ab), quad = q^(1/2) - q^(-1/2) = (a - b)/r.  Every tau(nu, u)
+    is an integer polynomial in quad of degree at most 2 (K - height(nu)):
+    dominant rows have degree 0, and a row reads only rows at least one
+    step higher and adds at most two factors of quad.  Heights lie in
+    [-K, K], so with S = (ab)^(2K) every entry is (A + B r)/S for Python
+    ints A and B, and the sweep runs on those pairs: quad (A + B r) =
+    (a - b) B + ((a - b) A/(ab)) r, the division exact because the operand
+    has degree at most 4K - 1 (a nonzero remainder raises ArithmeticError).
+    Each row is kept as its A row and its B row; the canonical scalars are
+    built on lookup, and the floats once per build.
     """
 
     def __init__(self, q):
         self.field = ScalarField(q)
         self._radius = -1
+        self._scale = 1
         self._rows = {}
+        self._floats = None
 
     def ensure_box(self, m_range, n_range):
         """Tabulate traces for all mu in the given inclusive ranges.
@@ -871,62 +886,127 @@ class TraceTable:
         the box.  A box inside the current hexagon costs nothing; a larger
         one rebuilds the table.
         """
-        radius = max(
-            abs(pairing((m, n), a)) for m in m_range for n in n_range for a in POS_ROOTS
-        )
+        radius = _box_radius(m_range, n_range)
         if radius <= self._radius:
             return
+        field = self.field
+        self._scale = (field.qn * field.qd) ** (2 * radius)
         tau = {}
         sums = ({}, {})     # suffix sums of tau along a_1^vee and a_2^vee
         for height in range(radius, -radius - 1, -1):
-            for m in range(-radius, radius + 1):
-                nu = (m, height - m)
-                if max(abs(pairing(nu, a)) for a in SIMPLE_ROOTS) <= radius:
-                    self._step(nu, tau, sums)
+            # the m with |<nu, a_1>| = |3m - height| <= radius and
+            # |<nu, a_2>| = |2 height - 3m| <= radius
+            lo = -((radius - max(height, 2 * height)) // 3)
+            hi = (radius + min(height, 2 * height)) // 3
+            for m in range(lo, hi + 1):
+                self._step((m, height - m), tau, sums)
         self._rows = tau
         self._radius = radius
+        self._floats = self._float_grid()
 
     def _step(self, nu, tau, sums):
         """Tabulate tau(nu, .) from the points above nu, and extend the
         suffix sums to nu."""
-        field = self.field
-        zeros = (field.zero,) * 6
-        descents = [i for i in (1, 2) if pairing(nu, SIMPLE_ROOTS[i - 1]) < 0]
-        if not descents:
-            row = (field.one,) + zeros[1:] if nu == (0, 0) else zeros
+        i = next((i for i in (1, 2) if pairing(nu, SIMPLE_ROOTS[i - 1]) < 0), None)
+        if i is None:
+            row = ((self._scale,) + _ZEROS[1:], _ZEROS) if nu == (0, 0) else (_ZEROS, _ZEROS)
         else:
-            i = descents[0]
-            k = -pairing(nu, SIMPLE_ROOTS[i - 1])
             av = SIMPLE_ROOTS[i - 1]
-            quad = field.quad
-            top = tau[_shift(nu, av, k)]        # tau(s_i nu, .)
+            k = -pairing(nu, av)
+            field = self.field
+            diff, ab = field.qn - field.qd, field.qn * field.qd
+            top_a, top_b = tau[_shift(nu, av, k)]       # tau(s_i nu, .)
             # near - far is the sum of tau over nu + j a_i^vee, j = 1..k
-            near = sums[i - 1][_shift(nu, av, 1)]
-            far = sums[i - 1].get(_shift(nu, av, k + 1), zeros)
-            b = []
-            for u in range(6):
-                # b[u] = Tr(x^nu T_i T_u)
-                us = w0_mult(u, i)
-                c = top[us] - quad * (near[u] - far[u])
-                if w0_length(us) < w0_length(u):
-                    c = c + quad * top[u]
-                b.append(c)
-            row = [None] * 6
-            for u in range(6):
-                v = w0_mult(i, u)
-                row[v] = b[u] if w0_length(v) > w0_length(u) else b[u] - quad * b[v]
-            row = tuple(row)
+            near_a, near_b = sums[i - 1][_shift(nu, av, 1)]
+            far_a, far_b = sums[i - 1].get(_shift(nu, av, k + 1), (_ZEROS, _ZEROS))
+            b_a, b_b = [], []
+            for u, us, down in _STEP_UP[i]:
+                # b[u] = Tr(x^nu T_i T_u) = top[us] + quad (far - near [+ top])[u]
+                xa, xb = far_a[u] - near_a[u], far_b[u] - near_b[u]
+                if down:
+                    xa, xb = xa + top_a[u], xb + top_b[u]
+                xa, xb = _times_quad(xa, xb, diff, ab)
+                b_a.append(top_a[us] + xa)
+                b_b.append(top_b[us] + xb)
+            row_a, row_b = [0] * 6, [0] * 6
+            for u, v, up in _STEP_ROW[i]:
+                if up:
+                    row_a[v], row_b[v] = b_a[u], b_b[u]
+                else:
+                    # b[u] - quad b[v]
+                    xa, xb = _times_quad(b_a[v], b_b[v], diff, ab)
+                    row_a[v], row_b[v] = b_a[u] - xa, b_b[u] - xb
+            row = (tuple(row_a), tuple(row_b))
         tau[nu] = row
         for s, av in zip(sums, SIMPLE_ROOTS):
             above = s.get(_shift(nu, av, 1))
-            s[nu] = row if above is None else tuple(x + y for x, y in zip(row, above))
+            s[nu] = row if above is None else (
+                tuple(map(add, row[0], above[0])), tuple(map(add, row[1], above[1])))
+
+    def _numerators(self, row):
+        """The six (a, b) with tau = (a + b sqrt(q))/S, b = 0 when q is a
+        rational square."""
+        field = self.field
+        if field.rational_root is None:
+            qd = field.qd
+            return [(a, b * qd) for a, b in zip(*row)]
+        root = isqrt(field.qn * field.qd)
+        return [(a + b * root, 0) for a, b in zip(*row)]
+
+    def _float_grid(self):
+        """float(tau(mu, u)) at [m + K, n + K, u], zero outside the hexagon:
+        a/S + (b/S) sqrt(q) is float() of the canonical scalar, since the
+        integer quotients are correctly rounded and equal as rationals."""
+        radius, scale, root = self._radius, self._scale, self.field.sqrt_q_float
+        grid = np.zeros((2 * radius + 1, 2 * radius + 1, 6))
+        for (m, n), row in self._rows.items():
+            if any(row[0]) or any(row[1]):
+                grid[m + radius, n + radius] = [
+                    a / scale + b / scale * root for a, b in self._numerators(row)]
+        grid.setflags(write=False)
+        return grid
 
     def trace_row(self, mu):
         """The exact traces Tr(x^mu T_u) for the six finite elements."""
         row = self._rows.get((mu[0], mu[1]))
         if row is None:
             raise KeyError(f"trace table does not cover {mu}; call ensure_box")
-        return row
+        return tuple(_norm(a, b, self._scale, self.field) for a, b in self._numerators(row))
+
+    def float_box(self, m_range, n_range):
+        """float(Tr(x^mu T_u)) at [m - m_lo, n - n_lo, u] for mu in the
+        inclusive box m_lo <= m <= m_hi, n_lo <= n <= n_hi, as a read-only
+        view; the box must lie in the table's hexagon."""
+        (m_lo, m_hi), (n_lo, n_hi) = m_range, n_range
+        if _box_radius(m_range, n_range) > self._radius:
+            raise KeyError(f"trace table does not cover the box {m_range} x {n_range}")
+        k = self._radius
+        return self._floats[m_lo + k:m_hi + k + 1, n_lo + k:n_hi + k + 1]
+
+
+def _box_radius(m_range, n_range) -> int:
+    """The largest |<mu, a>| over the positive roots a at a corner of the box."""
+    return max(abs(pairing((m, n), a)) for m in m_range for n in n_range for a in POS_ROOTS)
+
+
+def _times_quad(a: int, b: int, diff: int, ab: int) -> tuple:
+    """quad (a + b r) = diff b + (diff a / ab) r as a pair, for
+    quad = diff / r and r^2 = ab; raises ArithmeticError unless ab divides a,
+    which the table's scale guarantees."""
+    whole, rest = divmod(a, ab)
+    if rest:
+        raise ArithmeticError("a trace table entry exceeds the table's scale")
+    return diff * b, diff * whole
+
+
+_ZEROS = (0,) * 6
+# per simple reflection i and finite element u: (u, u s_i, l(u s_i) < l(u)),
+# the terms of Tr(x^nu T_i T_u), and (u, s_i u, l(s_i u) > l(u)), the
+# solve for tau(nu, s_i u)
+_STEP_UP = {i: tuple((u, w0_mult(u, i), w0_length(w0_mult(u, i)) < w0_length(u))
+                     for u in range(6)) for i in (1, 2)}
+_STEP_ROW = {i: tuple((u, w0_mult(i, u), w0_length(w0_mult(i, u)) > w0_length(u))
+                      for u in range(6)) for i in (1, 2)}
 
 
 def _shift(nu, av, j):

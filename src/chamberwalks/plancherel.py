@@ -312,7 +312,7 @@ def _x_support(h: hecke.HeckeElement):
 
 
 # the deepest series: the trace table spans a hexagon of radius about
-# 2 depth, and on T0 T0 at q = 2 depth 128 took 6.5 s and 178 MB max RSS
+# 2 depth, and on T0 T0 at q = 2 depth 128 took 1.1 s and 144 MB max RSS
 _MAX_DEPTH = 128
 
 
@@ -350,11 +350,7 @@ def f_series(h: hecke.HeckeElement, t, depth: int):
     table.ensure_box((-depth, hi_m - lo_m), (-depth, hi_n - lo_n))
 
     # rows[i, j, u] = Tr(x^(hi_m - lo_m - i, hi_n - lo_n - j) T_u) as floats
-    rows = np.array([
-        [[float(c) for c in table.trace_row((m, n))]
-         for n in range(hi_n - lo_n, -depth - 1, -1)]
-        for m in range(hi_m - lo_m, -depth - 1, -1)
-    ])
+    rows = table.float_box((-depth, hi_m - lo_m), (-depth, hi_n - lo_n))[::-1, ::-1]
     # coef[a, b] = Tr(x^(-lo_m - a, -lo_n - b) h): one slice of rows per X-term
     coef = np.zeros((depth + 1, depth + 1), dtype=complex)
     for ((m, n), u), c in support:

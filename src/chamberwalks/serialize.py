@@ -142,11 +142,25 @@ def _csv_field(v) -> str:
     return s
 
 
+def _column_fields(column) -> list:
+    """_csv_field of every value of one column, its type tested once: in a
+    column of ints or of floats each distinct value is formatted once (zeros
+    on their own, as 0.0 == -0.0), and strings are quoted as _csv_field
+    quotes them."""
+    kinds = set(map(type, column))
+    if kinds == {int} or kinds == {float}:
+        text = {v: _csv_field(v) for v in set(column)}
+        return [text[v] if v else _csv_field(v) for v in column]
+    if kinds == {str} and '"' not in "".join(column):
+        return [f'"{v}"' if "," in v or not v else v for v in column]
+    return list(map(_csv_field, column))
+
+
 def write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_csv_field(v) for v in row))
-    text = "\n".join(lines) + "\n"
+    """The CSV text of header and rows, also written to path unless it is
+    None; the fields are formatted column by column."""
+    columns = [_column_fields(column) for column in zip(*rows, strict=True)]
+    text = "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n"
     if path is None:
         return text
     with open(path, "w") as fh:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -600,6 +601,9 @@ def _check_trace_table_against_generic(q):
 
 def test_trace_table_matches_generic():
     _check_trace_table_against_generic(2)
+    # q - 1 = 1/100: the pair sweep divides by q_n q_d = 10100 on every
+    # multiplication by q^(1/2) - q^(-1/2)
+    _check_trace_table_against_generic(Fraction(101, 100))
 
 
 def test_trace_table_matches_generic_q3():
@@ -618,6 +622,36 @@ def test_trace_table_rational_q():
                 assert tr == row[u]
 
 
+def _hexagon(radius):
+    return [(m, n) for m in range(-radius, radius + 1) for n in range(-radius, radius + 1)
+            if max(abs(W.pairing((m, n), a)) for a in W.POS_ROOTS) <= radius]
+
+
+@pytest.mark.parametrize("q", ["2", "3", "5/2", "4", "9/4", "101/100"])
+def test_trace_table_degree_bound_and_floats(q):
+    """Every trace at height h = m + n is an integer polynomial of degree at
+    most 2 (K - h) in q^(1/2) - q^(-1/2), so its canonical denominator
+    divides (q_n q_d)^(K - h): the bound the table's fixed scale rests on.
+    The float grid holds float() of each canonical trace, bit for bit."""
+    tab = H.TraceTable(Fraction(q))
+    tab.ensure_box((-4, 4), (-4, 4))
+    radius = 12     # <(-4, 4), a_1> = -12
+    qn, qd = Fraction(q).numerator, Fraction(q).denominator
+    for m, n in _hexagon(radius):
+        row = tab.trace_row((m, n))
+        for c in row:
+            denominator = lcm(c.a.denominator, c.b.denominator)
+            assert (qn * qd) ** (radius - m - n) % denominator == 0, ((m, n), c)
+        floats = tab.float_box((m, m), (n, n))
+        assert floats.shape == (1, 1, 6)
+        assert [x.hex() for x in floats[0, 0]] == [float(c).hex() for c in row], (m, n)
+    for mu in [(radius, radius), (-radius, -radius), (radius + 1, 0)]:
+        with pytest.raises(KeyError):
+            tab.trace_row(mu)
+    with pytest.raises(KeyError):
+        tab.float_box((-radius, 0), (-radius, 0))
+
+
 def test_trace_table_growth_coverage_and_symmetry():
     """A grown table equals a fresh one, lookups outside the covered hexagon
     raise, and the diagram automorphism (swap the simple reflections and the
@@ -628,14 +662,8 @@ def test_trace_table_growth_coverage_and_symmetry():
     fresh = H.TraceTable(2)
     fresh.ensure_box((-5, 1), (-4, 1))
     radius = 11     # the largest |<mu, a>| at a corner: <(-5, 1), a_1> = -11
-    hexagon = [
-        (m, n)
-        for m in range(-radius, radius + 1)
-        for n in range(-radius, radius + 1)
-        if max(abs(W.pairing((m, n), a)) for a in W.POS_ROOTS) <= radius
-    ]
     omega = (0, 2, 1, 4, 3, 5)
-    for m, n in hexagon:
+    for m, n in _hexagon(radius):
         row = fresh.trace_row((m, n))
         assert grown.trace_row((m, n)) == row
         mirror = fresh.trace_row((n, m))

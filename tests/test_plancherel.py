@@ -607,6 +607,47 @@ def test_central_trace_integral_rejects_asymmetric(field2):
         P.central_trace_integral(H.t_to_x(H.t_generator(F, 1)), 64)
 
 
+def _f_series_from_rows(h, t, depth):
+    """f_series with its coefficient grid read through float(trace_row), one
+    lookup per lattice point, from a table of its own: the same sums in the
+    same order, so value and tail must agree bit for bit."""
+    q = float(h.field.q)
+    t1, t2 = np.asarray(t[0], dtype=complex), np.asarray(t[1], dtype=complex)
+    support = list(H.t_to_x(h).terms.items())
+    ms, ns = [0] + [nu[0] for (nu, _), _ in support], [0] + [nu[1] for (nu, _), _ in support]
+    lo_m, hi_m, lo_n, hi_n = min(ms), max(ms), min(ns), max(ns)
+    table = H.TraceTable(h.field.q)
+    table.ensure_box((-depth, hi_m - lo_m), (-depth, hi_n - lo_n))
+    rows = np.array([[[float(c) for c in table.trace_row((m, n))]
+                      for n in range(hi_n - lo_n, -depth - 1, -1)]
+                     for m in range(hi_m - lo_m, -depth - 1, -1)])
+    coef = np.zeros((depth + 1, depth + 1), dtype=complex)
+    for ((m, n), u), c in support:
+        coef += complex(c) * rows[hi_m - m:hi_m - m + depth + 1, hi_n - n:hi_n - n + depth + 1, u]
+    value = np.einsum("...a,ab,...b->...",
+                      t1[..., None] ** np.arange(lo_m, lo_m + depth + 1), coef,
+                      t2[..., None] ** np.arange(lo_n, lo_n + depth + 1))
+    rho = max(np.abs(t1).max(), np.abs(t2).max()) * (2 * q ** 0.5) ** 4
+    tail = (sum(abs(complex(c)) for _, c in support) * (depth + 2) * rho ** (depth + 1)
+            / (1 - rho) ** 2 * float((np.abs(t1) ** lo_m * np.abs(t2) ** lo_n).max()))
+    return value, tail
+
+
+def test_f_series_reads_the_float_grid_bit_for_bit():
+    """q = 7/3 is read by no other test, so on the first element each
+    growing depth rebuilds the cached table with a corner of its box on the
+    hexagon's edge; the second element reads inside that table."""
+    F = H.ScalarField(Fraction(7, 3))
+    r = 0.05 / (16 * (7 / 3) ** 2)
+    t = (r * np.exp(0.4j) * np.array([1, 0.5]), r * np.exp(-1.1j))
+    for h in (_aa_star(F, _NEG_WORDS), H.t_element(F, [(W.from_word((1, 0)), F.make(2, 1))])):
+        for depth in (0, 1, 16):
+            value, tail = P.f_series(h, t, depth)
+            ref_value, ref_tail = _f_series_from_rows(h, t, depth)
+            assert value.tobytes() == ref_value.tobytes(), depth
+            assert tail.hex() == ref_tail.hex(), depth
+
+
 def test_small_angle_density_expansion():
     err = L.lemma34_check((0.01, 0.013), 2)
     assert err < 0.05

@@ -90,5 +90,21 @@ def test_csv_quoting(tmp_path):
     assert path.read_text() == "x\n1\n"
 
 
+def test_csv_columns_format_like_single_fields():
+    """Columns are formatted by type, each distinct float once; the bytes
+    stay those of one field at a time: a quote char in a string column, a
+    column of mixed types, and the signed zeros of a float column."""
+    rows = [('say "hi"', 0.0, 1, True, 2.5), ("a,b", -0.0, 2.5, None, 2.5),
+            ("", 1 / 3, -3, "x,y", 2.5)]
+    assert S.write_csv(None, list("abcde"), rows) == (
+        "a,b,c,d,e\n"
+        '"say ""hi""",0,1,True,2.5\n'
+        '"a,b",-0,2.5,None,2.5\n'
+        '"",0.33333333333333331,-3,"x,y",2.5\n')
+    assert S.write_csv(None, ["a"], []) == "a\n"
+    with pytest.raises(ValueError):
+        S.write_csv(None, ["a", "b"], [(1, 2), (3,)])
+
+
 def test_float_precision():
     assert S.format_float(1 / 3) == "0.33333333333333331"
