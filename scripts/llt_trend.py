@@ -5,7 +5,7 @@ return to the start (``limit.masses_at``), and compares the n-step return
 probability against the closed-form n^-4 estimate, then extends the picture
 to larger n through the spectral decomposition (Plancherel quadrature).
 With --big "" the whole run takes about 1.2 s and 85 MB max RSS at
---n 1600, and about 9.5 s and 245 MB at --n 3200 (2-core Xeon).  Beyond
+--n 1600, and about 7.4-8.3 s and 243 MB at --n 3200 (2-core Xeon).  Beyond
 n = 5003 the light-cone ball exceeds the largest one state_space builds,
 and the spectral route is the only one.
 

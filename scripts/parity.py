@@ -5,6 +5,8 @@ the repository, e.g. one made with ``git archive``), each in its own
 interpreter with PYTHONPATH at that checkout's src/, and reports every
 result whose bits differ:
 
+- the ``state_space`` tables (elems, pos, lengths, target, ascent, with
+  their dtypes) at radii 0, 1, 2, 40, 200, 201 and 800;
 - ``exact_distribution`` of five walk specs at n in {0, 1, 17, 40} and
   q in {2, 3, 5/2}, on its own and as snapshots of one n = 40 run: the
   masses with their dtype and shape;
@@ -12,10 +14,11 @@ result whose bits differ:
 - ``c_w_value`` at every w of length <= 4, q in {2, 3, 5/2, 11/10};
 - ``mul`` and ``bernstein_mul`` of seeded products and ``macdonald_p`` of
   small dominant weights at q in {2, 3, 5/2}, as (key, a, b) terms;
+- ``t_to_x`` of T_(t_(100,100)) at q in {2, 5/2}, as (key, a, b) terms;
 - the ``TraceTable.trace_row`` scalars over the hexagon of radius 22 at
   q in {2, 3, 5/2, 4, 101/100}, as (a, b) pairs;
 - ``f_series`` value and tail bound of two elements at q = 2 and depths
-  0, 1, 10 and 40;
+  0, 1, 10 and 40, and ``plancherel_trace`` of T_(t_(25,25)) at q = 2;
 - the stdout of ``walk exact/mc/llt/compare``, ``trace --method all`` on a
   T-basis element at q = 2 and an X-basis element at q = 5/2, ``walks``,
   ``reps check``, ``spectrum`` and ``scripts/llt_trend.py --n 1600 --big ""``.
@@ -104,6 +107,10 @@ def dump():
     from chamberwalks import hecke, limit, plancherel, weyl
 
     out = {}
+    for radius in (0, 1, 2, 40, 200, 201, 800):
+        space = limit.state_space(radius)
+        for name in ("elems", "pos", "lengths", "target", "ascent"):
+            out[f"state_space r={radius} {name}"] = _bits(getattr(space, name))
     ball = sorted(weyl.ball(4), key=lambda w: (weyl.length(w), w.mu, w.u))
     for name, spec in _specs().items():
         for q in QS:
@@ -131,6 +138,10 @@ def dump():
                 hecke.bernstein_mul(hecke.t_to_x(a), hecke.t_to_x(b)))
         for mu in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (3, 0)):
             out[f"macdonald_p q={q} mu={mu}"] = _terms(hecke.macdonald_p(field, mu))
+    for q in (2, Fraction(5, 2)):
+        field = hecke.ScalarField(q)
+        long_word = hecke.t_element(field, [(weyl.translation((100, 100)), field.one)])
+        out[f"t_to_x t_(100,100) q={q}"] = _terms(hecke.t_to_x(long_word))
     radius = 22
     hexagon = [(m, n) for m in range(-radius, radius + 1) for n in range(-radius, radius + 1)
                if max(abs(weyl.pairing((m, n), a)) for a in weyl.POS_ROOTS) <= radius]
@@ -151,6 +162,8 @@ def dump():
         for depth in (0, 1, 10, 40):
             value, tail = plancherel.f_series(h, t, depth)
             out[f"f_series {name} depth={depth}"] = (_bits(np.asarray(value)), _bits(tail))
+    long_word = hecke.t_element(field, [(weyl.translation((25, 25)), field.one)])
+    out["plancherel_trace t_(25,25)"] = _bits(np.asarray(plancherel.plancherel_trace(long_word)))
     return out
 
 

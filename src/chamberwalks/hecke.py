@@ -514,27 +514,36 @@ def _finite_times_t0(field, u: int) -> dict:
 
 
 def _t_word_to_x(field, w: AffineElement) -> HeckeElement:
-    """T_w in the Bernstein basis, as T_(w s_i) T_i for the last letter i of
-    the reduced word of w; cached per field.  Each term x^mu T_u of T_(w s_i)
-    becomes x^mu (T_u T_i): a finite generator multiplies the finite part
-    alone, and T_u T_0 comes from _finite_times_t0."""
-    cached = field._tx_cache.get(w)
-    if cached is None:
-        word = reduced_word(w)
-        if not word:
-            cached = unit(field, "X")
+    """T_w in the Bernstein basis, cached per field with every prefix of the
+    reduced word of w (the prefixes of that word are the reduced words of
+    the prefix elements).  From the longest cached prefix v, the loop takes
+    T_(v s_i) = T_v T_i letter by letter: each term x^mu T_u of T_v becomes
+    x^mu (T_u T_i), where a finite generator multiplies the finite part
+    alone and T_u T_0 comes from _finite_times_t0."""
+    cache = field._tx_cache
+    cached = cache.get(w)
+    if cached is not None:
+        return cached
+    word = reduced_word(w)
+    chain = [IDENTITY]
+    for i in word:
+        chain.append(right_mul_gen(chain[-1], i))
+    k = len(word)
+    while k and chain[k] not in cache:
+        k -= 1
+    if k == 0 and IDENTITY not in cache:
+        cache[IDENTITY] = unit(field, "X")
+    h = cache[chain[k]]
+    for v, i in zip(chain[k + 1:], word[k:]):
+        if i:
+            terms = _rmul_fin_gen_x(h.terms, i, field)
         else:
-            prefix = _t_word_to_x(field, weyl.from_word(word[:-1])).terms
-            if word[-1]:
-                terms = _rmul_fin_gen_x(prefix, word[-1], field)
-            else:
-                terms = {}
-                for (mu, u), c in prefix.items():
-                    for (gamma, z), cm in _finite_times_t0(field, u).items():
-                        _acc(terms, ((gamma[0] + mu[0], gamma[1] + mu[1]), z), c * cm)
-            cached = HeckeElement("X", terms, field)
-        field._tx_cache[w] = cached
-    return cached
+            terms = {}
+            for (mu, u), c in h.terms.items():
+                for (gamma, z), cm in _finite_times_t0(field, u).items():
+                    _acc(terms, ((gamma[0] + mu[0], gamma[1] + mu[1]), z), c * cm)
+        h = cache[v] = HeckeElement("X", terms, field)
+    return h
 
 
 def t_to_x(h: HeckeElement) -> HeckeElement:
@@ -842,6 +851,12 @@ def orbit_characters(t):
 # ---------------------------------------------------------------------------
 
 
+# the largest trace-table radius: T0 T0 at the deepest series (depth 128 of
+# plancherel.f_series) needs 257, and radius 260 took 0.8 s and 146 MB max
+# RSS at q = 2, 1.0 s and 212 MB at q = 5/2; radius 600 took 8.2 s and 914 MB
+_MAX_RADIUS = 260
+
+
 class TraceTable:
     """Exact traces tau(mu, u) = Tr(x^mu T_u) over a W0-stable hexagon
     |<mu, a>| <= K (a the positive roots), by the Bernstein trace recursion.
@@ -884,11 +899,14 @@ class TraceTable:
 
         The table covers the hexagon of the largest |<mu, a>| at a corner of
         the box.  A box inside the current hexagon costs nothing; a larger
-        one rebuilds the table.
+        one rebuilds the table.  Raises ValueError, leaving the table as it
+        was, if the hexagon's radius exceeds _MAX_RADIUS.
         """
         radius = _box_radius(m_range, n_range)
         if radius <= self._radius:
             return
+        if radius > _MAX_RADIUS:
+            raise ValueError(f"trace table radius {radius} exceeds the limit of {_MAX_RADIUS}")
         field = self.field
         self._scale = (field.qn * field.qd) ** (2 * radius)
         tau = {}

@@ -127,18 +127,26 @@ def sign_character(q) -> Representation:
     return Representation(q, (m, m, m))
 
 
-def _sum_over_words(h: hecke.HeckeElement, gens, image, out):
-    """Add c * image(pi(T_w)) to out for each term c T_w of a T-basis
-    element, with pi(T_w) over a batch of generator triples of shape
-    (npts, d, d).  The reduced words are visited in sorted order, so products
-    along a common prefix are computed once; only the current prefix chain
-    is kept alive."""
+# complex entries of one prefix chain of _sum_over_words: 12 letters of
+# (8192, 6, 6) matrices, 57 MB, so a batch of plancherel's 8192 points is split
+# only for words longer than 12 letters
+_CHAIN_ENTRIES = 12 * 8192 * 6 * 6
+
+
+def _words(h: hecke.HeckeElement) -> list:
+    """The (reduced word, complex coefficient) of each term c T_w of a T-basis
+    element, in sorted word order."""
     if h.basis != "T":
         raise ValueError("expected the T-basis; convert with x_to_t")
+    return sorted((weyl.reduced_word(w), complex(c)) for w, c in h.terms.items())
+
+
+def _sum_over_words(words, gens, image, out):
+    """Add c * image(pi(T_w)) to out for each (word, c) of ``_words``, with
+    pi(T_w) over a batch of generator triples of shape (npts, d, d).  The
+    words are visited in sorted order, so products along a common prefix are
+    computed once; only the current prefix chain is kept alive."""
     npts, d = gens[0].shape[0], gens[0].shape[1]
-    words = sorted(
-        (weyl.reduced_word(w), complex(c)) for w, c in h.terms.items()
-    )
     stack = [np.broadcast_to(np.eye(d, dtype=complex), (npts, d, d))]
     path = []
     for word, coeff in words:
@@ -155,14 +163,24 @@ def _sum_over_words(h: hecke.HeckeElement, gens, image, out):
 
 
 def characters(h: hecke.HeckeElement, gens) -> np.ndarray:
-    """Characters of a T-basis element over a batch of generator triples."""
-    return _sum_over_words(h, gens, lambda m: np.trace(m, axis1=1, axis2=2),
-                           np.zeros(gens[0].shape[0], dtype=complex))
+    """Characters of a T-basis element over a batch of generator triples,
+    taken over sub-batches of points whose prefix chain, one (points, d, d)
+    array per letter of the longest word, stays within _CHAIN_ENTRIES.  Each
+    point's value does not depend on its sub-batch."""
+    words = _words(h)
+    npts, d = gens[0].shape[0], gens[0].shape[1]
+    longest = max([1] + [len(word) for word, _ in words])
+    step = max(1, _CHAIN_ENTRIES // (d * d * longest))
+    out = np.zeros(npts, dtype=complex)
+    for lo in range(0, npts, step):
+        _sum_over_words(words, [g[lo:lo + step] for g in gens],
+                        lambda m: np.trace(m, axis1=1, axis2=2), out[lo:lo + step])
+    return out
 
 
 def evaluate(rep: Representation, h: hecke.HeckeElement) -> np.ndarray:
     """Image of a T-basis element: sum of coefficients times word matrices."""
-    return _sum_over_words(h, rep.batch, lambda m: m[0],
+    return _sum_over_words(_words(h), rep.batch, lambda m: m[0],
                            np.zeros((rep.dim, rep.dim), dtype=complex))
 
 

@@ -251,6 +251,21 @@ def test_trace_limits_are_usage_errors(capsys, tmp_path, flags):
     assert "exceeds the limit" in out.err
 
 
+def test_trace_series_of_a_long_word_is_a_usage_error(capsys, tmp_path):
+    """T_(t_(300,300)) has 1200 letters: its Bernstein form is built without
+    a recursion per letter, and its trace table, of radius 602 at depth 2,
+    exceeds the radius limit and exits 2 with one error line."""
+    f = hecke.ScalarField(2)
+    path = tmp_path / "long.json"
+    path.write_text(serialize.hecke_to_json(
+        hecke.t_element(f, [(weyl.translation((300, 300)), f.one)])))
+    argv = ["trace", "--method", "series", "--depth", "2", "--element", str(path)]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: trace table radius 602 exceeds the limit of {hecke._MAX_RADIUS}\n"
+
+
 def test_trace_series_check_exit_code(capsys, tmp_path, monkeypatch):
     path = tmp_path / "aa.json"
     _write_aa_star(path, "2", ((0, 1, 2), (1, 2), (0,)))  # X-support reaches (-1, -1)

@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 from fractions import Fraction
 from math import lcm
 
@@ -247,6 +249,21 @@ def test_t_to_x_trivial_cases(field2):
     assert H.t_to_x(H.unit(F)).terms == {((0, 0), 0): F.one}
     assert H.t_to_x(H.t_generator(F, 1)).terms == {((0, 0), 1): F.one}
 
+
+
+def test_t_to_x_of_a_long_word_needs_no_recursion():
+    """T_(t_(60,60)) (240 letters, dominant) is x^(60,60), built letter by
+    letter without one stack frame per letter, with every prefix cached."""
+    field = H.ScalarField(2)
+    w = W.translation((60, 60))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        hx = H.t_to_x(H.t_element(field, [(w, field.one)]))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert hx == H.x_element(field, [(((60, 60), 0), field.one)])
+    assert len(field._tx_cache) == W.length(w) + 1
 
 def test_word_identities(field2):
     F = field2
@@ -671,3 +688,20 @@ def test_trace_table_growth_coverage_and_symmetry():
     for mu in [(6, 0), (0, -6), (-6, -6), (-6, 6), (2048, 0)]:
         with pytest.raises(KeyError):
             fresh.trace_row(mu)
+
+
+def test_trace_table_radius_limit_leaves_the_table_unchanged():
+    """A box whose hexagon exceeds the radius limit raises before the sweep,
+    naming the radius; the table keeps its radius, rows, scale and floats."""
+    tab = H.TraceTable(2)
+    tab.ensure_box((-3, 1), (-2, 1))
+    radius, rows, scale, floats = tab._radius, tab._rows, tab._scale, tab._floats
+    box = ((-(H._MAX_RADIUS // 2 + 1), 0), (0, 0))
+    too_far = H._box_radius(*box)
+    assert too_far > H._MAX_RADIUS
+    with pytest.raises(ValueError, match=f"trace table radius {too_far} exceeds the limit"):
+        tab.ensure_box(*box)
+    assert (tab._radius, tab._rows, tab._scale, tab._floats) == (radius, rows, scale, floats)
+    fresh = H.TraceTable(2)
+    fresh.ensure_box((-3, 1), (-2, 1))
+    assert tab.trace_row((-3, -2)) == fresh.trace_row((-3, -2))

@@ -355,6 +355,13 @@ def test_state_space_refuses_an_oversized_box():
         L.state_space(10_000)
 
 
+def test_state_space_refuses_a_negative_radius():
+    """A negative radius raises before anything is allocated, instead of a
+    one-state ball whose row is uninitialized memory."""
+    with pytest.raises(ValueError, match="ball radius must be >= 0, got -1"):
+        L.state_space.__wrapped__(-1)
+
+
 def test_state_space_tables_are_compact():
     """The ball of radius 400 is built in blocks from int16 lengths and
     int32 box indices: its build peaks below 32 bytes per lattice-box entry

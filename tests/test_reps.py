@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,3 +225,24 @@ def test_kato_criterion():
     assert not R.is_principal_irreducible(q, (1.7, 0.5 / 1.7))   # t1 t2 = 1/q
     # strictly off the boundary stays irreducible
     assert R.is_principal_irreducible(q, (2.0 + 1e-6, 0.37))
+
+
+def test_characters_of_a_long_word_stay_within_the_chain_budget(field2):
+    """The prefix chain of T_(t_(25,25)), 100 letters, over 4096 points would
+    take 236 MB in one batch; split into sub-batches it stays within
+    _CHAIN_ENTRIES complex entries (57 MB), and each point reads the value
+    it has on its own."""
+    h = H.t_element(field2, [(W.translation((25, 25)), field2.one)])
+    angles = np.linspace(0.1, 6.2, 4096)
+    t1, t2 = np.exp(1j * angles), np.exp(-2.3j * angles)
+    gens = R.principal_generators(2.0, t1, t2)
+    tracemalloc.start()
+    try:
+        chars = R.characters(h, gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6, peak
+    for k in (0, 982, 983, 4095):  # 983 points per sub-batch
+        alone = R.characters(h, R.principal_generators(2.0, t1[k:k + 1], t2[k:k + 1]))
+        assert alone[0] == chars[k]
