@@ -13,7 +13,8 @@ result whose bits differ:
 - ``masses_at`` of the same specs at every w of length <= 4;
 - ``c_w_value`` at every w of length <= 4, q in {2, 3, 5/2, 11/10};
 - ``mul`` and ``bernstein_mul`` of seeded products and ``macdonald_p`` of
-  small dominant weights at q in {2, 3, 5/2}, as (key, a, b) terms;
+  ten weights up to (10, 3), one of them not dominant, at q in {2, 3, 5/2},
+  as (key, a, b) terms;
 - ``t_to_x`` of T_(t_(100,100)) at q in {2, 5/2}, as (key, a, b) terms;
 - the ``TraceTable.trace_row`` scalars over the hexagon of radius 22 at
   q in {2, 3, 5/2, 4, 101/100}, as (a, b) pairs;
@@ -54,6 +55,7 @@ CLI = (
     ["walks", "--type", "1,2,1,0"],
     ["reps", "check", "--q", "2", "--t", "0.6,0.8,0.28,-0.96"],
     ["spectrum", "--q", "3"],
+    ["spectrum", "--q", "5/2"],
 )
 # algebra elements for ``trace --method all``, by file name
 ELEMENTS = {
@@ -136,7 +138,8 @@ def dump():
             out[f"mul q={q} #{k}"] = _terms(hecke.mul(a, b))
             out[f"bernstein_mul q={q} #{k}"] = _terms(
                 hecke.bernstein_mul(hecke.t_to_x(a), hecke.t_to_x(b)))
-        for mu in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (3, 0)):
+        for mu in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (3, 0),
+                   (3, 2), (5, 5), (-1, 2), (10, 3)):
             out[f"macdonald_p q={q} mu={mu}"] = _terms(hecke.macdonald_p(field, mu))
     for q in (2, Fraction(5, 2)):
         field = hecke.ScalarField(q)

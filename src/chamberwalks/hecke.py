@@ -659,8 +659,25 @@ def poly_d(field) -> dict:
     return _coroot_product(field, field.one)
 
 
-def _lead_key(e):
-    return (e[0] + e[1], e[0], e[1])
+def _divide_binomial(f: dict, a) -> dict:
+    """The g with g (1 - x^(-a)) = f, for a positive coroot a: the suffix sum
+    g(e) = sum over j >= 0 of f(e + j a).  Raises ArithmeticError where f does
+    not sum to 0 along a line e + Z a, that is where the remainder is nonzero."""
+    k = 0 if a[0] else 1  # a[k] = 1: e[k] steps by one along the line
+    lines = {}
+    for e, c in f.items():
+        lines.setdefault((e[0] - e[k] * a[0], e[1] - e[k] * a[1]), {})[e[k]] = c
+    g = {}
+    for (b0, b1), line in lines.items():
+        total = 0
+        for j in range(max(line), min(line) - 1, -1):
+            if j in line:
+                total = total + line[j]
+            if total:
+                g[(b0 + j * a[0], b1 + j * a[1])] = total
+        if total:
+            raise ArithmeticError("spherical-function division leaves a remainder")
+    return g
 
 
 def macdonald_p(field, mu) -> HeckeElement:
@@ -672,41 +689,24 @@ def macdonald_p(field, mu) -> HeckeElement:
         P_mu = (q_w0 / W0(q)) * N / D,
         N = sum_u (-1)^l(u) u( x^(mu+rho) n(x) ),   D = sum_u (-1)^l(u) x^(u rho),
 
-    and the division N / D is exact in the Laurent ring (checked; a nonzero
-    remainder raises).
+    and D = x^rho prod over positive coroots of (1 - x^(-a^vee)), so N / D is
+    N divided by each binomial in turn (_divide_binomial, exact in the Laurent
+    ring: a nonzero remainder raises), shifted by -rho.
     """
     rho = weyl.RHO_VEE
     # x^(mu+rho) n(x), n(x) = prod over positive coroots of (1 - q^(-1) x^(-a^vee))
     n_shift = {(e[0] + mu[0] + rho[0], e[1] + mu[1] + rho[1]): c
                for e, c in _coroot_product(field, field.half_pow(-2)).items()}
     num = {}
-    den = {}
     for u in range(6):
         sgn = -1 if w0_length(u) % 2 else 1
         for e, c in n_shift.items():
             _acc(num, w0_apply(u, e), c if sgn > 0 else -c)
-        _acc(den, w0_apply(u, rho), field.make(sgn))
-
-    quot = {}
-    lead_d = max(den, key=_lead_key)
-    cd = den[lead_d]
-    guard = 0
-    bound = 40 * (abs(mu[0]) + abs(mu[1]) + 2) ** 2 + 1000
-    while num:
-        guard += 1
-        if guard > bound:
-            raise ArithmeticError("spherical-function division did not terminate")
-        lead_n = max(num, key=_lead_key)
-        g = (lead_n[0] - lead_d[0], lead_n[1] - lead_d[1])
-        c = num[lead_n] / cd
-        _acc(quot, g, c)
-        for e, ce in den.items():
-            _acc(num, (e[0] + g[0], e[1] + g[1]), -(ce * c))
-
+    for a in POS_ROOTS:
+        num = _divide_binomial(num, a)
     scale = field.half_pow(6) * (field.one / w0_poincare(field))
-    return HeckeElement(
-        "X", {(e, 0): c * scale for e, c in quot.items()}, field
-    )
+    return HeckeElement("X", {((e[0] - rho[0], e[1] - rho[1]), 0): c * scale
+                              for e, c in num.items()}, field)
 
 
 # ---------------------------------------------------------------------------

@@ -546,22 +546,22 @@ def llt_estimate(w: AffineElement, n: int, q) -> float:
     return value
 
 
+def _descending_eigenvalues(module, q, angle):
+    """Walk-operator eigenvalues of module(q, e^(i angle)), sorted descending."""
+    m = reps.p_matrix(module(float(q), np.exp(1j * np.asarray(angle))))
+    if not np.abs(m - m.conj().T).max() < 1e-12:  # NaN fails too
+        raise ValueError("angle off the unit torus: the walk operator is not Hermitian")
+    return np.linalg.eigvalsh(m)[::-1]
+
+
 def eigen_surface(theta, q):
-    """Six eigenvalues of the walk operator in the 6-dimensional module at
-    the unit-torus character e^(i theta), sorted descending."""
-    rep = reps.principal_series(float(q), np.exp(1j * np.asarray(theta)))
-    m = reps.p_matrix(rep)
-    assert np.abs(m - m.conj().T).max() < 1e-12
-    vals = np.linalg.eigvalsh(m)
-    return vals[::-1]
+    """Six eigenvalues of the walk operator in the 6-dimensional module at e^(i theta)."""
+    return _descending_eigenvalues(reps.principal_series, q, theta)
 
 
 def induced_eigen_curve(phi: float, q):
     """Three eigenvalues of the walk operator in the 3-dimensional module."""
-    rep = reps.induced_three_dim(float(q), np.exp(1j * phi))
-    m = reps.p_matrix(rep)
-    vals = np.linalg.eigvalsh(m)
-    return vals[::-1]
+    return _descending_eigenvalues(reps.induced_three_dim, q, phi)
 
 
 def lemma34_check(theta, q) -> float:

@@ -266,6 +266,25 @@ def test_trace_series_of_a_long_word_is_a_usage_error(capsys, tmp_path):
     assert out.err == f"error: trace table radius 602 exceeds the limit of {hecke._MAX_RADIUS}\n"
 
 
+def test_trace_all_refuses_a_long_word_before_the_quadrature(capsys, tmp_path, monkeypatch):
+    """--method all runs the series route before the Plancherel quadrature, so
+    an element past the trace table's radius limit exits 2 at once: on
+    T_(t_(300,300)) the quadrature would take about 30 s before the refusal."""
+    f = hecke.ScalarField(2)
+    path = tmp_path / "long.json"
+    path.write_text(serialize.hecke_to_json(
+        hecke.t_element(f, [(weyl.translation((300, 300)), f.one)])))
+
+    def refuse(h, n):
+        raise AssertionError("the quadrature ran before the series route")
+
+    monkeypatch.setattr(plancherel, "plancherel_estimate", refuse)
+    assert cli.main(["trace", "--method", "all", "--element", str(path)]) == cli.EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: trace table radius 624 exceeds the limit of {hecke._MAX_RADIUS}\n"
+
+
 def test_trace_series_check_exit_code(capsys, tmp_path, monkeypatch):
     path = tmp_path / "aa.json"
     _write_aa_star(path, "2", ((0, 1, 2), (1, 2), (0,)))  # X-support reaches (-1, -1)
@@ -408,12 +427,39 @@ def test_reps_check_reducible_point(capsys):
 
 
 def test_spectrum(capsys):
+    """Each closed form against the numeric eigenvalues of its module, and
+    the fitted constants of the shifted determinant identity."""
+    for q in ("2", "3", "5/2"):
+        code, out = run(capsys, ["spectrum", "--q", q])
+        assert code == 0
+        data = json.loads(out)
+        assert list(data) == [
+            "q", "eigenvalues", "induced_eigenvalues", "spectral_radius", "beta",
+            "top_vector_entry", "bottom_vector_entry", "max_closed_form_deviation",
+            "induced_max_closed_form_deviation", "determinant_fit",
+            "determinant_fit_residual"]
+        assert len(data["eigenvalues"]) == 6 and len(data["induced_eigenvalues"]) == 3
+        assert data["max_closed_form_deviation"] < 1e-12
+        assert data["induced_max_closed_form_deviation"] < 1e-12
+        fit = data["determinant_fit"]
+        assert max(abs(c - e) for c, e in zip(fit, (150, -48, -2))) < 1e-9
+        assert data["determinant_fit_residual"] < 1e-11
+        if q == "2":
+            assert abs(data["spectral_radius"] - (3 + 73 ** 0.5) / 12) < 1e-14
+
+
+@pytest.mark.parametrize("name, key", [
+    ("eigen_surface", "max_closed_form_deviation"),
+    ("induced_eigen_curve", "induced_max_closed_form_deviation"),
+])
+def test_spectrum_deviation_exit_code(capsys, monkeypatch, name, key):
+    """Either module's closed forms deviating by 1e-12 or more is a tolerance
+    violation."""
+    real = getattr(limit, name)
+    monkeypatch.setattr(limit, name, lambda angle, q: real(angle, q) + 2e-12)
     code, out = run(capsys, ["spectrum", "--q", "2"])
-    assert code == 0
-    data = json.loads(out)
-    assert abs(data["spectral_radius"] - (3 + 73 ** 0.5) / 12) < 1e-14
-    assert data["max_closed_form_deviation"] < 1e-12
-    assert len(data["eigenvalues"]) == 6
+    assert code == cli.EXIT_TOLERANCE
+    assert json.loads(out)[key] >= 1e-12
 
 
 def test_module_entry_point_without_warning(package_env):

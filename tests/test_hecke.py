@@ -1,4 +1,5 @@
 import inspect
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -29,6 +30,25 @@ def test_scalar_field_ops(field2):
     assert x * x.inv() == F.one
     with pytest.raises(ZeroDivisionError):
         F.zero.inv()
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+def test_scalar_refuses_a_float_operand(field2, op):
+    """A float is not exact: each operator returns NotImplemented for it, on
+    either side, and Python raises TypeError."""
+    x = field2.make(3, 1)
+    with pytest.raises(TypeError):
+        op(x, 0.5)
+    with pytest.raises(TypeError):
+        op(0.5, x)
+
+
+def test_scaling_by_zero_gives_the_empty_element(field2):
+    h = H.t_generator(field2, 1) + H.unit(field2)
+    for zero in (0, field2.zero):
+        scaled = h.scaled(zero)
+        assert scaled.terms == {}
+        assert (scaled.basis, scaled.field) == ("T", field2)
 
 
 def test_scalar_square_q_canonicalization():
@@ -459,6 +479,21 @@ def test_macdonald_spherical_identity(q):
         lhs = H.bernstein_mul(H.bernstein_mul(e0x, xm), e0x)
         rhs = H.bernstein_mul(H.macdonald_p(F, mu), e0x)
         assert lhs == rhs
+
+
+def test_binomial_division_refuses_a_remainder(field2):
+    """_divide_binomial undoes a product with 1 - x^(-a) for each positive
+    coroot a, and raises where the division leaves a remainder."""
+    F = field2
+    f = {(2, 1): F.make(3), (0, 4): F.make(1, 1), (-1, -3): F.make(Fraction(-1, 2))}
+    for a in W.POS_ROOTS:
+        product = {}
+        for e, c in f.items():
+            H._acc(product, e, c)
+            H._acc(product, (e[0] - a[0], e[1] - a[1]), -c)
+        assert H._divide_binomial(product, a) == f
+        with pytest.raises(ArithmeticError, match="remainder"):
+            H._divide_binomial({**product, (5, 5): F.one}, a)
 
 
 def test_macdonald_central(field2):

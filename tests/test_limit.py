@@ -363,10 +363,11 @@ def test_state_space_refuses_a_negative_radius():
 
 
 def test_state_space_tables_are_compact():
-    """The ball of radius 400 is built in blocks from int16 lengths and
-    int32 box indices: its build peaks below 32 bytes per lattice-box entry
-    and the finished ball holds below 20 (int64 tables took 59.5 and 40.2).
-    Rows and lengths are int16, state indices int32."""
+    """The ball of radius 400 is built by one stable sort of int32 box
+    indices on their int16 lengths, with its target gathers in blocks: its
+    build peaks below 32 bytes per lattice-box entry and the finished ball
+    holds below 20 (int64 tables took 59.5 and 40.2).  Rows and lengths are
+    int16, state indices int32."""
     b = 400 // 3 + 2
     entries = (2 * b + 1) ** 2 * 6
     tracemalloc.start()
@@ -668,6 +669,18 @@ def test_closed_forms_match_eigensolver(q):
     expect = np.array([sd.induced_eigenvalues[0], sd.induced_eigenvalues[0],
                        sd.induced_eigenvalues[1]])
     assert np.abs(np.sort(mu) - np.sort(expect)).max() < 1e-12
+
+
+@pytest.mark.parametrize("eigenvalues, angle", [
+    (L.eigen_surface, (0.3 + 0.1j, 0.0)),
+    (L.induced_eigen_curve, 0.2j),
+])
+def test_eigenvalues_refuse_an_angle_off_the_unit_torus(eigenvalues, angle):
+    """Off the unit torus the walk operator is not Hermitian and eigvalsh
+    would return wrong values: that raises a ValueError, which python -O
+    keeps where it strips an assert."""
+    with pytest.raises(ValueError, match="off the unit torus"):
+        eigenvalues(angle, 2.0)
 
 
 def test_eigenvalue_ordering():

@@ -20,8 +20,6 @@ MODULES = set(chamberwalks.__all__)
     ["llt_trend.py", "--q", "5/2", "--n", "10,20", "--big", "40"],
     ["trace_oracles.py", "--nmax", "4", "--grid", "64"],
     ["trace_oracles.py", "--q", "5/2", "--nmax", "4", "--grid", "64"],
-    ["spectra_report.py", "--q", "2"],
-    ["spectra_report.py", "--q", "5/2"],
 ])
 def test_script_runs_clean(argv, package_env):
     proc = subprocess.run(
