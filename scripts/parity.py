@@ -10,11 +10,13 @@ result whose bits differ:
 - ``exact_distribution`` of five walk specs at n in {0, 1, 17, 40} and
   q in {2, 3, 5/2}, on its own and as snapshots of one n = 40 run: the
   masses with their dtype and shape;
-- ``masses_at`` of the same specs at every w of length <= 4;
+- ``masses_at`` of the same specs at every w of length <= 6, on both
+  sides of the radius that the targets of length <= 4 share;
 - ``c_w_value`` at every w of length <= 4, q in {2, 3, 5/2, 11/10};
-- ``mul`` and ``bernstein_mul`` of seeded products and ``macdonald_p`` of
-  ten weights up to (10, 3), one of them not dominant, at q in {2, 3, 5/2},
-  as (key, a, b) terms;
+- ``mul`` and ``bernstein_mul`` of seeded products, ``macdonald_p`` of
+  ten weights up to (10, 3), one of them not dominant, ``tau_element`` of
+  the six finite parts, and ``bernstein_mul`` of P_(2,1) and the
+  symmetrizer in both orders, at q in {2, 3, 5/2}, as (key, a, b) terms;
 - ``t_to_x`` of T_(t_(100,100)) at q in {2, 5/2}, as (key, a, b) terms;
 - the ``TraceTable.trace_row`` scalars over the hexagon of radius 22 at
   q in {2, 3, 5/2, 4, 101/100}, as (a, b) pairs;
@@ -113,7 +115,8 @@ def dump():
         space = limit.state_space(radius)
         for name in ("elems", "pos", "lengths", "target", "ascent"):
             out[f"state_space r={radius} {name}"] = _bits(getattr(space, name))
-    ball = sorted(weyl.ball(4), key=lambda w: (weyl.length(w), w.mu, w.u))
+    words = sorted(weyl.ball(6), key=lambda w: (weyl.length(w), w.mu, w.u))
+    ball = [w for w in words if weyl.length(w) <= 4]
     for name, spec in _specs().items():
         for q in QS:
             for n in NS:
@@ -122,7 +125,7 @@ def dump():
             snaps = limit.exact_distribution(spec, max(NS), q, snapshots=NS)
             for n in NS:
                 out[f"snapshot {name} q={q} n={n}"] = _bits(snaps[n].masses)
-            for w in ball:
+            for w in words:
                 out[f"masses_at {name} q={q} w={w}"] = [
                     _bits(m) for m in limit.masses_at(spec, w, NS, q)]
     for q in (*QS, Fraction(11, 10)):
@@ -141,6 +144,12 @@ def dump():
         for mu in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (3, 0),
                    (3, 2), (5, 5), (-1, 2), (10, 3)):
             out[f"macdonald_p q={q} mu={mu}"] = _terms(hecke.macdonald_p(field, mu))
+        for u in range(6):
+            out[f"tau_element q={q} u={u}"] = _terms(hecke.tau_element(field, u))
+        p21 = hecke.macdonald_p(field, (2, 1))
+        one = hecke.t_to_x(hecke.symmetrizer_one(field))
+        out[f"bernstein_mul P_(2,1) 1_0 q={q}"] = _terms(hecke.bernstein_mul(p21, one))
+        out[f"bernstein_mul 1_0 P_(2,1) q={q}"] = _terms(hecke.bernstein_mul(one, p21))
     for q in (2, Fraction(5, 2)):
         field = hecke.ScalarField(q)
         long_word = hecke.t_element(field, [(weyl.translation((100, 100)), field.one)])

@@ -126,11 +126,7 @@ class QSqrt:
         o = other if isinstance(other, QSqrt) else self._coerce(other)
         if o is None:
             return NotImplemented
-        d1, d2 = self._d, o._d
-        if d1 == d2:
-            return _norm(self._a - o._a, self._b - o._b, d1, self.field)
-        return _norm(self._a * d2 - o._a * d1, self._b * d2 - o._b * d1, d1 * d2,
-                     self.field)
+        return self + (-o)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -195,9 +191,7 @@ class ScalarField:
         self.sqrt_q_float = float(self.q) ** 0.5
         self._tx_cache = {}
         self._xw_cache = {}
-        self._tux_cache = {}
         self._fin_inv_cache = {}
-        self._fin_mul_table = None
         self._fin_t0_cache = {}
         self.qn, self.qd = self.q.numerator, self.q.denominator
         # sqrt(q) as a Fraction if q is the square of a rational, else None
@@ -427,66 +421,27 @@ def _rmul_fin_gen_x(terms: dict, j: int, field, inverse: bool = False) -> dict:
     return out
 
 
-def _tu_times_xmonomial(field, u: int, nu) -> dict:
-    """T_u * x^nu in the Bernstein basis (cached)."""
-    key = (u, nu)
-    cached = field._tux_cache.get(key)
-    if cached is None:
-        terms = {(nu, 0): field.one}
-        for i in reversed(W0_WORDS[u]):
-            terms = _left_mul_gen_x(terms, i, field)
-        field._tux_cache[key] = cached = terms
-    return cached
-
-
-# each element of W0 before its last generator: W0_WORDS is ordered by
-# length and holds the prefix of each of its words
-_WORD_HEAD = tuple(weyl.w0_from_word(word[:-1]) for word in W0_WORDS)
-
-
-def _finite_products(field) -> tuple:
-    """T_z T_v in the finite subalgebra for all z, v in W0, as
-    table[z][v] = ((z', coeff), ...); built once per field, each T_z T_v as
-    T_z T_v' T_j from the prefix v' of the reduced word of v = v' s_j."""
-    if field._fin_mul_table is None:
-        table = []
-        for z in range(6):
-            row = [{((0, 0), z): field.one}]
-            for u, word in enumerate(W0_WORDS[1:], 1):   # each prefix comes first
-                row.append(_rmul_fin_gen_x(row[_WORD_HEAD[u]], word[-1], field))
-            table.append(tuple(tuple((z2, c) for (_, z2), c in terms.items()) for terms in row))
-        field._fin_mul_table = tuple(table)
-    return field._fin_mul_table
+def _tu_times(field, u: int, terms: dict) -> dict:
+    """T_u * (sum over x^mu T_z terms): the Bernstein relation applied for
+    each letter of the reduced word of u, last letter first."""
+    for i in reversed(W0_WORDS[u]):
+        terms = _left_mul_gen_x(terms, i, field)
+    return terms
 
 
 def bernstein_mul(h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
     """Product in the Bernstein basis, grouped: h1 = sum over u of
-    (sum c x^mu) T_u and h2 = sum over nu of x^nu B_nu with B_nu = sum c_v
-    T_v finite.  T_u h2 is formed once per u, from T_u x^nu (cached per
-    field) times B_nu through the table of finite products T_z T_v, and
+    (sum c x^mu) T_u.  T_u h2 is formed once per u (``_tu_times``), and
     each x^mu of u shifts it."""
     if h1.basis != "X" or h2.basis != "X":
         raise ValueError("bernstein_mul expects both factors in the X-basis")
     field = h1.field
-    products = _finite_products(field)
     left = {}
     for (mu, u), c in h1.terms.items():
         left.setdefault(u, []).append((mu, c))
-    right_rows = {}     # T_z B_nu for each nu and z, as dicts z' -> coeff
-    for (nu, v), c in h2.terms.items():
-        rows = right_rows.get(nu)
-        if rows is None:
-            rows = right_rows[nu] = [{} for _ in range(6)]
-        for z, row in enumerate(rows):
-            for z2, cz in products[z][v]:
-                _acc(row, z2, c * cz)
     out = {}
     for u, lattice_part in left.items():
-        mid = {}    # T_u h2
-        for nu, rows in right_rows.items():
-            for (gamma, z), cm in _tu_times_xmonomial(field, u, nu).items():
-                for z2, c in rows[z].items():
-                    _acc(mid, (gamma, z2), cm * c)
+        mid = _tu_times(field, u, h2.terms)
         for mu, c1 in lattice_part:
             for (gamma, z), cm in mid.items():
                 _acc(out, ((gamma[0] + mu[0], gamma[1] + mu[1]), z), c1 * cm)
@@ -506,7 +461,7 @@ def _finite_times_t0(field, u: int) -> dict:
     T_u T_0 is T_u x^(phi^vee) times T_1^(-1) T_2^(-1) T_1^(-1)."""
     cached = field._fin_t0_cache.get(u)
     if cached is None:
-        cached = _tu_times_xmonomial(field, u, weyl.PHI_VEE)
+        cached = _tu_times(field, u, {(weyl.PHI_VEE, 0): field.one})
         for j in W0_WORDS[weyl.W0_LONGEST]:
             cached = _rmul_fin_gen_x(cached, j, field, inverse=True)
         field._fin_t0_cache[u] = cached
@@ -572,6 +527,11 @@ def x_monomial_t_expansion(field, mu) -> HeckeElement:
             cur = right_mul_gen(cur, i)
         field._xw_cache[mu] = cached = h
     return cached
+
+
+# each element of W0 before its last generator: W0_WORDS is ordered by
+# length and holds the prefix of each of its words
+_WORD_HEAD = tuple(weyl.w0_from_word(word[:-1]) for word in W0_WORDS)
 
 
 def x_to_t(h: HeckeElement) -> HeckeElement:

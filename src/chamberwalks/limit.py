@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -316,28 +317,32 @@ def _light_cone(walk: dict, n: int, q, w=None):
     ..., n steps.  None if l(w) > n L, L the length of the longest element
     of the spec.
 
-    The ball has radius R = floor((n L + l(w)) / 2): a generator path from e
-    to w of n L letters that leaves it would need more than n L letters to
-    come back.  Step k recomputes only the orbits of length <= min(k L,
-    l(w) + (n - k) L, R), the ones reachable in k steps from which w is
-    still reachable in the n - k left.  Each recomputed orbit sums the same
-    terms in the same order as on the full ball: an orbit's first state
-    does not depend on the radius, a row's slots come in the same order on
-    both balls and carry the same weights between cone states, since no
-    path between them leaves radius R; a state outside the ball or not yet
-    reached holds an exact 0, which adds nothing to a sum; and the stale
-    values above the cone lie more than L above every state still in it,
-    so no step reads them.  No w is a target at distance n L, the whole
-    distribution: radius n L (at least 1) and bound k L."""
+    The ball has radius R = floor((n L + max(l(w), 4)) / 2): a generator
+    path from e to w of n L letters that leaves the radius (n L + l(w)) / 2
+    would need more than n L letters to come back, and a larger ball holds
+    the same cone.  Taking l(w) at least 4 gives every target of length <= 4
+    one ball per step count, which ``state_space`` caches.  Step k
+    recomputes only the orbits of length <= min(k L, l(w) + (n - k) L, R),
+    the ones reachable in k steps from which w is still reachable in the
+    n - k left.  Each recomputed orbit sums the same terms in the same
+    order as on the full ball: an orbit's first state does not depend on
+    the radius, a row's slots come in the same order on both balls and
+    carry the same weights between cone states, since no path between them
+    leaves radius R; a state outside the ball or not yet reached holds an
+    exact 0, which adds nothing to a sum; and the stale values above the
+    cone lie more than L above every state still in it, so no step reads
+    them.  No w is a target at distance n L, the whole distribution:
+    radius n L (at least 1, the ball of ``mc_simulate``) and bound k L."""
     words, step, group = _read_spec(walk)
     q = hecke.check_thickness(float(q))
     reach = n * step
-    lw = reach if w is None else weyl.length(w)
-    if lw > reach:
-        return None
-    radius = (reach + lw) // 2
     if w is None:
-        radius = max(radius, 1)
+        lw, radius = reach, max(reach, 1)
+    else:
+        lw = weyl.length(w)
+        if lw > reach:
+            return None
+        radius = (reach + max(lw, 4)) // 2
     bounds = [min(k * step, lw + (n - k) * step, radius) for k in range(1, n + 1)]
     space = state_space(radius)
     reps, orbit = _orbits(radius, group)
@@ -486,6 +491,8 @@ class SpectralData:
 def spectral_data(q) -> SpectralData:
     q = hecke.check_thickness(float(q))
     s = (q * q + 34 * q + 1) ** 0.5
+    if not math.isfinite(s):
+        raise OverflowError(f"q = {q} is too large: q^2 overflows a double")
     lam1 = (3 * (q - 1) + s) / (6 * q)
     lam2 = 2 * (q - 1) / (3 * q)
     lam4 = (q - 1) / (3 * q)

@@ -164,10 +164,10 @@ def test_huge_q_is_a_usage_error(capsys, argv, q):
 
 
 def test_walk_beyond_the_memory_limit(capsys):
-    # the ball of radius 10000 (n = 20000) is refused before it is built
+    # the ball of radius (20000 + 4) // 2 = 10002 is refused before it is built
     assert cli.main(["walk", "llt", "--q", "2", "--n", "20000", "--word", ""]) == cli.EXIT_USAGE
     out = capsys.readouterr()
-    assert out.out == "" and out.err.startswith("error: radius 10000 needs a lattice box")
+    assert out.out == "" and out.err.startswith("error: radius 10002 needs a lattice box")
 
 
 def test_walks_subcommand(capsys):

@@ -340,14 +340,14 @@ def test_cross_basis_oracle(q):
 
 
 def _per_pair_bernstein_mul(h1, h2):
-    """The Bernstein product one term pair at a time: T_u x^nu from the
-    cache, right-multiplied by T_v one generator at a time, then shifted by
-    mu and scaled by c1 c2."""
+    """The Bernstein product one term pair at a time: T_u x^nu by the
+    Bernstein relation, right-multiplied by T_v one generator at a time,
+    then shifted by mu and scaled by c1 c2."""
     field = h1.field
     out = {}
     for (mu, u), c1 in h1.terms.items():
         for (nu, v), c2 in h2.terms.items():
-            mid = H._tu_times_xmonomial(field, u, nu)
+            mid = H._tu_times(field, u, {(nu, 0): field.one})
             for j in W.W0_WORDS[v]:
                 mid = H._rmul_fin_gen_x(mid, j, field)
             for (gamma, z), cm in mid.items():

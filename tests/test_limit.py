@@ -284,18 +284,28 @@ def test_masses_at_matches_exact_distribution(walk, q, word):
     (TWO_LETTER_SPEC, (1, 2, 1, 0), [12]),
 ])
 def test_masses_at_builds_the_light_cone_ball(monkeypatch, walk, word, ns):
-    """The ball has radius floor((n L + l(w)) / 2), not the n L of the full
-    recursion.  The query runs once first, so the ball and its orbit maps
-    are cached and the recorded call is the query's own."""
+    """The ball has radius floor((n L + max(l(w), 4)) / 2), not the n L of
+    the full recursion.  The query runs once first, so the ball and its
+    orbit maps are cached and the recorded call is the query's own."""
     w = W.from_word(word)
     L.masses_at(walk, w, ns, 2)
     real, radii = L.state_space, []
     monkeypatch.setattr(L, "state_space", lambda r: radii.append(r) or real(r))
     L.masses_at(walk, w, ns, 2)
     step = max(W.length(v) for v in walk)
-    assert radii == [(max(ns) * step + W.length(w)) // 2]
+    assert radii == [(max(ns) * step + max(W.length(w), 4)) // 2]
     L.masses_at(walk, W.from_word((0, 1, 2, 0, 1, 2)), [2], 2)  # out of reach
     assert len(radii) == 1
+
+
+def test_short_targets_share_one_ball():
+    """Every target of length <= 4 reads one ball per step count: e and a
+    word of length 3 at n = 400 build the ball once."""
+    spec = L.simple_walk_spec()
+    L.state_space.cache_clear()
+    for word in ((), (0, 1, 2)):
+        L.masses_at(spec, W.from_word(word), [400], 2)
+    assert L.state_space.cache_info().misses == 1
 
 
 def test_negative_step_counts_rejected():
@@ -735,6 +745,19 @@ def test_c_w_values():
         v = L.c_w_value(w, 2)
         assert v > 0
         assert abs(v - L.c_w_value(W.inverse(w), 2)) < 1e-12
+
+
+def test_spectral_data_refuses_a_q_whose_square_overflows():
+    """At q = 1e155, q^2 is inf and the top eigenvector would be NaN."""
+    with pytest.raises(OverflowError, match="too large"):
+        L.spectral_data(1e155)
+    with pytest.raises(OverflowError, match="too large"):
+        L.c_w_value(W.IDENTITY, 1e155)
+    q = 1e150
+    sd = L.spectral_data(q)
+    assert sd.discriminant_root == (q * q + 34 * q + 1) ** 0.5
+    assert np.isfinite(sd.eigenvalues).all() and np.isfinite(sd.top_vector).all()
+    assert abs(L.c_w_value(W.IDENTITY, q) - 1.0) < 1e-14
 
 
 def test_llt_estimate_shape():
