@@ -11,10 +11,13 @@ and the spectral route is the only one.
 
 Usage: python scripts/llt_trend.py [--q 2] [--n 100,200,400] [--big 1600,6400]
 
---q takes an integer or a fraction such as 5/2, as the CLI does.
+--q takes an integer or a fraction such as 5/2, as the CLI does, and input
+out of the domain exits 2 with one error line.  --n a,b --big a,b prints
+both routes at the same n.
 """
 
 import argparse
+import sys
 from fractions import Fraction
 
 from chamberwalks import limit, plancherel, weyl
@@ -26,6 +29,18 @@ def main():
     ap.add_argument("--n", default="100,200,400")
     ap.add_argument("--big", default="1600,6400")
     args = ap.parse_args()
+    try:
+        run(args)
+    except OverflowError:
+        print("error: --q is too large: a power of q overflows a double", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 0
+
+
+def run(args):
     q = float(args.q)
 
     ns = [int(s) for s in args.n.split(",") if s]
@@ -51,4 +66,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -24,7 +24,9 @@ result whose bits differ:
   0, 1, 10 and 40, and ``plancherel_trace`` of T_(t_(25,25)) at q = 2;
 - the stdout of ``walk exact/mc/llt/compare``, ``trace --method all`` on a
   T-basis element at q = 2 and an X-basis element at q = 5/2, ``walks``,
-  ``reps check``, ``spectrum`` and ``scripts/llt_trend.py --n 1600 --big ""``.
+  ``reps check``, ``spectrum`` at q in {3, 5/2, 10^6}, and
+  ``scripts/llt_trend.py`` with ``--n 1600 --big ""`` and with
+  ``--n 10,20 --big 10,20``.
 
 A refactor that claims to keep every bit runs it against its parent
 commit; it takes about 10 s.  Exits 1 on any difference.
@@ -58,6 +60,7 @@ CLI = (
     ["reps", "check", "--q", "2", "--t", "0.6,0.8,0.28,-0.96"],
     ["spectrum", "--q", "3"],
     ["spectrum", "--q", "5/2"],
+    ["spectrum", "--q", "1000000"],
 )
 # algebra elements for ``trace --method all``, by file name
 ELEMENTS = {
@@ -196,8 +199,9 @@ def outputs(root: pathlib.Path) -> dict:
             path.write_text(text)
             out[f"trace --method all {name}"] = run(
                 ["-m", "chamberwalks.cli", "trace", "--method", "all", "--element", str(path)])
-    out["llt_trend.py --n 1600"] = run(
-        [str(root / "scripts" / "llt_trend.py"), "--n", "1600", "--big", ""])
+    for n, big in (("1600", ""), ("10,20", "10,20")):
+        out[f"llt_trend.py --n {n} --big {big}"] = run(
+            [str(root / "scripts" / "llt_trend.py"), "--n", n, "--big", big])
     return out
 
 

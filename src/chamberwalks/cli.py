@@ -2,8 +2,9 @@
 
 Subcommands: walk {exact,mc,llt,compare}, trace, walks, reps, spectrum.
 Exit codes: 0 success, 1 tolerance violation, 2 usage or parse error.
-All outputs are deterministic given the flags (including --seed); floats are
-printed with 17 significant digits.
+All outputs are deterministic given the flags (including --seed); the CSV
+outputs print floats with 17 significant digits, the JSON outputs (trace,
+reps check, spectrum) as Python's shortest round-trip repr.
 """
 
 from __future__ import annotations
@@ -296,15 +297,17 @@ def cmd_reps(args) -> int:
 
 def cmd_spectrum(args) -> int:
     """The closed-form spectral data at q, each closed form's largest deviation
-    from the numeric eigenvalues of its module at the trivial parameter, and
-    the fit of the shifted determinant identity (limit.determinant_probe)."""
+    from the numeric eigenvalues of its module at the trivial parameter, the
+    three component masses with their sum's defect (not gated), and the
+    deviation of the shifted determinant identity (limit.determinant_probe)."""
     q = _parse_q(args.q)
     sd = limit.spectral_data(q)
     mu_rep, mu_simple = sd.induced_eigenvalues
     induced = [mu_rep, mu_rep, mu_simple]
     dev = float(np.abs(np.array(sd.eigenvalues) - limit.eigen_surface((0.0, 0.0), q)).max())
     induced_dev = float(np.abs(np.array(induced) - limit.induced_eigen_curve(0.0, q)).max())
-    coef, resid = limit.determinant_probe(q)
+    masses = plancherel.mass_components(q)
+    det_dev = limit.determinant_probe(q)
     out = {
         "q": str(q),
         "eigenvalues": list(sd.eigenvalues),
@@ -315,11 +318,13 @@ def cmd_spectrum(args) -> int:
         "bottom_vector_entry": sd.bottom_vector_entry,
         "max_closed_form_deviation": dev,
         "induced_max_closed_form_deviation": induced_dev,
-        "determinant_fit": coef.tolist(),
-        "determinant_fit_residual": resid,
+        "component_masses": list(masses),
+        "component_mass_defect": sum(masses) - 1,
+        "determinant_identity_deviation": det_dev,
     }
     _emit(args, json.dumps(out, default=float))
-    return EXIT_OK if dev < 1e-12 and induced_dev < 1e-12 else EXIT_TOLERANCE
+    ok = dev < 1e-12 and induced_dev < 1e-12 and det_dev < 1e-6
+    return EXIT_OK if ok else EXIT_TOLERANCE
 
 
 def main(argv=None) -> int:

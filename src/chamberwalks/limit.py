@@ -602,31 +602,20 @@ def perturbation_eigenvalues(theta, q):
     return np.array(sorted(out, reverse=True))
 
 
-def determinant_probe(q):
-    """Least-squares fit of the shifted determinant of the walk operator,
-    on the 24 x 24 points of a regular grid over [-pi, pi)^2, against
-    the trigonometric basis [1, sum of first-shell cosines, sum of
-    second-shell cosines]; returns (coefficients, max residual).
-
-    The determinant is scaled by (3 sqrt(q))^6 (the determinant of the
-    entrywise-displayed matrix), and the fit recovers the constants
-    (150, -48, -2) exactly and q-independently.  The source display carries
-    the prefactor 3 sqrt(q) to the first power only, a typo recorded in
-    DECISIONS.md."""
+def determinant_probe(q) -> float:
+    """The largest deviation of (3 sqrt(q))^6 det(pi_theta(P) - lam1 I) from
+    150 - 48 c1 - 2 c2 on a regular 24 x 24 grid over [-pi, pi)^2, where c1
+    and c2 sum the first- and second-shell cosines.  The source display
+    carries the prefactor to the first power only, a typo recorded in
+    DECISIONS.md; the scale amplifies rounding as q^3."""
     q = float(q)
     lam1 = spectral_data(q).spectral_radius
-    scale = (3 * q ** 0.5) ** 6
     grid = 24
     thetas = np.linspace(-np.pi, np.pi, grid, endpoint=False)
     th1, th2 = np.repeat(thetas, grid), np.tile(thetas, grid)
     m = reps.walk_operator(q, reps.principal_generators(
         q, np.exp(1j * th1), np.exp(1j * th2)))
-    vals = scale * np.linalg.det(m - lam1 * np.eye(6)).real
-    rows = np.stack([
-        np.ones_like(th1),
-        np.cos(th1) + np.cos(th2) + np.cos(th1 + th2),
-        np.cos(th1 + 2 * th2) + np.cos(2 * th1 + th2) + np.cos(th1 - th2),
-    ], axis=1)
-    coef, *_ = np.linalg.lstsq(rows, vals, rcond=None)
-    resid = np.abs(rows @ coef - vals).max()
-    return coef, float(resid)
+    det = (3 * q ** 0.5) ** 6 * np.linalg.det(m - lam1 * np.eye(6))
+    c1 = np.cos(th1) + np.cos(th2) + np.cos(th1 + th2)
+    c2 = np.cos(th1 + 2 * th2) + np.cos(2 * th1 + th2) + np.cos(th1 - th2)
+    return float(np.abs(det - (150 - 48 * c1 - 2 * c2)).max())

@@ -427,8 +427,8 @@ def test_reps_check_reducible_point(capsys):
 
 
 def test_spectrum(capsys):
-    """Each closed form against the numeric eigenvalues of its module, and
-    the fitted constants of the shifted determinant identity."""
+    """Each closed form against the numeric eigenvalues of its module, the
+    component masses summing to 1, and the shifted determinant identity."""
     for q in ("2", "3", "5/2"):
         code, out = run(capsys, ["spectrum", "--q", q])
         assert code == 0
@@ -436,16 +436,37 @@ def test_spectrum(capsys):
         assert list(data) == [
             "q", "eigenvalues", "induced_eigenvalues", "spectral_radius", "beta",
             "top_vector_entry", "bottom_vector_entry", "max_closed_form_deviation",
-            "induced_max_closed_form_deviation", "determinant_fit",
-            "determinant_fit_residual"]
+            "induced_max_closed_form_deviation", "component_masses",
+            "component_mass_defect", "determinant_identity_deviation"]
         assert len(data["eigenvalues"]) == 6 and len(data["induced_eigenvalues"]) == 3
         assert data["max_closed_form_deviation"] < 1e-12
         assert data["induced_max_closed_form_deviation"] < 1e-12
-        fit = data["determinant_fit"]
-        assert max(abs(c - e) for c, e in zip(fit, (150, -48, -2))) < 1e-9
-        assert data["determinant_fit_residual"] < 1e-11
+        assert len(data["component_masses"]) == 3
+        assert abs(data["component_mass_defect"]) <= 1e-12
+        assert data["determinant_identity_deviation"] < 1e-11
         if q == "2":
             assert abs(data["spectral_radius"] - (3 + 73 ** 0.5) / 12) < 1e-14
+
+
+@pytest.mark.parametrize("q, code", [
+    ("1.01", 0), ("1000000", 0), ("10000000", 0),
+    ("100000000", 1), ("1000000000000", 1), ("1e50", 1),
+])
+def test_spectrum_determinant_identity_gate(capsys, q, code):
+    """(3 sqrt(q))^6 amplifies the determinant's rounding as q^3: the
+    identity holds within 1e-6 up to q = 10^7 and fails the gate beyond
+    (test_spectrum covers q = 2, 3 and 5/2)."""
+    got, out = run(capsys, ["spectrum", "--q", q])
+    assert got == code
+    assert (json.loads(out)["determinant_identity_deviation"] >= 1e-6) == bool(code)
+
+
+def test_spectrum_determinant_exit_code(capsys, monkeypatch):
+    """A determinant identity deviating by 1e-6 is a tolerance violation."""
+    monkeypatch.setattr(limit, "determinant_probe", lambda q: 1e-6)
+    code, out = run(capsys, ["spectrum", "--q", "2"])
+    assert code == cli.EXIT_TOLERANCE
+    assert json.loads(out)["determinant_identity_deviation"] == 1e-6
 
 
 @pytest.mark.parametrize("name, key", [
