@@ -44,7 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--n", type=int, required=True)
         if name in ("llt", "compare"):
-            p.add_argument("--word", default="", help="relative position, e.g. '0,1'")
+            p.add_argument("--word", default="",
+                           help="relative position as a reduced word, e.g. '0,1'")
         if name in ("mc", "compare"):
             p.add_argument("--trials", type=int, default=100000)
             p.add_argument("--seed", type=int, default=0)
@@ -123,6 +124,8 @@ def _query(args):
     """q, the --word of a walk query, its element w and the sphere size q^l(w)."""
     q = _parse_q(args.q)
     word = serialize.parse_word(args.word)
+    if not weyl.is_reduced(word):
+        raise ValueError(f"--word {args.word} is not reduced")
     target = weyl.from_word(word)
     return q, word, target, float(q) ** weyl.length(target)
 

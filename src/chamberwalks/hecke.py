@@ -49,11 +49,11 @@ from .weyl import (
 
 __all__ = [
     "QSqrt", "ScalarField",
-    "HeckeElement", "t_element", "x_element", "t_generator", "unit",
-    "rmul_gen", "mul", "trace", "star", "simple_walk", "finite_inverse",
+    "HeckeElement", "t_element", "x_element", "unit",
+    "rmul_gen", "mul", "trace", "star", "finite_inverse",
     "bernstein_mul", "t_to_x", "x_monomial_t_expansion", "x_to_t",
     "w0_poincare", "symmetrizer_one", "intertwiner_tau", "tau_element",
-    "macdonald_p", "poly_d", "d_at", "n_at", "tau_expansion_at", "f_value",
+    "macdonald_p", "d_at", "n_at", "f_value",
     "orbit_characters", "TraceTable", "check_thickness",
 ]
 
@@ -290,17 +290,6 @@ def x_element(field, pairs) -> HeckeElement:
     for (mu, u), c in pairs:
         _acc(terms, ((mu[0], mu[1]), u), c)
     return HeckeElement("X", terms, field)
-
-
-def t_generator(field, i: int) -> HeckeElement:
-    return HeckeElement("T", {weyl.GEN[i]: field.one}, field)
-
-
-def simple_walk(field) -> HeckeElement:
-    """The uniform nearest-neighbour walk (A_0 + A_1 + A_2)/3 written in the
-    T-basis, A_i = q^(-1/2) T_i."""
-    c = field.inv_sqrt_q * field.make(Fraction(1, 3))
-    return t_element(field, [(weyl.GEN[i], c) for i in range(3)])
 
 
 # ---------------------------------------------------------------------------
@@ -614,11 +603,6 @@ def _coroot_product(field, s) -> dict:
     return poly
 
 
-def poly_d(field) -> dict:
-    """d(x) = prod over positive coroots of (1 - x^(-a^vee)), as exponent->coeff."""
-    return _coroot_product(field, field.one)
-
-
 def _divide_binomial(f: dict, a) -> dict:
     """The g with g (1 - x^(-a)) = f, for a positive coroot a: the suffix sum
     g(e) = sum over j >= 0 of f(e + j a).  Raises ArithmeticError where f does
@@ -780,18 +764,6 @@ def _module_component(terms, q: float, t, z: int) -> complex:
     cols = _module_columns(q, t)
     zi = w0_inv(z)
     return sum(c * cols[u][z] * _char_pow(t, w0_apply(zi, mu)) for (mu, u), c in terms)
-
-
-def tau_expansion_at(h: HeckeElement, t):
-    """Coefficients (p_u(t)/d(t))_u of h in the intertwiner basis, evaluated
-    at a generic character t = (t1, t2): coefficient u is component u of
-    h tau_e in the localized module at the character u^-1 t.
-
-    Raises ValueError near the singular set d(t) = 0; perturb t instead.
-    """
-    q, terms = _localized_terms(h, t)
-    return np.array([_module_component(terms, q, _w0_on_character(w0_inv(u), t), u)
-                     for u in range(6)], dtype=complex)
 
 
 def f_value(h: HeckeElement, t) -> complex:

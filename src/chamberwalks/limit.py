@@ -48,12 +48,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from . import hecke, plancherel, reps, weyl
+from . import hecke, reps, weyl
 from .weyl import IDENTITY, AffineElement
 
 __all__ = [
@@ -61,9 +62,7 @@ __all__ = [
     "simple_walk_spec", "exact_distribution", "exact_distribution_rational",
     "masses_at", "mc_simulate",
     "SpectralData", "spectral_data", "c_w_value", "llt_estimate",
-    "eigen_surface", "induced_eigen_curve", "lemma34_check",
-    "perturbation_eigenvalues",
-    "determinant_probe",
+    "eigen_surface", "induced_eigen_curve", "determinant_probe",
 ]
 
 
@@ -441,6 +440,8 @@ def mc_simulate(n: int, trials: int, seed: int, q) -> WalkDistribution:
     every integer up to there.  q may be any thickness q > 1.
     """
     _check_steps(n)
+    if not isinstance(trials, numbers.Integral) or not isinstance(seed, numbers.Integral):
+        raise ValueError(f"trials and seed must be integers, got {trials!r} and {seed!r}")
     if not 1 <= trials < 2 ** 53:
         raise ValueError(f"need 1 <= trials < 2^53, got {trials}")
     if not 0 <= seed < 2 ** 128:
@@ -520,11 +521,10 @@ def spectral_data(q) -> SpectralData:
 def c_w_value(w: AffineElement, q) -> float:
     """Quadratic form of the unit top eigenvector against the averaging
     operator of w^-1 in the 6-dimensional module at the trivial character."""
+    field = hecke.ScalarField(q)
     q = float(q)
     rep = reps.principal_series(q, (1.0, 1.0))
-    m = np.eye(6, dtype=complex)
-    for i in weyl.reduced_word(weyl.inverse(w)):
-        m = m @ rep.gens[i]
+    m = reps.evaluate(rep, hecke.t_element(field, [(weyl.inverse(w), field.one)]))
     m /= q ** (0.5 * weyl.length(w))
     v = spectral_data(q).top_vector
     return float(np.real(v @ m @ v))
@@ -569,37 +569,6 @@ def eigen_surface(theta, q):
 def induced_eigen_curve(phi: float, q):
     """Three eigenvalues of the walk operator in the 3-dimensional module."""
     return _descending_eigenvalues(reps.induced_three_dim, q, phi)
-
-
-def lemma34_check(theta, q) -> float:
-    """Relative error of the sixth-order small-angle expansion of the
-    principal spectral density:
-
-        1/|c(e^(i theta))|^2  ~  q^6/(q-1)^6 t1^2 t2^2 (t1+t2)^2.
-
-    Raises on the degenerate directions where the comparison polynomial
-    vanishes."""
-    q = float(q)
-    t1, t2 = theta
-    g = t1 * t1 * t2 * t2 * (t1 + t2) ** 2
-    if g == 0:
-        raise ValueError("angle lies on the zero set of the comparison term")
-    t = (np.exp(1j * t1), np.exp(1j * t2))
-    exact = 1.0 / abs(plancherel.c_value(q, t)) ** 2
-    approx = q ** 6 / (q - 1) ** 6 * g
-    return abs(exact / approx - 1.0)
-
-
-def perturbation_eigenvalues(theta, q):
-    """Closed-form eigenvalues of the difference between the walk operator
-    at e^(i theta) and at the trivial character: three plus-minus pairs
-    (2/(3 sqrt(q))) |sin(x/2)| for x in {theta1, theta2, theta1+theta2}."""
-    q = float(q)
-    out = []
-    for x in (theta[0], theta[1], theta[0] + theta[1]):
-        v = 2 / (3 * q ** 0.5) * abs(np.sin(x / 2))
-        out.extend([v, -v])
-    return np.array(sorted(out, reverse=True))
 
 
 def determinant_probe(q) -> float:

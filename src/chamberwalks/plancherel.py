@@ -14,15 +14,15 @@ integrands are smooth and periodic, so the product trapezoid rule
 converges faster than any power of 1/N.
 
 Every average is taken on the band grid (_band_grid).  Each integrand,
-a character of a Hecke element, a power of the walk operator or a
-central polynomial, is a Laurent polynomial of some degree d in the torus
-parameters, so its N-grid sum is a finite contraction sum_nu a_nu m_nu
-with the moments m_nu of the weight on the N grid (|nu_i| <= d).  The
-offset grid of K = min(N, 2d + 1) nodes per circle whose nodes carry the
-trigonometric interpolant of those moments gives the same sum up to
-rounding, and the real coefficients of the integrands pair conjugate
-nodes, so each pair is evaluated once.  A term beyond the degree bound
-would alias undetected; the bounds used here are proven.
+a character of a Hecke element or a power of the walk operator, is a
+Laurent polynomial of some degree d in the torus parameters, so its N-grid
+sum is a finite contraction sum_nu a_nu m_nu with the moments m_nu of the
+weight on the N grid (|nu_i| <= d).  The offset grid of K = min(N, 2d + 1)
+nodes per circle whose nodes carry the trigonometric interpolant of those
+moments gives the same sum up to rounding, and the real coefficients of
+the integrands pair conjugate nodes, so each pair is evaluated once.  A
+term beyond the degree bound would alias undetected; the bounds used here
+are proven.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from . import hecke, reps, weyl
 __all__ = [
     "c_value", "c1_value", "plancherel_trace", "plancherel_estimate",
     "spectral_return_probabilities", "simple_walk_spectral_traces", "f_series",
-    "table_trace", "central_trace_integral", "mass_components",
+    "table_trace", "mass_components",
 ]
 
 # torus points per batch of 6x6 matrices (bounds the memory of one batch)
@@ -383,23 +383,3 @@ def table_trace(h: hecke.HeckeElement):
     table.ensure_box((lo_m, hi_m), (lo_n, hi_n))
     return sum((c * table.trace_row(nu)[u] for (nu, u), c in support), h.field.zero)
 
-
-def central_trace_integral(p: hecke.HeckeElement, n_grid: int = 256) -> complex:
-    """Trace of p(x) 1_0 for symmetric p, by torus quadrature:
-    (1/(6 q^3)) avg of p(t)/(c(t) c(1/t)) over the n_grid offset grid, with
-    p(t) = sum_e c_e t^e over the terms c_e x^e of p.  p is a Laurent
-    polynomial of degree d = max |e_i| with real coefficients, so the
-    average is taken on the band grid of 2d + 1 nodes per circle, reading
-    the real part of p on half of it.  Asymmetric input is rejected."""
-    if p.basis != "X" or any(u != 0 for (_, u) in p.terms):
-        raise ValueError("expected a symmetric element of the lattice subalgebra")
-    for (e, _), c in p.terms.items():
-        for u in range(6):
-            if p.terms.get((weyl.w0_apply(u, e), 0)) != c:
-                raise ValueError("input is not symmetric under the finite group")
-    q = float(p.field.q)
-    degree = max((abs(c) for e, _ in p.terms for c in e), default=0)
-    k, t1, t2, w6, _, _ = _band_grid(q, n_grid, 2 * degree + 1)
-    values = sum((complex(c) * t1 ** e[0] * t2 ** e[1] for (e, _), c in p.terms.items()),
-                 np.zeros(len(t1), dtype=complex))
-    return complex(_terms(q, np.sum(values.real * w6) / k ** 2, 0, 0)[0])

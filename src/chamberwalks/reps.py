@@ -23,7 +23,7 @@ from . import hecke, weyl
 __all__ = [
     "Representation", "principal_series", "induced_three_dim", "sign_character",
     "principal_generators", "induced_generators", "characters",
-    "evaluate", "character", "walk_operator", "p_matrix", "a_normalized",
+    "evaluate", "character", "walk_operator", "p_matrix",
     "is_principal_irreducible", "max_relation_residual",
 ]
 
@@ -186,11 +186,6 @@ def evaluate(rep: Representation, h: hecke.HeckeElement) -> np.ndarray:
 
 def character(rep: Representation, h: hecke.HeckeElement) -> complex:
     return complex(characters(h, rep.batch)[0])
-
-
-def a_normalized(rep: Representation, i: int) -> np.ndarray:
-    """pi(A_i) = q^(-1/2) pi(T_i)."""
-    return rep.gens[i] / rep.q ** 0.5
 
 
 def walk_operator(q, gens) -> np.ndarray:

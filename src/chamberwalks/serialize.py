@@ -11,7 +11,7 @@ from .weyl import AffineElement
 
 __all__ = [
     "word_to_str", "parse_word", "element_from_obj", "element_to_json",
-    "element_from_json", "hecke_to_obj", "hecke_to_json", "hecke_from_json",
+    "hecke_to_obj", "hecke_to_json", "hecke_from_json",
     "parse_fraction", "format_float", "write_csv",
 ]
 
@@ -53,10 +53,6 @@ def element_from_obj(obj) -> AffineElement:
 
 def element_to_json(w: AffineElement) -> str:
     return json.dumps(_element_to_obj(w))
-
-
-def element_from_json(s: str) -> AffineElement:
-    return element_from_obj(json.loads(s))
 
 
 def hecke_to_obj(h: hecke.HeckeElement) -> dict:

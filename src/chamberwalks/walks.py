@@ -6,24 +6,21 @@ the exact crossing sign) or folds on it, which is permitted only when the
 current alcove lies on the positive side of the wall.  Enumeration order is
 fold-before-cross, depth-first, so output is reproducible.
 
-The two consumers are the standard-to-Bernstein base change (every T_w is a
-signed-free sum of gallery endpoint elements weighted by a power of
-q^(1/2) - q^(-1/2) counting folds) and the principal-series matrix elements.
+The package's consumer is the standard-to-Bernstein base change (every T_w
+is a signed-free sum of gallery endpoint elements weighted by a power of
+q^(1/2) - q^(-1/2) counting folds).  The tests build a second one from the
+same galleries, the principal-series matrix elements, as an oracle for the
+modules of ``reps``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import hecke, weyl
 from .weyl import AffineElement, IDENTITY
 
-__all__ = [
-    "AlcoveWalk", "enumerate_walks", "q_statistic", "expand_t",
-    "matrix_element_monomials", "walk_matrix",
-]
+__all__ = ["AlcoveWalk", "enumerate_walks", "q_statistic", "expand_t"]
 
 
 @dataclass(frozen=True)
@@ -109,29 +106,3 @@ def expand_t(w: AffineElement, field) -> hecke.HeckeElement:
         pairs += [((p.weight, z), c * cz) for z, cz in inv.items()]
     return hecke.x_element(field, pairs)
 
-
-def matrix_element_monomials(w: AffineElement, u: int, v: int, field):
-    """The entry [pi_t(T_{w^-1})]_{v,u} as a list of (exponent, coefficient)
-    pairs: galleries of type w starting at u with final direction v, each
-    contributing coefficient Q(p) >= 0 on the character monomial
-    t^(-w0 wt(p)).  Exposing the list lets callers assert nonnegativity
-    before evaluating on the torus."""
-    out = []
-    for p in enumerate_walks(weyl.reduced_word(w), start=weyl.finite(u)):
-        if p.direction != v:
-            continue
-        e = weyl.w0_apply(weyl.W0_LONGEST, p.weight)
-        out.append(((-e[0], -e[1]), q_statistic(p, field)))
-    return out
-
-
-def walk_matrix(w: AffineElement, t, field):
-    """Full 6x6 matrix of pi_t(T_{w^-1}) in the gallery basis."""
-    m = np.zeros((6, 6), dtype=complex)
-    for u in range(6):
-        for p in enumerate_walks(weyl.reduced_word(w), start=weyl.finite(u)):
-            e = weyl.w0_apply(weyl.W0_LONGEST, p.weight)
-            m[p.direction, u] += complex(
-                q_statistic(p, field)
-            ) * t[0] ** -e[0] * t[1] ** -e[1]
-    return m

@@ -15,7 +15,7 @@ feed exact algebra downstream and are never decided by floating point.
 1
 >>> length(translation((1, 1)))
 4
->>> reduced_word(multiply(GEN[1], GEN[2]))
+>>> reduced_word(from_word((1, 2)))
 (1, 2)
 """
 
@@ -31,10 +31,9 @@ __all__ = [
     "PHI_VEE", "RHO_VEE", "POS_ROOTS", "SIMPLE_ROOTS",
     "pairing", "w0_mult", "w0_inv", "w0_length", "w0_apply",
     "w0_from_word", "inversion_set",
-    "multiply", "inverse", "right_mul_gen", "translation", "finite",
+    "inverse", "right_mul_gen", "translation", "finite",
     "length", "is_ascent", "length_array", "automorphism",
     "reduced_word", "from_word", "is_reduced",
-    "bruhat_leq", "dominance_leq",
     "crossing_data", "ball",
 ]
 
@@ -158,12 +157,6 @@ GEN = (
 )
 
 
-def multiply(a: AffineElement, b: AffineElement) -> AffineElement:
-    """Semidirect product: (t_l u)(t_m v) = t_{l + u m} (uv)."""
-    um = w0_apply(a.u, b.mu)
-    return AffineElement((a.mu[0] + um[0], a.mu[1] + um[1]), _W0_MULT[a.u][b.u])
-
-
 def inverse(a: AffineElement) -> AffineElement:
     ui = _W0_INV[a.u]
     mi = w0_apply(ui, a.mu)
@@ -278,23 +271,6 @@ def from_word(word) -> AffineElement:
 
 def is_reduced(word) -> bool:
     return length(from_word(word)) == len(word)
-
-
-def bruhat_leq(v: AffineElement, w: AffineElement) -> bool:
-    """Subword order, by the standard one-pass lifting algorithm: eat the
-    reduced word of w from the right, following descents of the candidate."""
-    if length(v) > length(w):
-        return False
-    x = v
-    for i in reversed(reduced_word(w)):
-        if not is_ascent(x, i):
-            x = right_mul_gen(x, i)
-    return x == IDENTITY
-
-
-def dominance_leq(mu, lam) -> bool:
-    """mu dominance-below lam: the difference has nonnegative coroot coords."""
-    return lam[0] - mu[0] >= 0 and lam[1] - mu[1] >= 0
 
 
 def crossing_data(a: AffineElement, i: int):

@@ -180,6 +180,16 @@ def test_walks_rejects_nonreduced(capsys):
     assert cli.main(["walks", "--type", "1,1"]) == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", ["llt", "compare"])
+def test_walk_query_rejects_nonreduced_word(capsys, command):
+    """The output prints --word next to the mass of its element, so a word
+    that is not reduced would name the wrong one: "0,0" is e."""
+    argv = ["walk", command, "--q", "2", "--n", "4", "--word", "0,0"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: --word 0,0 is not reduced\n"
+
+
 def test_trace_identity_element(capsys, tmp_path):
     f = hecke.ScalarField(2)
     path = tmp_path / "one.json"
@@ -196,7 +206,8 @@ def test_trace_identity_element(capsys, tmp_path):
 def test_trace_single_method(capsys, tmp_path):
     f = hecke.ScalarField(2)
     path = tmp_path / "t1.json"
-    path.write_text(serialize.hecke_to_json(hecke.t_generator(f, 1)))
+    t1 = hecke.t_element(f, [(weyl.GEN[1], f.one)])
+    path.write_text(serialize.hecke_to_json(t1))
     code, out = run(capsys, ["trace", "--method", "plancherel",
                              "--element", str(path), "--grid", "64"])
     assert code == 0

@@ -1,9 +1,11 @@
-"""Every name a module exports through __all__ exists and is used outside
-its module, every public top-level name is exported, every private helper a
-docstring names is defined, so a deleted helper cannot linger as a stale
-export or a stale reference, and every module imports at its top."""
+"""Every name a module exports through __all__ exists, is used outside its
+module and has a caller outside the tests, every public top-level name is
+exported, every private helper a docstring names is defined, so a deleted
+helper cannot linger as a stale export or a stale reference, every module
+imports at its top, and the docstring examples hold."""
 
 import ast
+import doctest
 import importlib
 import inspect
 import pathlib
@@ -42,6 +44,46 @@ def test_exports_are_named_outside_their_module():
                     word.search(text) for path, text in texts.items() if path != own):
                 unnamed.append(f"{module}.{name}")
     assert unnamed == []
+
+
+def _names_used(source: str) -> set:
+    """Every name a source reads, as a bare name or as an attribute.  A def
+    binds its name and __all__ lists it as a string, so neither counts."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return used
+
+
+def test_exports_have_a_caller_outside_the_tests():
+    """Every exported function or constant is used by the package itself
+    (its own module counts), a script or the benchmark.  One that only the
+    tests use is an oracle or a wrapper, and belongs in the tests.  Classes
+    are exempt, as above."""
+    assert _names_used("__all__ = ['f']\ndef f(): return g.h(k)\n") == {"g", "h", "k"}
+    paths = [*SRC.glob("*.py"), *(path for folder in ("scripts", "perfbench")
+                                  for path in (ROOT / folder).rglob("*.py"))]
+    used = set().union(*(_names_used(path.read_text()) for path in paths))
+    unused = []
+    for module in chamberwalks.__all__:
+        mod = importlib.import_module(f"chamberwalks.{module}")
+        unused += [f"{module}.{name}" for name in mod.__all__
+                   if not inspect.isclass(getattr(mod, name)) and name not in used]
+    assert unused == []
+
+
+def test_docstring_examples_run():
+    """The package's docstring examples are run, and hold."""
+    attempted = failed = 0
+    for module in chamberwalks.__all__:
+        result = doctest.testmod(importlib.import_module(f"chamberwalks.{module}"))
+        attempted += result.attempted
+        failed += result.failed
+    assert attempted >= 3
+    assert failed == 0
 
 
 def _public_definitions(source: str) -> list:

@@ -11,8 +11,8 @@ from chamberwalks import hecke as H
 from chamberwalks import limit as L
 from chamberwalks import plancherel as P
 from chamberwalks import reps as R
-from chamberwalks import walks as WK
 from chamberwalks import weyl as W
+from oracles import matrix_element_monomials, walk_matrix
 
 
 def test_zero_steps():
@@ -636,6 +636,16 @@ def test_mc_trials_domain():
     assert counts.sum() == trials
 
 
+@pytest.mark.parametrize("trials, seed", [(2.5, 0), (100.0, 0), (100, 1.5), ("100", 0)])
+def test_mc_trials_and_seed_are_integers(trials, seed):
+    """A float count of trajectories used to be truncated in the int64
+    counts and then divided out whole: 2.5 trials gave a total of 0.8.
+    numpy's integers are integers."""
+    with pytest.raises(ValueError, match="integers"):
+        L.mc_simulate(10, trials, seed, 2)
+    assert L.mc_simulate(3, np.int64(100), np.int64(0), 2).total() == pytest.approx(1.0)
+
+
 def test_mc_takes_any_thickness():
     """q > 1 is the only limit on q: the float 2.1, which is
     4728779608739021/2^51, and 21846/5 agree with the exact distribution at
@@ -843,6 +853,17 @@ def test_atom_below_spectral_radius():
         assert q ** -1.5 < L.spectral_data(q).spectral_radius
 
 
+def _perturbation_eigenvalues(theta, q):
+    """Closed-form eigenvalues of the difference between the walk operator
+    at e^(i theta) and at the trivial character: three plus-minus pairs
+    (2/(3 sqrt(q))) |sin(x/2)| for x in {theta1, theta2, theta1+theta2}."""
+    out = []
+    for x in (theta[0], theta[1], theta[0] + theta[1]):
+        v = 2 / (3 * q ** 0.5) * abs(np.sin(x / 2))
+        out.extend([v, -v])
+    return np.array(sorted(out, reverse=True))
+
+
 def test_perturbation_eigenvalues():
     q = 2.0
     rep0 = R.principal_series(q, (1.0, 1.0))
@@ -850,7 +871,7 @@ def test_perturbation_eigenvalues():
         rep = R.principal_series(q, (np.exp(1j * th[0]), np.exp(1j * th[1])))
         diff = R.p_matrix(rep) - R.p_matrix(rep0)
         vals = np.sort(np.linalg.eigvalsh(diff))[::-1]
-        expect = L.perturbation_eigenvalues(th, q)
+        expect = _perturbation_eigenvalues(th, q)
         assert np.abs(vals - expect).max() < 1e-12
         # two-sided eigenvalue bounds for the Hermitian sum
         lam = L.eigen_surface(th, q)
@@ -868,11 +889,11 @@ def test_nonnegative_fourier_structure(field2):
     for w, _ in h_elems:
         for u in range(6):
             for v in range(6):
-                for _, c in WK.matrix_element_monomials(w, u, v, F):
+                for _, c in matrix_element_monomials(w, u, v, F):
                     assert complex(c).real >= 0 and complex(c).imag == 0
     chi1 = sum(
         float(a) * 2.0 ** (-W.length(w) / 2)
-        * np.trace(WK.walk_matrix(W.inverse(w), (1.0, 1.0), F)).real
+        * np.trace(walk_matrix(W.inverse(w), (1.0, 1.0), F)).real
         for w, a in h_elems
     )
     rng = random.Random(41)
@@ -881,7 +902,7 @@ def test_nonnegative_fourier_structure(field2):
         t = (np.exp(1j * th[0]), np.exp(1j * th[1]))
         chi = sum(
             float(a) * 2.0 ** (-W.length(w) / 2)
-            * np.trace(WK.walk_matrix(W.inverse(w), t, F))
+            * np.trace(walk_matrix(W.inverse(w), t, F))
             for w, a in h_elems
         )
         assert abs(chi) <= chi1 + 1e-12

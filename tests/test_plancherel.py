@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from chamberwalks import hecke as H
-from chamberwalks import limit as L
 from chamberwalks import plancherel as P
 from chamberwalks import reps as R
 from chamberwalks import weyl as W
+from oracles import lemma34_check
 
 
 def test_c_value_examples():
@@ -102,11 +102,18 @@ def test_trace_of_basis_elements(field2):
         assert abs(v) < 1e-12, w
 
 
+def _simple_walk(field):
+    """The uniform nearest-neighbour walk (A_0 + A_1 + A_2)/3 in the T-basis,
+    A_i = q^(-1/2) T_i."""
+    c = field.inv_sqrt_q * field.make(Fraction(1, 3))
+    return H.t_element(field, [(g, c) for g in W.GEN])
+
+
 def test_trace_matches_exact_for_walk_powers(field2):
     F = field2
     spec = P.simple_walk_spectral_traces(2.0, 8, 128)
     h = H.unit(F)
-    pw = H.simple_walk(F)
+    pw = _simple_walk(F)
     for n in range(9):
         if n:
             h = H.mul(h, pw)
@@ -123,7 +130,7 @@ def test_generic_trace_matches_powers(field2):
     # the generic prefix-sharing path agrees with the eigenvalue path
     F = field2
     h = H.unit(F)
-    pw = H.simple_walk(F)
+    pw = _simple_walk(F)
     for _ in range(5):
         h = H.mul(h, pw)
     spec = P.simple_walk_spectral_traces(2.0, 5, 96)[5]
@@ -264,7 +271,7 @@ def test_f_series_shift_covariance(field2):
     so the identity holds up to a genuine deep-shell tail."""
     F = field2
     t = (0.04, 0.03)
-    h = H.t_to_x(H.t_generator(F, 1))
+    h = H.t_to_x(H.t_element(F, [(W.GEN[1], F.one)]))
     xl = H.x_element(F, [(((0, 1), 0), F.one)])
     xr = H.x_element(F, [(((1, 0), 0), F.one)])
     shifted = H.bernstein_mul(H.bernstein_mul(xl, h), xr)
@@ -423,7 +430,8 @@ def test_grid_limit(field2):
     assert P._MAX_GRID == 2048
     for run in (lambda n: P.spectral_return_probabilities(2, [4], n),
                 lambda n: P.mass_components(2, n),
-                lambda n: P.plancherel_trace(H.t_generator(field2, 0), n)):
+                lambda n: P.plancherel_trace(H.t_element(field2, [(W.GEN[0], field2.one)]),
+                                             n)):
         with pytest.raises(ValueError, match=f"grid of {2 ** 16} nodes per circle exceeds"):
             run(2 ** 16)
 
@@ -502,7 +510,7 @@ def test_moment_cache_is_bounded():
 def test_f_value_ratio_consistency(field2):
     F = field2
     t = (0.05, 0.04 + 0.02j)
-    h = H.t_generator(F, 1)
+    h = H.t_element(F, [(W.GEN[1], F.one)])
     num, _ = P.f_series(h, t, 22)
     den, _ = P.f_series(H.unit(F), t, 22)
     assert abs(num / den - H.f_value(h, t)) < 1e-10
@@ -561,14 +569,35 @@ def test_boundary_character_identities(field2, ball4):
     assert skipped < 6
 
 
+def _central_trace_integral(p, n_grid: int = 256) -> complex:
+    """Trace of p(x) 1_0 for symmetric p, by torus quadrature:
+    (1/(6 q^3)) avg of p(t)/(c(t) c(1/t)) over the n_grid offset grid, with
+    p(t) = sum_e c_e t^e over the terms c_e x^e of p.  p is a Laurent
+    polynomial of degree d = max |e_i| with real coefficients, so the
+    average is taken on the band grid of 2d + 1 nodes per circle, reading
+    the real part of p on half of it.  Asymmetric input is rejected."""
+    if p.basis != "X" or any(u != 0 for (_, u) in p.terms):
+        raise ValueError("expected a symmetric element of the lattice subalgebra")
+    for (e, _), c in p.terms.items():
+        for u in range(6):
+            if p.terms.get((W.w0_apply(u, e), 0)) != c:
+                raise ValueError("input is not symmetric under the finite group")
+    q = float(p.field.q)
+    degree = max((abs(c) for e, _ in p.terms for c in e), default=0)
+    k, t1, t2, w6, _, _ = P._band_grid(q, n_grid, 2 * degree + 1)
+    values = sum((complex(c) * t1 ** e[0] * t2 ** e[1] for (e, _), c in p.terms.items()),
+                 np.zeros(len(t1), dtype=complex))
+    return complex(P._terms(q, np.sum(values.real * w6) / k ** 2, 0, 0)[0])
+
+
 def test_central_trace_integral(field2):
     F = field2
     one = H.unit(F, "X")
-    v = P.central_trace_integral(one, 128)
+    v = _central_trace_integral(one, 128)
     assert abs(v - 1 / float(H.w0_poincare(F))) < 1e-10
     for lam in ((1, 1), (2, 1)):
         p = H.macdonald_p(F, lam)
-        assert abs(P.central_trace_integral(p, 128)) < 1e-10
+        assert abs(_central_trace_integral(p, 128)) < 1e-10
 
 
 def _orbit_sum(F, terms):
@@ -596,15 +625,15 @@ def test_central_trace_integral_matches_grid_sum(field2, n):
     want = np.mean(values * weight) / (6 * q ** 3)
     assert abs(want) > 0.1
     scale = sum(abs(complex(c)) for c in p.terms.values())
-    assert abs(P.central_trace_integral(p, n) - want) <= 1e-14 * scale
+    assert abs(_central_trace_integral(p, n) - want) <= 1e-14 * scale
 
 
 def test_central_trace_integral_rejects_asymmetric(field2):
     F = field2
     with pytest.raises(ValueError):
-        P.central_trace_integral(H.x_element(F, [(((1, 0), 0), F.one)]), 64)
+        _central_trace_integral(H.x_element(F, [(((1, 0), 0), F.one)]), 64)
     with pytest.raises(ValueError):
-        P.central_trace_integral(H.t_to_x(H.t_generator(F, 1)), 64)
+        _central_trace_integral(H.t_to_x(H.t_element(F, [(W.GEN[1], F.one)])), 64)
 
 
 def _f_series_from_rows(h, t, depth):
@@ -649,12 +678,10 @@ def test_f_series_reads_the_float_grid_bit_for_bit():
 
 
 def test_small_angle_density_expansion():
-    err = L.lemma34_check((0.01, 0.013), 2)
-    assert err < 0.05
-    err_half = L.lemma34_check((0.005, 0.0065), 2)
-    assert err_half <= 0.6 * err + 1e-12
+    """The expansion's values and their decay under halving are criterion 10
+    of the acceptance gate; off it, a degenerate direction raises."""
     with pytest.raises(ValueError):
-        L.lemma34_check((0.01, -0.01), 2)
+        lemma34_check((0.01, -0.01), 2)
 
 
 def test_trace_table_cache_is_bounded():

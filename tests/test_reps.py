@@ -20,7 +20,7 @@ def test_six_dim_matches_display(q):
     t = (0.37 + 0.56j, -0.83 + 0.44j)
     rep = R.principal_series(q, t)
     for i, disp in enumerate(DM.six_dim(q, *t)):
-        assert np.abs(R.a_normalized(rep, i) - disp).max() < 1e-12
+        assert np.abs(rep.gens[i] / rep.q ** 0.5 - disp).max() < 1e-12
     gens = R.principal_generators(q, BATCH_T1, BATCH_T2)
     for k, (t1, t2) in enumerate(zip(BATCH_T1, BATCH_T2)):
         for g, disp in zip(gens, DM.six_dim(q, t1, t2)):
@@ -110,7 +110,7 @@ def test_single_modules_reject_zero_parameters():
 def test_entry_example():
     t = (0.3 + 0.4j, 0.9 + 0.1j)
     rep = R.principal_series(2, t)
-    assert abs(R.a_normalized(rep, 0)[0, 5] - t[0] * t[1] / 2 ** 0.5) < 1e-14
+    assert abs(rep.gens[0][0, 5] / rep.q ** 0.5 - t[0] * t[1] / 2 ** 0.5) < 1e-14
 
 
 def test_homomorphism(field2, ball4):

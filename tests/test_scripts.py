@@ -1,8 +1,10 @@
 """Tests for the experiment scripts: each runs to completion with warnings
-turned into errors, input out of its domain is a usage error, and none
-reaches into a private helper of the package."""
+turned into errors, input out of its domain is a usage error, none reaches
+into a private helper of the package, and every package name they read
+exists."""
 
 import ast
+import importlib
 import pathlib
 import subprocess
 import sys
@@ -10,6 +12,7 @@ import sys
 import pytest
 
 import chamberwalks
+from test_benchmark_hooks import _package_reads
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 MODULES = set(chamberwalks.__all__)
@@ -68,3 +71,14 @@ def test_scripts_use_public_api():
                     and node.value.id in MODULES):
                 offenders.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
     assert not offenders
+
+
+def test_script_reads_resolve():
+    """Every package name a script reads exists, so a refactor that drops or
+    moves one fails here; tier-1 runs neither parity.py nor the
+    function-local imports of its queries."""
+    reads = set().union(*map(_package_reads, sorted(SCRIPTS.glob("*.py"))))
+    assert len(reads) >= 20  # the scan sees the scripts' reads
+    missing = [f"{mod}.{name}" for mod, name in sorted(reads)
+               if not hasattr(importlib.import_module(f"chamberwalks.{mod}"), name)]
+    assert not missing
